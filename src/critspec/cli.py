@@ -12,6 +12,7 @@ route certified, 2 input error, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from fractions import Fraction
@@ -24,7 +25,8 @@ from .harness import (
     ENSEMBLES,
     HuntConfig,
     VerifyConfig,
-    _dft_arrangement,
+    _dft_circulant,
+    _RouteFailure,
     antiderivative_chain,
     hunt,
     verify_critical_realizability,
@@ -33,7 +35,6 @@ from .moments import check_necessary_conditions, critical_moment, power_sums
 from .polynomial import critical_points, derivative_monic, from_roots
 from .realizers import (
     MatrixSignClass,
-    circulant,
     companion,
     d_companion,
     matrix_sign_class,
@@ -45,8 +46,6 @@ from .spectra import SpectrumList, as_spectrum, pairing_residual
 
 __all__ = ["parse_complex", "parse_spectrum", "run", "main"]
 
-_MATCH_TOL = 1e-7
-
 _REAL_RE = re.compile(
     r"^[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)$"
 )
@@ -55,14 +54,17 @@ _REAL_RE = re.compile(
 def _parse_real(token: str, original: str) -> float:
     if not _REAL_RE.match(token):
         raise ParseError(f"malformed number {token!r} in {original!r}", token=token)
-    if "/" in token:
-        try:
-            return float(Fraction(token))
-        except ZeroDivisionError:
-            raise ParseError(
-                f"zero denominator in {token!r}", token=token
-            ) from None
-    return float(token)
+    try:
+        value = float(Fraction(token)) if "/" in token else float(token)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {token!r}", token=token) from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(
+            f"number {token!r} in {original!r} is out of range", token=token
+        )
+    return value
 
 
 def parse_complex(text: str) -> complex:
@@ -269,8 +271,6 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_critical(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
-    if len(spec) < 2:
-        raise ValueError("critical points need a list of at least two entries")
     crit = critical_points(spec)
     depth = args.kmax if args.kmax is not None else 4 * len(spec)
     direct = power_sums(crit, depth)
@@ -313,20 +313,22 @@ def _build_realizer(args, spec: SpectrumList):
         return d_companion(spec, pivot=args.pivot), None
     if route == "real-dcomp":
         return real_d_companion(spec, tol=args.tol), None
-    arrangement = _dft_arrangement(spec, args.tol * (1.0 + spec.spectral_radius))
-    if arrangement is None:
-        return None, "no conjugate-symmetric frequency arrangement exists"
-    c = np.fft.ifft(arrangement)
-    if float(np.max(np.abs(c.imag))) > args.tol * (1.0 + spec.spectral_radius):
-        return None, "inverse transform is not real"
-    return principal_submatrix(circulant(c.real), 1), None
+    try:
+        return principal_submatrix(_dft_circulant(spec, args.tol), 1), None
+    except _RouteFailure as exc:
+        return None, str(exc)
 
 
 def _cmd_realize(args, out) -> int:
+    """Build one route's matrix and report on it.
+
+    Unlike verify, which stops at a route's first failed check to skip
+    the eigenvalue solve, realize always shows the matrix, its sign class
+    and its spectrum residual, so a failed route can be inspected.
+    """
     spec = parse_spectrum(args.spectrum)
-    if len(spec) < 2:
-        raise ValueError("realization needs a list of at least two entries")
     crit = critical_points(spec)
+    match_tol = VerifyConfig.match_tol
     M, reason = _build_realizer(args, spec)
     sign = None
     residual = None
@@ -336,8 +338,8 @@ def _cmd_realize(args, out) -> int:
             sign = matrix_sign_class(M, args.tol)
         except ValueError:
             sign = None
-        residual = pairing_residual(matrix_spectrum(M), crit, _MATCH_TOL)
-        matched = residual <= _MATCH_TOL
+        residual = pairing_residual(matrix_spectrum(M), crit, match_tol)
+        matched = residual <= match_tol
         if not matched:
             reason = f"spectrum mismatch: worst pairing distance {residual:.3e}"
         # real-dcomp promises a real matrix with the right spectrum, not
@@ -354,7 +356,7 @@ def _cmd_realize(args, out) -> int:
             "input": _input_record(spec),
             "config": {
                 "tol": args.tol,
-                "match_tol": _MATCH_TOL,
+                "match_tol": match_tol,
                 "route": args.route,
                 "pivot": args.pivot,
             },
@@ -388,9 +390,7 @@ def _cmd_realize(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
-    cfg = VerifyConfig(
-        tol=args.tol, match_tol=_MATCH_TOL, kmax=args.kmax, jll_depth=args.jll
-    )
+    cfg = VerifyConfig(tol=args.tol, kmax=args.kmax, jll_depth=args.jll)
     report = verify_critical_realizability(spec, cfg)
     if args.fmt == "machine":
         doc = {
@@ -398,7 +398,7 @@ def _cmd_verify(args, out) -> int:
             "input": _input_record(spec),
             "config": {
                 "tol": args.tol,
-                "match_tol": _MATCH_TOL,
+                "match_tol": cfg.match_tol,
                 "kmax": args.kmax,
                 "jll": args.jll,
             },
@@ -438,7 +438,6 @@ def _cmd_hunt(args, out) -> int:
         seed=args.seed,
         ensemble=args.ensemble,
         tol=args.tol,
-        match_tol=_MATCH_TOL,
         kmax=args.kmax,
         jll_depth=args.jll,
     )
@@ -449,7 +448,7 @@ def _cmd_hunt(args, out) -> int:
             "input": _input_record(None),
             "config": {
                 "tol": args.tol,
-                "match_tol": _MATCH_TOL,
+                "match_tol": config.match_tol,
                 "kmax": args.kmax,
                 "jll": args.jll,
                 "seed": args.seed,
@@ -537,3 +536,7 @@ def run(argv: list[str], out=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

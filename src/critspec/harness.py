@@ -34,6 +34,7 @@ from .polynomial import (
 )
 from .realizers import (
     MatrixSignClass,
+    _split_conjugate,
     circulant,
     companion,
     d_companion,
@@ -74,9 +75,6 @@ ENSEMBLES = (
     "row-stochastic",
     "circulant-nonnegative",
 )
-
-ROUTE_NAMES = ("companion", "d-companion", "dft-circulant", "hadamard")
-
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -153,178 +151,140 @@ class HuntReport:
     wall_clock: float = 0.0
 
 
-def _finish_route(
-    name: str, M: np.ndarray, crit: SpectrumList, cfg: VerifyConfig
-) -> RouteResult:
-    """Sign-check a candidate certificate and match its spectrum to crit."""
+class _RouteFailure(Exception):
+    """A route's candidate did not certify; the message is the reason."""
+
+    def __init__(self, reason: str, residual: float | None = None):
+        super().__init__(reason)
+        self.residual = residual
+
+
+def _require_nonnegative(
+    M: np.ndarray, tol: float, what: str, detail: str | None = None
+) -> None:
+    """Raise _RouteFailure unless M is entrywise nonnegative.
+
+    The reason reads "<what> is not entrywise nonnegative (<detail>)",
+    with the sign class as the default detail; a matrix with non-real
+    entries fails with matrix_sign_class's own message.
+    """
     try:
-        sign = matrix_sign_class(M, cfg.tol)
+        sign = matrix_sign_class(M, tol)
     except ValueError as exc:
-        return RouteResult(name, True, False, None, str(exc), None)
+        raise _RouteFailure(str(exc)) from None
     if sign is not MatrixSignClass.NONNEGATIVE:
-        return RouteResult(
-            name,
-            True,
-            False,
-            None,
-            f"matrix is not entrywise nonnegative (sign class: {sign.value})",
-            None,
-        )
+        detail = detail or f"sign class: {sign.value}"
+        raise _RouteFailure(f"{what} is not entrywise nonnegative ({detail})")
+
+
+def _finish_route(M: np.ndarray, crit: SpectrumList, cfg: VerifyConfig) -> float:
+    """Sign-check a candidate certificate and match its spectrum to crit.
+
+    Returns the pairing residual, or raises _RouteFailure at the first
+    failed check, so a matrix of the wrong sign skips the eigenvalue solve.
+    """
+    _require_nonnegative(M, cfg.tol, "matrix")
     try:
         got = spectrum(M)
     except NumericError as exc:
-        return RouteResult(name, True, False, None, str(exc), None)
-    residual = pairing_residual(got, crit, cfg.match_tol)
-    if residual <= cfg.match_tol:
-        return RouteResult(name, True, True, M, None, float(residual))
-    return RouteResult(
-        name,
-        True,
-        False,
-        None,
-        f"spectrum mismatch: worst pairing distance {residual:.3e}",
-        float(residual),
-    )
+        raise _RouteFailure(str(exc)) from None
+    residual = float(pairing_residual(got, crit, cfg.match_tol))
+    if not residual <= cfg.match_tol:
+        raise _RouteFailure(
+            f"spectrum mismatch: worst pairing distance {residual:.3e}", residual
+        )
+    return residual
 
 
-def _companion_route(
-    dp: MonicPolynomial, crit: SpectrumList, cfg: VerifyConfig
-) -> RouteResult:
-    return _finish_route("companion", companion(dp), crit, cfg)
+def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
+    """Real circulant with eigenvalues spec, synthesized by inverse DFT.
 
-
-def _dcompanion_route(
-    spec: SpectrumList, crit: SpectrumList, cfg: VerifyConfig
-) -> RouteResult:
-    return _finish_route("d-companion", d_companion(spec), crit, cfg)
-
-
-def _dft_arrangement(spec: SpectrumList, tol_abs: float) -> np.ndarray | None:
-    """Order the list as DFT frequency content d with d[n-j] = conj(d[j]).
-
-    The dominant real entry goes to frequency 0 and, for even order, the
-    smallest remaining real entry goes to frequency n/2.  Conjugate
-    pairs take mirrored slots; leftover real entries must pair up with
-    equal values to share a mirrored slot.  Returns None when no such
-    ordering exists.
+    The list is ordered as DFT frequency content d with d[n-j] = conj(d[j]):
+    the dominant real entry goes to frequency 0 and, for even order, the
+    smallest real entry to frequency n/2.  Conjugate pairs take mirrored
+    slots; the remaining real entries must pair up with equal values to
+    share one.  The entry counts leave exactly enough slots.  Raises
+    _RouteFailure when no such ordering exists or the inverse transform
+    is not real.
     """
     n = len(spec)
-    reals: list[float] = []
-    ups: list[complex] = []
-    downs: list[complex] = []
-    for z in spec:
-        if abs(z.imag) <= tol_abs:
-            reals.append(z.real)
-        elif z.imag > 0:
-            ups.append(z)
-        else:
-            downs.append(z)
-    if len(ups) != len(downs):
-        return None
-    used = [False] * len(downs)
-    for u in ups:
-        best, best_d = -1, float("inf")
-        for j, dn in enumerate(downs):
-            if not used[j] and abs(u.conjugate() - dn) < best_d:
-                best, best_d = j, abs(u.conjugate() - dn)
-        if best < 0 or best_d > 2.0 * tol_abs:
-            return None
-        used[best] = True
-    if not reals:
-        return None
-    reals.sort(reverse=True)
+    tol_abs = tol * (1.0 + spec.spectral_radius)
+    try:
+        reals, ups = _split_conjugate(spec, tol_abs)
+    except ValueError:
+        reals, ups = [], []
+    rest = reals[1:-1] if n % 2 == 0 else reals[1:]
+    pairs = list(zip(rest[::2], rest[1::2]))
+    if not reals or any(abs(r1 - r2) > 2.0 * tol_abs for r1, r2 in pairs):
+        raise _RouteFailure("no conjugate-symmetric frequency arrangement exists")
     d = np.zeros(n, dtype=complex)
-    d[0] = reals.pop(0)
+    d[0] = reals[0]
     if n % 2 == 0:
-        if not reals:
-            return None
-        d[n // 2] = reals.pop()
-    slots = list(range(1, (n - 1) // 2 + 1))
-    ups.sort(key=lambda z: (-z.imag, -z.real))
-    for u in ups:
-        if not slots:
-            return None
-        j = slots.pop(0)
+        d[n // 2] = reals[-1]
+    for j, u in enumerate(ups, start=1):
         d[j] = u
         d[n - j] = u.conjugate()
-    if len(reals) % 2 != 0:
-        return None
-    reals.sort(reverse=True)
-    while reals:
-        r1 = reals.pop(0)
-        r2 = reals.pop(0)
-        if abs(r1 - r2) > 2.0 * tol_abs or not slots:
-            return None
-        j = slots.pop(0)
+    for j, (r1, r2) in enumerate(pairs, start=len(ups) + 1):
         d[j] = d[n - j] = 0.5 * (r1 + r2)
-    return d
-
-
-def _dft_route(
-    spec: SpectrumList, crit: SpectrumList, cfg: VerifyConfig
-) -> RouteResult:
-    name = "dft-circulant"
-    tol_abs = cfg.tol * (1.0 + spec.spectral_radius)
-    d = _dft_arrangement(spec, tol_abs)
-    if d is None:
-        return RouteResult(
-            name,
-            True,
-            False,
-            None,
-            "no conjugate-symmetric frequency arrangement exists",
-            None,
-        )
     c = np.fft.ifft(d)
     if float(np.max(np.abs(c.imag))) > tol_abs:
-        return RouteResult(
-            name, True, False, None, "inverse transform is not real", None
-        )
-    C = circulant(c.real)
-    try:
-        sign = matrix_sign_class(C, cfg.tol)
-    except ValueError as exc:
-        return RouteResult(name, True, False, None, str(exc), None)
-    if sign is not MatrixSignClass.NONNEGATIVE:
-        return RouteResult(
-            name,
-            True,
-            False,
-            None,
-            f"circulant is not entrywise nonnegative (min entry {float(c.real.min()):.3e})",
-            None,
-        )
+        raise _RouteFailure("inverse transform is not real")
+    return circulant(c.real)
+
+
+def _dft_candidate(
+    spec: SpectrumList, dp: MonicPolynomial, cfg: VerifyConfig
+) -> np.ndarray:
+    C = _dft_circulant(spec, cfg.tol)
     # Every principal submatrix of a circulant realizer carries the
-    # critical points; use the first.
-    return _finish_route(name, principal_submatrix(C, 1), crit, cfg)
+    # critical points; use the first.  For n >= 3 it holds every entry
+    # of C, so this check only gives _finish_route's verdict early, with
+    # its own reason.
+    _require_nonnegative(
+        C, cfg.tol, "circulant", f"min entry {float(C[0].min()):.3e}"
+    )
+    return principal_submatrix(C, 1)
 
 
-def _hadamard_route(
-    spec: SpectrumList, crit: SpectrumList, cfg: VerifyConfig
-) -> RouteResult:
-    name = "hadamard"
+def _hadamard_candidate(
+    spec: SpectrumList, dp: MonicPolynomial, cfg: VerifyConfig
+) -> np.ndarray | None:
     if cfg.hadamard is None:
-        return RouteResult(
-            name, False, False, None, "no similarity matrix supplied", None
-        )
+        return None
     try:
         A = hadamard_similarity(spec, cfg.hadamard)
     except ValueError as exc:
-        return RouteResult(name, True, False, None, str(exc), None)
+        raise _RouteFailure(str(exc)) from None
+    # With a general H the image can be negative outside the certified
+    # submatrix, or complex, so the whole image is checked.
+    _require_nonnegative(A, cfg.tol, "similarity image")
+    return principal_submatrix(A.real, 1)
+
+
+# (name, build) in report order.  build(spec, dp, cfg) returns a candidate
+# certificate, None when the route's optional input (the Hadamard
+# similarity matrix) is absent, or raises _RouteFailure.  Constructions
+# are looked up in this module's namespace at call time.
+_ROUTES = (
+    ("companion", lambda spec, dp, cfg: companion(dp)),
+    ("d-companion", lambda spec, dp, cfg: d_companion(spec)),
+    ("dft-circulant", _dft_candidate),
+    ("hadamard", _hadamard_candidate),
+)
+
+ROUTE_NAMES = tuple(name for name, _ in _ROUTES)
+
+
+def _run_route(name: str, build, spec, dp, crit, cfg: VerifyConfig) -> RouteResult:
     try:
-        sign = matrix_sign_class(A, cfg.tol)
-    except ValueError as exc:
-        return RouteResult(name, True, False, None, str(exc), None)
-    if sign is not MatrixSignClass.NONNEGATIVE:
-        return RouteResult(
-            name,
-            True,
-            False,
-            None,
-            f"similarity image is not entrywise nonnegative (sign class: {sign.value})",
-            None,
-        )
-    return _finish_route(name, principal_submatrix(A.real, 1), crit, cfg)
+        M = build(spec, dp, cfg)
+        if M is None:
+            reason = "no similarity matrix supplied"
+            return RouteResult(name, False, False, None, reason, None)
+        residual = _finish_route(M, crit, cfg)
+    except _RouteFailure as exc:
+        return RouteResult(name, True, False, None, str(exc), exc.residual)
+    return RouteResult(name, True, True, M, None, residual)
 
 
 def verify_critical_realizability(
@@ -347,11 +307,8 @@ def verify_critical_realizability(
     conditions = check_necessary_conditions(
         crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=cfg.tol
     )
-    routes = (
-        _companion_route(dp, crit, cfg),
-        _dcompanion_route(spec, crit, cfg),
-        _dft_route(spec, crit, cfg),
-        _hadamard_route(spec, crit, cfg),
+    routes = tuple(
+        _run_route(name, build, spec, dp, crit, cfg) for name, build in _ROUTES
     )
     if not conditions.overall:
         verdict = "condition-violation"

@@ -250,7 +250,8 @@ def roots(p: MonicPolynomial, tol: float = 1e-10, max_sweeps: int = 500) -> Spec
     """All roots of p with multiplicity, as a canonical SpectrumList.
 
     Raises NonConvergenceError when the final residual check
-    |p(x)| <= tol * (1 + max|a_k|) fails for some root.
+    |p(x)| <= tol * (1 + max|a_k|) fails for some root, including when
+    a residual is NaN.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -264,7 +265,7 @@ def roots(p: MonicPolynomial, tol: float = 1e-10, max_sweeps: int = 500) -> Spec
     x = _realify_near_real(cdesc, x)
     scale = 1.0 + max(abs(c) for c in p.coeffs)
     worst = float(np.max(np.abs(np.polyval(cdesc, x))))
-    if worst > tol * scale:
+    if not worst <= tol * scale:
         raise NonConvergenceError(
             f"root refinement stalled: residual {worst:.3e} exceeds "
             f"{tol * scale:.3e}",

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from critspec import ParseError
+from critspec import ParseError, verify_critical_realizability
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
 
@@ -38,7 +42,9 @@ class TestParseComplex:
     def test_valid(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2", "3/0", "1//2", "i2", "inf"])
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "1+2", "3/0", "1//2", "i2", "inf", "1e400", "1e400i"]
+    )
     def test_invalid(self, text):
         with pytest.raises(ParseError):
             parse_complex(text)
@@ -121,6 +127,11 @@ class TestCriticalCommand:
         code, _ = run_capture(["critical", "5"])
         assert code == 2
 
+    def test_overflowing_literal_exit_two(self):
+        code, out = run_capture(["critical", "1e400,1"])
+        assert code == 2
+        assert out == ""
+
 
 class TestRealizeCommand:
     def test_companion_certifies_suleimanova(self):
@@ -179,6 +190,50 @@ class TestVerifyCommand:
         names = [r["name"] for r in doc["report"]["routes"]]
         assert names == ["companion", "d-companion", "dft-circulant", "hadamard"]
         assert doc["report"]["verdict"] == "certified"
+
+
+    def test_nan_roots_exit_three(self):
+        values = np.random.default_rng(0).standard_normal(100)
+        code, out = run_capture(["verify", ",".join(repr(float(x)) for x in values)])
+        assert code == 3
+        assert out == ""
+
+
+class TestRealizeAgreesWithVerify:
+    LISTS = (
+        "3,-1,-1",
+        "1,-1,-1",
+        "2,i,-i",
+        "1,1,-2/3,-2/3,-2/3",
+        "4,1+i,1-i,-1",
+        "5,-1,-1,-1,-1,1/2",
+        "1,1,1,1,1,1,1,1",
+    )
+    ROUTES = {"companion": "companion", "dcomp": "d-companion", "dft": "dft-circulant"}
+
+    @pytest.mark.parametrize("text", LISTS)
+    def test_realize_certifies_exactly_when_verify_route_succeeds(self, text):
+        report = verify_critical_realizability(parse_spectrum(text))
+        succeeded = {r.name: r.succeeded for r in report.routes}
+        for route, name in self.ROUTES.items():
+            code, _ = run_capture(["realize", text, "--route", route])
+            assert (code == 0) == succeeded[name], (route, code)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_critspec_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "critspec", "verify", "3,-1,-1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "verdict: certified" in proc.stdout
 
 
 class TestHuntCommand:

@@ -9,6 +9,7 @@ from conftest import random_complex_list, random_self_conjugate
 from critspec import (
     MonicPolynomial,
     NonConvergenceError,
+    NumericError,
     antiderivative_monic,
     as_spectrum,
     critical_points,
@@ -165,6 +166,12 @@ class TestCriticalPoints:
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             critical_points([1.0])
+
+    def test_nan_residual_raises(self):
+        # The degree-99 derivative overflows to NaN in the root finder;
+        # a NaN residual must fail the acceptance test, not pass it.
+        with pytest.raises(NumericError):
+            critical_points(np.random.default_rng(0).standard_normal(100))
 
     def test_gauss_lucas_containment(self):
         # Critical points lie in the convex hull of the roots; the
