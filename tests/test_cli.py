@@ -123,6 +123,29 @@ class TestCriticalCommand:
             d = complex(row["direct"]["re"], row["direct"]["im"])
             assert abs(f - d) <= 1e-6 * max(1.0, abs(f), abs(d))
 
+    def test_formula_column_pinned(self):
+        # The determinant-formula column as it reads today, bit for bit.
+        # Past k = 35 the formula has lost every digit (the direct column
+        # stays positive); the pin holds the values, not their accuracy.
+        code, out = run_capture(
+            ["critical", "3,-1,-1", "--kmax", "40", "--format", "machine"]
+        )
+        assert code == 0
+        formula = [row["formula"] for row in json.loads(out)["report"]["moments"]]
+        assert all(z["im"] == 0.0 for z in formula)
+        assert [z["re"] for z in formula] == [
+            0.6666666666666667, 3.7777777777777732, 3.6296296296296475, 8.716049382716136,
+            11.860082304526884, 22.433470507543802, 34.722450845913954, 60.5374180765275,
+            98.22903012764436, 166.3817168791211, 274.6361948012782, 460.3936579915462,
+            764.6560966533143, 1277.093494495377, 2125.8224914651364, 3545.7041509374976,
+            5906.840247496963, 9847.400455653667, 16409.667306661606, 27352.11245584488,
+            45584.18435096741, 75976.3261680603, 126624.4421081543, 211043.0474243164,
+            351733.74572753906, 586241.4150390625, 977031.267578125, 1628900.3671875,
+            2715759.515625, 4503594.78125, 7518353.875, 12451685.5,
+            20796884.0, 30043016.0, 56549888.0, 332334368.0,
+            331914368.0, -4421805568.0, -4466755584.0, -139196368896.0,
+        ]
+
     def test_singleton_exit_two(self):
         code, _ = run_capture(["critical", "5"])
         assert code == 2

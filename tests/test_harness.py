@@ -12,6 +12,8 @@ from critspec import (
     VerifyConfig,
     antiderivative_chain,
     as_spectrum,
+    check_necessary_conditions,
+    critical_points,
     dft_matrix,
     from_roots,
     hunt,
@@ -22,6 +24,7 @@ from critspec import (
     spectrum,
     verify_critical_realizability,
 )
+from critspec.harness import _confirm_alarm
 
 
 class TestVerify:
@@ -165,6 +168,38 @@ class TestHunt:
             hunt(HuntConfig(n_min=1, n_max=3, samples=5, seed=0))
         with pytest.raises(ValueError):
             hunt(HuntConfig(n_min=3, n_max=3, samples=5, seed=0, ensemble="nope"))
+
+
+class TestConfirmAlarm:
+    """The recheck a hunt runs before it reports a condition failure."""
+
+    cfg = VerifyConfig()
+
+    def test_real_moment_failure_confirmed(self):
+        # The critical points {1/3, -1} of 1,-1,-1 have negative trace, and
+        # the determinant formula from the list reproduces it.
+        lam = as_spectrum([1, -1, -1])
+        assert _confirm_alarm(lam, critical_points(lam), self.cfg)
+
+    def test_non_self_conjugate_crit_confirmed(self):
+        lam = as_spectrum([3, -1, -1])
+        crit = as_spectrum([5 / 3, -1 + 0.5j])
+        assert _confirm_alarm(lam, crit, self.cfg)
+
+    def test_passing_crit_not_an_alarm(self):
+        lam = as_spectrum([3, -1, -1])
+        assert not _confirm_alarm(lam, critical_points(lam), self.cfg)
+
+    def test_direct_failure_the_formula_clears_is_not_an_alarm(self):
+        # 3,-1,-1,-1 has critical points {2, -1, -1} with trace exactly 0.
+        # Nudging one of them makes the direct s_1 negative; the formula
+        # from the list still gives 0.
+        lam = as_spectrum([3, -1, -1, -1])
+        nudged = as_spectrum([2.0, -1.0, -1.0 - 1e-6])
+        tight = check_necessary_conditions(nudged, tol=self.cfg.tol / 100.0)
+        assert tight.self_conjugate and tight.spectral_radius_in_list
+        assert [c.k for c in tight.moment_checks if not c.passed] == [1]
+        assert not _confirm_alarm(lam, nudged, self.cfg)
 
 
 class TestAntiderivativeChain:
