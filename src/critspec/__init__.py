@@ -33,6 +33,7 @@ from .moments import (
     MomentCheck,
     check_necessary_conditions,
     critical_moment,
+    critical_moments,
     jll_pair_equivalence,
     monov_det,
     power_sums,
@@ -96,6 +97,7 @@ __all__ = [
     "MomentCheck",
     "check_necessary_conditions",
     "critical_moment",
+    "critical_moments",
     "jll_pair_equivalence",
     "monov_det",
     "power_sums",

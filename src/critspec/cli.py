@@ -25,13 +25,14 @@ from .harness import (
     ENSEMBLES,
     HuntConfig,
     VerifyConfig,
+    _MATCH_TOL,
     _dft_circulant,
     _RouteFailure,
     antiderivative_chain,
     hunt,
     verify_critical_realizability,
 )
-from .moments import check_necessary_conditions, critical_moment, power_sums
+from .moments import check_necessary_conditions, critical_moments, power_sums
 from .polynomial import critical_points, derivative_monic, from_roots
 from .realizers import (
     MatrixSignClass,
@@ -274,9 +275,7 @@ def _cmd_critical(args, out) -> int:
     crit = critical_points(spec)
     depth = args.kmax if args.kmax is not None else 4 * len(spec)
     direct = power_sums(crit, depth)
-    table = []
-    for k in range(1, depth + 1):
-        table.append((k, critical_moment(spec, k), complex(direct[k - 1])))
+    table = list(zip(range(1, depth + 1), critical_moments(spec, depth), direct))
     if args.fmt == "machine":
         doc = {
             "command": "critical",
@@ -328,7 +327,6 @@ def _cmd_realize(args, out) -> int:
     """
     spec = parse_spectrum(args.spectrum)
     crit = critical_points(spec)
-    match_tol = VerifyConfig.match_tol
     M, reason = _build_realizer(args, spec)
     sign = None
     residual = None
@@ -338,8 +336,8 @@ def _cmd_realize(args, out) -> int:
             sign = matrix_sign_class(M, args.tol)
         except ValueError:
             sign = None
-        residual = pairing_residual(matrix_spectrum(M), crit, match_tol)
-        matched = residual <= match_tol
+        residual = pairing_residual(matrix_spectrum(M), crit, _MATCH_TOL)
+        matched = residual <= _MATCH_TOL
         if not matched:
             reason = f"spectrum mismatch: worst pairing distance {residual:.3e}"
         # real-dcomp promises a real matrix with the right spectrum, not
@@ -356,7 +354,7 @@ def _cmd_realize(args, out) -> int:
             "input": _input_record(spec),
             "config": {
                 "tol": args.tol,
-                "match_tol": match_tol,
+                "match_tol": _MATCH_TOL,
                 "route": args.route,
                 "pivot": args.pivot,
             },
@@ -398,7 +396,7 @@ def _cmd_verify(args, out) -> int:
             "input": _input_record(spec),
             "config": {
                 "tol": args.tol,
-                "match_tol": cfg.match_tol,
+                "match_tol": _MATCH_TOL,
                 "kmax": args.kmax,
                 "jll": args.jll,
             },
@@ -448,7 +446,7 @@ def _cmd_hunt(args, out) -> int:
             "input": _input_record(None),
             "config": {
                 "tol": args.tol,
-                "match_tol": config.match_tol,
+                "match_tol": _MATCH_TOL,
                 "kmax": args.kmax,
                 "jll": args.jll,
                 "seed": args.seed,
@@ -522,6 +520,8 @@ def run(argv: list[str], out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
         return _DISPATCH[args.command](args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,18 +11,19 @@ lists are realizable.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericError
+# Uncalled here, critical_moment stays bound: bench/tracing.py wraps it.
 from .moments import (
     ConditionReport,
-    _jll_compare,
+    _grade_moments,
     check_necessary_conditions,
     critical_moment,
+    critical_moments,
     power_sums,
 )
 from .polynomial import (
@@ -76,19 +77,21 @@ ENSEMBLES = (
     "circulant-nonnegative",
 )
 
+# Largest pairing distance at which a certificate matches the critical points.
+_MATCH_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Tolerances and optional extras for a verification run.
 
     tol        tolerance for condition checks and sign tests
-    match_tol  tolerance for spectrum-to-spectrum pairing
     kmax       moment depth (None means 4 * list size)
     jll_depth  grid depth for the power-sum inequality
     hadamard   optional complex Hadamard matrix enabling the fourth route
     """
 
     tol: float = 1e-9
-    match_tol: float = 1e-7
     kmax: int | None = None
     jll_depth: int = 8
     hadamard: np.ndarray | None = None
@@ -125,7 +128,6 @@ class HuntConfig:
     seed: int
     ensemble: str = "dense-uniform"
     tol: float = 1e-9
-    match_tol: float = 1e-7
     kmax: int | None = None
     jll_depth: int = 8
 
@@ -188,8 +190,8 @@ def _finish_route(M: np.ndarray, crit: SpectrumList, cfg: VerifyConfig) -> float
         got = spectrum(M)
     except NumericError as exc:
         raise _RouteFailure(str(exc)) from None
-    residual = float(pairing_residual(got, crit, cfg.match_tol))
-    if not residual <= cfg.match_tol:
+    residual = float(pairing_residual(got, crit, _MATCH_TOL))
+    if not residual <= _MATCH_TOL:
         raise _RouteFailure(
             f"spectrum mismatch: worst pairing distance {residual:.3e}", residual
         )
@@ -357,9 +359,10 @@ def random_realizable(
 def _moment_cross_check(lam: SpectrumList, crit: SpectrumList, depth: int) -> None:
     """Moments of computed critical points must match the determinant formula."""
     direct = power_sums(crit, depth)
+    formula = critical_moments(lam, depth)
     for k in range(1, depth + 1):
         a = complex(direct[k - 1])
-        b = critical_moment(lam, k)
+        b = complex(formula[k - 1])
         if abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)):
             raise NumericError(
                 f"critical-moment cross-check failed at k={k}: "
@@ -383,31 +386,13 @@ def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> 
         return False
     if not tight.self_conjugate or not tight.spectral_radius_in_list:
         return True
-    n = len(crit)
-    rho = crit.spectral_radius
-    for mc in tight.moment_checks:
-        if mc.passed:
-            continue
-        v = critical_moment(lam, mc.k)
-        try:
-            tk = tight_tol * (1.0 + rho) ** mc.k
-        except OverflowError:
-            tk = math.inf
-        if v.real < -tk or abs(v.imag) > tk:
-            return True
-    for jc in tight.jll_checks:
-        if jc.passed:
-            continue
-        a = critical_moment(lam, jc.k).real
-        b = critical_moment(lam, jc.k * jc.m).real
-        try:
-            slack = tight_tol * float(n) ** (jc.m - 1) * (1.0 + rho) ** (jc.k * jc.m)
-        except OverflowError:
-            slack = math.inf
-        _, _, ok = _jll_compare(a, b, n, jc.m, slack)
-        if not ok:
-            return True
-    return False
+    depth, jll_depth = tight.moment_depth, tight.jll_depth
+    formula = critical_moments(lam, max(depth, jll_depth * jll_depth))
+    moment_checks, jll_checks = _grade_moments(
+        formula, len(crit), crit.spectral_radius, depth, jll_depth, tight_tol
+    )
+    pairs = zip(tight.moment_checks + tight.jll_checks, moment_checks + jll_checks)
+    return any(not (d.passed or f.passed) for d, f in pairs)
 
 
 def hunt(config: HuntConfig) -> HuntReport:
@@ -425,12 +410,7 @@ def hunt(config: HuntConfig) -> HuntReport:
         raise ValueError(
             f"unknown ensemble {config.ensemble!r}; choose from {ENSEMBLES}"
         )
-    vcfg = VerifyConfig(
-        tol=config.tol,
-        match_tol=config.match_tol,
-        kmax=config.kmax,
-        jll_depth=config.jll_depth,
-    )
+    vcfg = VerifyConfig(tol=config.tol, kmax=config.kmax, jll_depth=config.jll_depth)
     start = time.perf_counter()
     certified = 0
     uncertified = 0
@@ -446,17 +426,13 @@ def hunt(config: HuntConfig) -> HuntReport:
         for r in report.routes:
             if r.succeeded:
                 successes[r.name] += 1
-        if report.verdict == "condition-violation":
-            if _confirm_alarm(lam, report.critical, vcfg):
-                alarms.append(AlarmRecord(sample_index=i, order=n, report=report))
-                continue
-            # The failure evaporated under escalation: count the sample
-            # by what the routes say instead.
-            if any(r.succeeded for r in report.routes):
-                certified += 1
-            else:
-                uncertified += 1
-        elif report.verdict == "certified":
+        # A condition failure is an alarm only if the recheck confirms it;
+        # otherwise the sample counts by what the routes say.
+        if report.verdict == "condition-violation" and _confirm_alarm(
+            lam, report.critical, vcfg
+        ):
+            alarms.append(AlarmRecord(sample_index=i, order=n, report=report))
+        elif any(r.succeeded for r in report.routes):
             certified += 1
         else:
             uncertified += 1

@@ -27,6 +27,7 @@ __all__ = [
     "power_sums",
     "monov_det",
     "critical_moment",
+    "critical_moments",
     "check_necessary_conditions",
     "jll_pair_equivalence",
 ]
@@ -53,13 +54,12 @@ def power_sums(lam: SpectrumLike, kmax: int) -> np.ndarray:
 def _monov_matrix(s: np.ndarray, n: int, k: int) -> np.ndarray:
     # Row i: first column (i+1)*s_{i+1}, superdiagonal n, then the
     # Toeplitz tail s_{i+1-j} in columns 1..i.
+    i, j = np.indices((k, k))
+    tail = (j >= 1) & (j <= i)
     M = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        M[i, 0] = (i + 1) * s[i]
-        if i + 1 < k:
-            M[i, i + 1] = n
-        for j in range(1, i + 1):
-            M[i, j] = s[i - j]
+    M[tail] = s[(i - j)[tail]]
+    M[:, 0] = np.arange(1, k + 1) * s[:k]
+    M[j == i + 1] = n
     return M
 
 
@@ -74,17 +74,28 @@ def monov_det(lam: SpectrumLike, k: int) -> complex:
     return complex(np.linalg.det(_monov_matrix(s, len(spec), k)))
 
 
-def critical_moment(lam: SpectrumLike, k: int) -> complex:
-    """s_k of the critical points of lam, via the determinant formula."""
+def critical_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
+    """s_1 .. s_kmax of the critical points of lam, via the determinant formula.
+
+    Each d_k is the leading k x k minor of one kmax x kmax matrix.
+    """
     spec = as_spectrum(lam)
     n = len(spec)
     if n < 2:
         raise ValueError("critical moments need a list of at least two entries")
-    if k < 1:
+    if kmax < 1:
         raise ValueError("moment index must be at least 1")
-    s = power_sums(spec, k)
-    dk = np.linalg.det(_monov_matrix(s, n, k))
-    return complex(s[k - 1] + (-1.0 / n) ** k * dk)
+    s = power_sums(spec, kmax)
+    M = _monov_matrix(s, n, kmax)
+    out = np.empty(kmax, dtype=complex)
+    for k in range(1, kmax + 1):
+        out[k - 1] = s[k - 1] + (-1.0 / n) ** k * np.linalg.det(M[:k, :k])
+    return out
+
+
+def critical_moment(lam: SpectrumLike, k: int) -> complex:
+    """s_k of the critical points of lam, via the determinant formula."""
+    return complex(critical_moments(lam, k)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -154,37 +165,14 @@ def _jll_compare(
     return lhs, rhs, bool(holds)
 
 
-def check_necessary_conditions(
-    lam: SpectrumLike,
-    kmax: int | None = None,
-    jll_depth: int = 8,
-    tol: float = 1e-9,
-) -> ConditionReport:
-    """Run the four necessary conditions on a list at the given depths.
+def _grade_moments(
+    s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int, tol: float
+) -> tuple[tuple[MomentCheck, ...], tuple[JllCheck, ...]]:
+    """Moment and power-sum checks on s_1.. of n entries of spectral radius rho.
 
-    Moment checks run for k = 1..kmax (default 4n); the power-sum
-    inequality runs over the full (k, m) grid up to jll_depth.  All
-    tolerances scale with (1 + spectral radius)**k to track how fast
-    the moments themselves grow.
+    s needs max(depth, jll_depth**2) entries.  Tolerances scale with
+    (1 + rho)**k, as the moments grow; a NaN moment fails its check.
     """
-    spec = as_spectrum(lam)
-    if len(spec) == 0:
-        raise ValueError("conditions need a nonempty list")
-    n = len(spec)
-    depth = 4 * n if kmax is None else kmax
-    if depth < 1 or jll_depth < 1:
-        raise ValueError("depths must be at least 1")
-    arr = spec.as_array()
-    rho = spec.spectral_radius
-    base = tol * (1.0 + rho)
-
-    residual = pairing_residual(spec, spec.conjugate(), base)
-    self_conjugate = residual <= base
-
-    margin = float(np.min(np.abs(arr - rho)))
-    radius_in_list = margin <= base
-
-    s = power_sums(spec, max(depth, jll_depth * jll_depth))
     moment_checks = []
     for k in range(1, depth + 1):
         try:
@@ -206,20 +194,50 @@ def check_necessary_conditions(
                 slack = math.inf
             lhs, rhs, ok = _jll_compare(a, b, n, m, slack)
             jll_checks.append(JllCheck(k=k, m=m, lhs=lhs, rhs=rhs, passed=ok))
+    return tuple(moment_checks), tuple(jll_checks)
 
-    overall = (
-        self_conjugate
-        and radius_in_list
-        and all(c.passed for c in moment_checks)
-        and all(c.passed for c in jll_checks)
-    )
+
+def check_necessary_conditions(
+    lam: SpectrumLike,
+    kmax: int | None = None,
+    jll_depth: int = 8,
+    tol: float = 1e-9,
+) -> ConditionReport:
+    """Run the four necessary conditions on a list at the given depths.
+
+    Moment checks run for k = 1..kmax (default 4n); the power-sum
+    inequality runs over the full (k, m) grid up to jll_depth.  Both are
+    graded by _grade_moments.
+    """
+    spec = as_spectrum(lam)
+    if len(spec) == 0:
+        raise ValueError("conditions need a nonempty list")
+    n = len(spec)
+    depth = 4 * n if kmax is None else kmax
+    if depth < 1 or jll_depth < 1:
+        raise ValueError("depths must be at least 1")
+    arr = spec.as_array()
+    rho = spec.spectral_radius
+    base = tol * (1.0 + rho)
+
+    residual = pairing_residual(spec, spec.conjugate(), base)
+    self_conjugate = residual <= base
+
+    margin = float(np.min(np.abs(arr - rho)))
+    radius_in_list = margin <= base
+
+    s = power_sums(spec, max(depth, jll_depth * jll_depth))
+    moment_checks, jll_checks = _grade_moments(s, n, rho, depth, jll_depth, tol)
+
+    checks = moment_checks + jll_checks
+    overall = self_conjugate and radius_in_list and all(c.passed for c in checks)
     return ConditionReport(
         self_conjugate=bool(self_conjugate),
         pairing_residual=float(residual),
         spectral_radius_in_list=bool(radius_in_list),
         spectral_radius_margin=margin,
-        moment_checks=tuple(moment_checks),
-        jll_checks=tuple(jll_checks),
+        moment_checks=moment_checks,
+        jll_checks=jll_checks,
         moment_depth=depth,
         jll_depth=jll_depth,
         overall=bool(overall),

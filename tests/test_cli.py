@@ -243,6 +243,27 @@ class TestRealizeAgreesWithVerify:
             assert (code == 0) == succeeded[name], (route, code)
 
 
+class TestBadTolerance:
+    # The critical points {1/3, -1} of 1,-1,-1 have negative trace; an
+    # infinite tolerance used to certify them.
+    COMMANDS = [
+        ["check", "3,-1,-1"],
+        ["critical", "3,-1,-1"],
+        ["realize", "3,-1,-1", "--route", "companion"],
+        ["verify", "1,-1,-1"],
+        ["hunt", "--n", "3", "--samples", "2"],
+        ["chain", "3,-1,-1", "--constants=-1"],
+    ]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_exit_two_without_output(self, argv, tol):
+        for fmt in ("human", "machine"):
+            code, out = run_capture(argv + [f"--tol={tol}", "--format", fmt])
+            assert code == 2
+            assert out == ""
+
+
 class TestModuleEntryPoint:
     def test_python_m_critspec_runs_the_cli(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -5,13 +5,17 @@ import pytest
 
 from conftest import random_complex_list, random_self_conjugate, random_suleimanova
 from critspec import (
+    ENSEMBLES,
     check_necessary_conditions,
     critical_moment,
+    critical_moments,
     critical_points,
     jll_pair_equivalence,
     monov_det,
     power_sums,
+    random_realizable,
 )
+from critspec.moments import _monov_matrix
 
 
 class TestPowerSums:
@@ -88,6 +92,48 @@ class TestCriticalMoment:
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
             critical_moment([1.0], 1)
+
+
+class TestCriticalMoments:
+    def test_leading_blocks_match_single_moments_exactly(self):
+        # Every d_k is a leading minor of the one K x K matrix, so the
+        # batch must reproduce each single moment bit for bit.
+        for seed in range(24):
+            ensemble = ENSEMBLES[seed % len(ENSEMBLES)]
+            n = 3 + seed % 6
+            lam, _ = random_realizable(n, seed, ensemble)
+            K = 4 * n
+            batch = critical_moments(lam, K)
+            assert batch.shape == (K,)
+            for k in range(1, K + 1):
+                assert complex(batch[k - 1]) == critical_moment(lam, k)
+
+    def test_matrix_matches_loop_reference(self):
+        def loop_matrix(s, n, k):
+            M = np.zeros((k, k), dtype=complex)
+            for i in range(k):
+                M[i, 0] = (i + 1) * s[i]
+                if i + 1 < k:
+                    M[i, i + 1] = n
+                for j in range(1, i + 1):
+                    M[i, j] = s[i - j]
+            return M
+
+        rng = np.random.default_rng(23)
+        for k in (1, 2, 5, 17, 40):
+            lam = random_complex_list(rng, 6)
+            s = power_sums(lam, k)
+            assert np.array_equal(_monov_matrix(s, 6, k), loop_matrix(s, 6, k))
+
+    def test_bad_depth_rejected(self):
+        with pytest.raises(ValueError):
+            critical_moments([3, -1, -1], 0)
+        with pytest.raises(ValueError):
+            critical_moment([3, -1, -1], 0)
+
+    def test_singleton_rejected(self):
+        with pytest.raises(ValueError):
+            critical_moments([1.0], 4)
 
 
 class TestNecessaryConditions:
