@@ -16,6 +16,7 @@ precision.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+# x -> (p(x), p'(x)) for one fixed polynomial p; see _value_and_slope.
+_Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -105,21 +109,44 @@ def _deriv_desc(cdesc: np.ndarray) -> np.ndarray:
     return cdesc[:-1] * np.arange(deg, 0, -1)
 
 
-def _aberth_sweeps(cdesc: np.ndarray, max_sweeps: int) -> np.ndarray:
+def _value_and_slope(cdesc: np.ndarray) -> _Evaluator:
+    """Return x -> (p(x), p'(x)) for the polynomial with coefficients cdesc.
+
+    One Horner pass runs over a two-row table, cdesc above the
+    derivative's coefficients with one leading zero.  Each row takes the
+    same steps as np.polyval on the same 1-D x, so both values equal
+    np.polyval(cdesc, x) and np.polyval(_deriv_desc(cdesc), x) bit for
+    bit.  The usual recurrence d = d*x + y would round p' differently.
+    """
+    table = np.zeros((2, len(cdesc)), dtype=complex)
+    table[0] = cdesc
+    table[1, 1:] = _deriv_desc(cdesc)
+    columns = table.T[:, :, None]
+
+    def value_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.zeros((2, len(x)), dtype=complex)
+        for c in columns:
+            y = y * x + c
+        return y[0], y[1]
+
+    return value_and_slope
+
+
+def _aberth_sweeps(
+    cdesc: np.ndarray, max_sweeps: int, value_and_slope: _Evaluator
+) -> np.ndarray:
     deg = len(cdesc) - 1
     radius = 1.0 + float(np.max(np.abs(cdesc[1:])))  # Cauchy root bound
     j = np.arange(deg)
     x = radius * np.exp(1j * (2.0 * np.pi * j / deg + np.pi / (2.0 * deg)))
-    dc = _deriv_desc(cdesc)
     absc = np.abs(cdesc)
     for _ in range(max_sweeps):
-        pv = np.polyval(cdesc, x)
+        pv, dpv = value_and_slope(x)
         # Stop a root once |p(x)| is below the evaluation noise floor.
         noise = 4.0 * _EPS * np.polyval(absc, np.abs(x))
         done = np.abs(pv) <= noise
         if done.all():
             break
-        dpv = np.polyval(dc, x)
         dpv = np.where(dpv == 0, _EPS, dpv)
         w = pv / dpv
         diff = x[:, None] - x[None, :]
@@ -138,17 +165,17 @@ def _aberth_sweeps(cdesc: np.ndarray, max_sweeps: int) -> np.ndarray:
     return x
 
 
-def _newton_polish(cdesc: np.ndarray, x: np.ndarray, iters: int = 24) -> np.ndarray:
-    dc = _deriv_desc(cdesc)
+def _newton_polish(x: np.ndarray, value_and_slope: _Evaluator, iters: int = 24) -> np.ndarray:
     best = x.copy()
-    best_res = np.abs(np.polyval(cdesc, best))
+    fv, dfv = value_and_slope(best)
+    best_res = np.abs(fv)
     cur = x.copy()
     for _ in range(iters):
-        fv = np.polyval(cdesc, cur)
-        dfv = np.polyval(dc, cur)
         safe = np.where(dfv == 0, 1.0, dfv)
         cur = cur - np.where(dfv == 0, 0.0, fv / safe)
-        res = np.abs(np.polyval(cdesc, cur))
+        # p(cur) is both this step's residual and the next step's value.
+        fv, dfv = value_and_slope(cur)
+        res = np.abs(fv)
         better = res < best_res
         best[better] = cur[better]
         best_res[better] = res[better]
@@ -259,12 +286,16 @@ def roots(p: MonicPolynomial, tol: float = 1e-10, max_sweeps: int = 500) -> Spec
     if n == 1:
         return SpectrumList((-p.coeffs[0],))
     cdesc = p.descending()
-    x = _aberth_sweeps(cdesc, max_sweeps)
-    x = _newton_polish(cdesc, x)
-    x = _collapse_root_clusters(cdesc, x)
-    x = _realify_near_real(cdesc, x)
+    value_and_slope = _value_and_slope(cdesc)
+    # Overflow and NaN inside the iteration are expected on hard inputs;
+    # the residual test below turns them into NonConvergenceError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _aberth_sweeps(cdesc, max_sweeps, value_and_slope)
+        x = _newton_polish(x, value_and_slope)
+        x = _collapse_root_clusters(cdesc, x)
+        x = _realify_near_real(cdesc, x)
+        worst = float(np.max(np.abs(np.polyval(cdesc, x))))
     scale = 1.0 + max(abs(c) for c in p.coeffs)
-    worst = float(np.max(np.abs(np.polyval(cdesc, x))))
     if not worst <= tol * scale:
         raise NonConvergenceError(
             f"root refinement stalled: residual {worst:.3e} exceeds "

@@ -1,5 +1,7 @@
 """Polynomial construction, calculus normalizations, and root finding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from critspec import (
     MonicPolynomial,
     NonConvergenceError,
     NumericError,
+    SpectrumList,
     antiderivative_monic,
     as_spectrum,
     critical_points,
@@ -20,6 +23,7 @@ from critspec import (
     pairing_residual,
     roots,
 )
+from critspec import polynomial
 
 
 class TestConstruction:
@@ -173,6 +177,14 @@ class TestCriticalPoints:
         with pytest.raises(NumericError):
             critical_points(np.random.default_rng(0).standard_normal(100))
 
+    def test_nan_residual_warns_nothing(self):
+        # Overflow inside the iteration is expected; only the error reports it.
+        lam = np.random.default_rng(0).standard_normal(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergenceError):
+                critical_points(lam)
+
     def test_gauss_lucas_containment(self):
         # Critical points lie in the convex hull of the roots; the
         # bounding disc is a cheap proxy.
@@ -193,3 +205,130 @@ class TestCriticalPoints:
             lam = sorted(rng.uniform(-3, 3, n), reverse=True)
             crit = critical_points(lam)
             assert interlaces(lam, crit, tol=1e-8)
+
+
+def _polyval_aberth(cdesc, max_sweeps):
+    """Aberth sweeps with separate np.polyval calls for p and p'."""
+    eps = np.finfo(float).eps
+    deg = len(cdesc) - 1
+    radius = 1.0 + float(np.max(np.abs(cdesc[1:])))
+    j = np.arange(deg)
+    x = radius * np.exp(1j * (2.0 * np.pi * j / deg + np.pi / (2.0 * deg)))
+    dc = polynomial._deriv_desc(cdesc)
+    absc = np.abs(cdesc)
+    for _ in range(max_sweeps):
+        pv = np.polyval(cdesc, x)
+        noise = 4.0 * eps * np.polyval(absc, np.abs(x))
+        done = np.abs(pv) <= noise
+        if done.all():
+            break
+        dpv = np.polyval(dc, x)
+        dpv = np.where(dpv == 0, eps, dpv)
+        w = pv / dpv
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        repulsion = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - w * repulsion
+        denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
+        delta = np.where(done, 0.0, w / denom)
+        cap = 0.5 * (1.0 + np.abs(x))
+        mag = np.abs(delta)
+        delta = np.where(mag > cap, delta * (cap / np.where(mag == 0, 1.0, mag)), delta)
+        x = x - delta
+        if np.max(np.abs(delta) / (1.0 + np.abs(x))) <= 4.0 * eps:
+            break
+    return x
+
+
+def _polyval_polish(cdesc, x, iters=24):
+    """Newton polish with three np.polyval calls per step."""
+    dc = polynomial._deriv_desc(cdesc)
+    best = x.copy()
+    best_res = np.abs(np.polyval(cdesc, best))
+    cur = x.copy()
+    for _ in range(iters):
+        fv = np.polyval(cdesc, cur)
+        dfv = np.polyval(dc, cur)
+        safe = np.where(dfv == 0, 1.0, dfv)
+        cur = cur - np.where(dfv == 0, 0.0, fv / safe)
+        res = np.abs(np.polyval(cdesc, cur))
+        better = res < best_res
+        best[better] = cur[better]
+        best_res[better] = res[better]
+    return best
+
+
+def _polyval_roots(p, tol=1e-10):
+    """roots() on the np.polyval loops: the exact reference for the fused pass."""
+    if p.degree == 1:
+        return SpectrumList((-p.coeffs[0],))
+    cdesc = p.descending()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _polyval_aberth(cdesc, 500)
+        x = _polyval_polish(cdesc, x)
+        x = polynomial._collapse_root_clusters(cdesc, x)
+        x = polynomial._realify_near_real(cdesc, x)
+        worst = float(np.max(np.abs(np.polyval(cdesc, x))))
+    scale = 1.0 + max(abs(c) for c in p.coeffs)
+    if not worst <= tol * scale:
+        raise NonConvergenceError("reference stalled", best_residual=worst)
+    return SpectrumList(tuple(x))
+
+
+def _bit_corpus():
+    """Seeded lists of length 1..16 in five shapes."""
+    rng = np.random.default_rng(2024)
+    for n in range(1, 17):
+        yield rng.standard_normal(n)
+        yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        triple = np.repeat(rng.uniform(-2, 2, (n + 2) // 3), 3)[:n]
+        yield triple
+        yield rng.integers(-3, 4, n).astype(float)
+        yield rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)
+
+
+def _outcome(solve):
+    """The roots from solve() as float bits, or the best residual of its failure."""
+    try:
+        return np.array(solve().entries, dtype=complex).view(float)
+    except NonConvergenceError as err:
+        return np.array([err.best_residual])
+
+
+class TestFusedEvaluation:
+    """The one-pass p, p' evaluation leaves every bit of roots unchanged."""
+
+    def test_evaluator_matches_polyval(self):
+        rng = np.random.default_rng(31)
+        for deg in range(2, 17):
+            for scale in (1e-4, 1.0, 1e4):
+                a = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
+                x = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
+                cdesc = np.concatenate(([1.0 + 0j], scale * a))
+                pv, dpv = polynomial._value_and_slope(cdesc)(scale * x)
+                ref_p = np.polyval(cdesc, scale * x)
+                ref_d = np.polyval(polynomial._deriv_desc(cdesc), scale * x)
+                assert np.array_equal(pv.view(float), ref_p.view(float))
+                assert np.array_equal(dpv.view(float), ref_d.view(float))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
+    def test_roots_and_residuals_unchanged(self, tol):
+        # tol=1e-300 fails almost every call, so best_residual is compared.
+        for lam in _bit_corpus():
+            p = from_roots(lam)
+            got = _outcome(lambda: roots(p, tol=tol))
+            ref = _outcome(lambda: _polyval_roots(p, tol=tol))
+            assert np.array_equal(got, ref, equal_nan=True), lam
+
+    def test_critical_points_unchanged(self):
+        for lam in _bit_corpus():
+            if len(lam) > 1:
+                got = _outcome(lambda: critical_points(lam))
+                ref = _outcome(lambda: _polyval_roots(derivative_monic(from_roots(lam))))
+                assert np.array_equal(got, ref, equal_nan=True), lam
+
+    def test_nan_residual_unchanged(self):
+        p = derivative_monic(from_roots(np.random.default_rng(0).standard_normal(100)))
+        got = _outcome(lambda: roots(p))
+        ref = _outcome(lambda: _polyval_roots(p))
+        assert np.isnan(got).all() and np.array_equal(got, ref, equal_nan=True)
