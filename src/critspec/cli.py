@@ -12,6 +12,7 @@ route certified, 2 input error, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -514,11 +515,16 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run(argv: list[str], out=None) -> int:
     """Parse arguments, dispatch, and return the exit code."""
     out = sys.stdout if out is None else out
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")

@@ -32,10 +32,12 @@ from .polynomial import (
     derivative_monic,
     from_roots,
     roots,
+    roots_batch,
 )
 from .realizers import (
     MatrixSignClass,
     _split_conjugate,
+    charpoly,
     circulant,
     companion,
     d_companion,
@@ -179,23 +181,17 @@ def _require_nonnegative(
         raise _RouteFailure(f"{what} is not entrywise nonnegative ({detail})")
 
 
-def _finish_route(M: np.ndarray, crit: SpectrumList, cfg: VerifyConfig) -> float:
-    """Sign-check a candidate certificate and match its spectrum to crit.
-
-    Returns the pairing residual, or raises _RouteFailure at the first
-    failed check, so a matrix of the wrong sign skips the eigenvalue solve.
-    """
-    _require_nonnegative(M, cfg.tol, "matrix")
-    try:
-        got = spectrum(M)
-    except NumericError as exc:
-        raise _RouteFailure(str(exc)) from None
+def _finish_route(
+    name: str, M: np.ndarray, got: SpectrumList | NumericError, crit: SpectrumList
+) -> RouteResult:
+    """Match a sign-checked candidate's spectrum, or its solver error, to crit."""
+    if isinstance(got, NumericError):
+        return RouteResult(name, True, False, None, str(got), None)
     residual = float(pairing_residual(got, crit, _MATCH_TOL))
     if not residual <= _MATCH_TOL:
-        raise _RouteFailure(
-            f"spectrum mismatch: worst pairing distance {residual:.3e}", residual
-        )
-    return residual
+        reason = f"spectrum mismatch: worst pairing distance {residual:.3e}"
+        return RouteResult(name, True, False, None, reason, residual)
+    return RouteResult(name, True, True, M, None, residual)
 
 
 def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
@@ -240,8 +236,8 @@ def _dft_candidate(
     C = _dft_circulant(spec, cfg.tol)
     # Every principal submatrix of a circulant realizer carries the
     # critical points; use the first.  For n >= 3 it holds every entry
-    # of C, so this check only gives _finish_route's verdict early, with
-    # its own reason.
+    # of C, so this check only gives the verdict of _build_route's sign
+    # check early, with its own reason.
     _require_nonnegative(
         C, cfg.tol, "circulant", f"min entry {float(C[0].min()):.3e}"
     )
@@ -277,16 +273,20 @@ _ROUTES = (
 ROUTE_NAMES = tuple(name for name, _ in _ROUTES)
 
 
-def _run_route(name: str, build, spec, dp, crit, cfg: VerifyConfig) -> RouteResult:
+def _build_route(name: str, build, spec, dp, cfg: VerifyConfig) -> np.ndarray | RouteResult:
+    """The route's sign-checked candidate, or its result when there is none.
+
+    A matrix of the wrong sign never reaches the eigenvalue solve.
+    """
     try:
         M = build(spec, dp, cfg)
         if M is None:
             reason = "no similarity matrix supplied"
             return RouteResult(name, False, False, None, reason, None)
-        residual = _finish_route(M, crit, cfg)
+        _require_nonnegative(M, cfg.tol, "matrix")
     except _RouteFailure as exc:
         return RouteResult(name, True, False, None, str(exc), exc.residual)
-    return RouteResult(name, True, True, M, None, residual)
+    return M
 
 
 def verify_critical_realizability(
@@ -298,6 +298,10 @@ def verify_critical_realizability(
     fails on the critical points, "certified" when some construction
     produced a nonnegative matrix whose spectrum matches them, and
     "conditions-hold-uncertified" otherwise.
+
+    Every route's candidate is built and sign-checked first; p'/n and
+    the characteristic polynomials of the candidates are then solved in
+    one batch.
     """
     cfg = config if config is not None else VerifyConfig()
     spec = as_spectrum(lam)
@@ -305,12 +309,26 @@ def verify_critical_realizability(
         raise ValueError("verification needs a list of at least two entries")
     p = from_roots(spec)
     dp = derivative_monic(p)
-    crit = roots(dp)
+    built = [_build_route(name, build, spec, dp, cfg) for name, build in _ROUTES]
+    candidates = [M for M in built if isinstance(M, np.ndarray)]
+    # Errors keep their precedence: a stalled p'/n first, then the
+    # condition battery, then charpoly's order limit.
+    try:
+        polys, order_error = [dp] + [charpoly(M) for M in candidates], None
+    except ValueError as exc:
+        polys, order_error = [dp], exc
+    crit, *spectra = roots_batch(polys)
+    if isinstance(crit, NumericError):
+        raise crit
     conditions = check_necessary_conditions(
         crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=cfg.tol
     )
+    if order_error is not None:
+        raise order_error
+    matched = iter(spectra)
     routes = tuple(
-        _run_route(name, build, spec, dp, crit, cfg) for name, build in _ROUTES
+        _finish_route(name, M, next(matched), crit) if isinstance(M, np.ndarray) else M
+        for (name, _), M in zip(_ROUTES, built)
     )
     if not conditions.overall:
         verdict = "condition-violation"

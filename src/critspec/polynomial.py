@@ -31,12 +31,13 @@ __all__ = [
     "derivative_monic",
     "antiderivative_monic",
     "roots",
+    "roots_batch",
     "critical_points",
 ]
 
 _EPS = float(np.finfo(float).eps)
 
-# x -> (p(x), p'(x)) for one fixed polynomial p; see _value_and_slope.
+# x -> (p(x), p'(x)) for fixed polynomials p; see _value_and_slope.
 _Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -105,28 +106,44 @@ def antiderivative_monic(p: MonicPolynomial, c: complex = 0.0) -> MonicPolynomia
 
 
 def _deriv_desc(cdesc: np.ndarray) -> np.ndarray:
-    deg = len(cdesc) - 1
-    return cdesc[:-1] * np.arange(deg, 0, -1)
+    deg = cdesc.shape[-1] - 1
+    return cdesc[..., :-1] * np.arange(deg, 0, -1)
+
+
+def _columns(table: np.ndarray, width: int) -> np.ndarray:
+    """The columns of table, first column first, each repeated width times.
+
+    Full-width columns keep every Horner step one pass over contiguous
+    arrays of one shape.
+    """
+    return np.repeat(np.moveaxis(table, -1, 0)[..., None], width, axis=-1)
+
+
+def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval's own steps over columns built by _columns."""
+    y = np.zeros(columns.shape[1:], dtype=columns.dtype)
+    for c in columns:
+        y = y * x + c
+    return y
 
 
 def _value_and_slope(cdesc: np.ndarray) -> _Evaluator:
     """Return x -> (p(x), p'(x)) for the polynomial with coefficients cdesc.
 
-    One Horner pass runs over a two-row table, cdesc above the
-    derivative's coefficients with one leading zero.  Each row takes the
-    same steps as np.polyval on the same 1-D x, so both values equal
+    cdesc may be a stack of polynomials, one per row; x then holds one
+    row of deg points per polynomial.  One Horner pass runs over a table
+    of cdesc and the derivative's coefficients with one leading zero.
+    Each point takes the same steps as np.polyval, so both values equal
     np.polyval(cdesc, x) and np.polyval(_deriv_desc(cdesc), x) bit for
     bit.  The usual recurrence d = d*x + y would round p' differently.
     """
-    table = np.zeros((2, len(cdesc)), dtype=complex)
+    table = np.zeros((2,) + cdesc.shape, dtype=complex)
     table[0] = cdesc
-    table[1, 1:] = _deriv_desc(cdesc)
-    columns = table.T[:, :, None]
+    table[1, ..., 1:] = _deriv_desc(cdesc)
+    columns = _columns(table, cdesc.shape[-1] - 1)
 
     def value_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.zeros((2, len(x)), dtype=complex)
-        for c in columns:
-            y = y * x + c
+        y = _horner(columns, x)
         return y[0], y[1]
 
     return value_and_slope
@@ -135,23 +152,30 @@ def _value_and_slope(cdesc: np.ndarray) -> _Evaluator:
 def _aberth_sweeps(
     cdesc: np.ndarray, max_sweeps: int, value_and_slope: _Evaluator
 ) -> np.ndarray:
-    deg = len(cdesc) - 1
-    radius = 1.0 + float(np.max(np.abs(cdesc[1:])))  # Cauchy root bound
+    """Ehrlich-Aberth sweeps on every row of cdesc at once.
+
+    A row stops under either rule below and is not moved after that,
+    so each row ends where a solve of that row alone would.
+    """
+    deg = cdesc.shape[-1] - 1
+    radius = 1.0 + np.max(np.abs(cdesc[:, 1:]), axis=-1)  # Cauchy root bound
     j = np.arange(deg)
-    x = radius * np.exp(1j * (2.0 * np.pi * j / deg + np.pi / (2.0 * deg)))
-    absc = np.abs(cdesc)
+    x = radius[:, None] * np.exp(1j * (2.0 * np.pi * j / deg + np.pi / (2.0 * deg)))
+    abs_columns = _columns(np.abs(cdesc), deg)
+    live = np.ones(len(cdesc), dtype=bool)
     for _ in range(max_sweeps):
         pv, dpv = value_and_slope(x)
         # Stop a root once |p(x)| is below the evaluation noise floor.
-        noise = 4.0 * _EPS * np.polyval(absc, np.abs(x))
+        noise = 4.0 * _EPS * _horner(abs_columns, np.abs(x))
         done = np.abs(pv) <= noise
-        if done.all():
+        live &= ~done.all(axis=-1)
+        if not live.any():
             break
         dpv = np.where(dpv == 0, _EPS, dpv)
         w = pv / dpv
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
+        diff = x[:, :, None] - x[:, None, :]
+        diff.reshape(len(x), -1)[:, :: deg + 1] = np.inf  # the diagonals
+        repulsion = (1.0 / diff).sum(axis=-1)
         denom = 1.0 - w * repulsion
         denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
         delta = np.where(done, 0.0, w / denom)
@@ -159,9 +183,8 @@ def _aberth_sweeps(
         cap = 0.5 * (1.0 + np.abs(x))
         mag = np.abs(delta)
         delta = np.where(mag > cap, delta * (cap / np.where(mag == 0, 1.0, mag)), delta)
-        x = x - delta
-        if np.max(np.abs(delta) / (1.0 + np.abs(x))) <= 4.0 * _EPS:
-            break
+        x = np.where(live[:, None], x - delta, x)
+        live &= ~(np.max(np.abs(delta) / (1.0 + np.abs(x)), axis=-1) <= 4.0 * _EPS)
     return x
 
 
@@ -177,8 +200,8 @@ def _newton_polish(x: np.ndarray, value_and_slope: _Evaluator, iters: int = 24) 
         fv, dfv = value_and_slope(cur)
         res = np.abs(fv)
         better = res < best_res
-        best[better] = cur[better]
-        best_res[better] = res[better]
+        np.copyto(best, cur, where=better)
+        np.copyto(best_res, res, where=better)
     return best
 
 
@@ -273,6 +296,49 @@ def _realify_near_real(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _accept(
+    p: MonicPolynomial, cdesc: np.ndarray, x: np.ndarray, tol: float
+) -> SpectrumList | NonConvergenceError:
+    """Collapse clusters, drop imaginary dust, and run the residual test."""
+    x = _collapse_root_clusters(cdesc, x)
+    x = _realify_near_real(cdesc, x)
+    worst = float(np.max(np.abs(np.polyval(cdesc, x))))
+    scale = 1.0 + max(abs(c) for c in p.coeffs)
+    if not worst <= tol * scale:
+        return NonConvergenceError(
+            f"root refinement stalled: residual {worst:.3e} exceeds "
+            f"{tol * scale:.3e}",
+            best_residual=worst,
+        )
+    return SpectrumList(tuple(x))
+
+
+def roots_batch(
+    ps: list[MonicPolynomial], tol: float = 1e-10, max_sweeps: int = 500
+) -> list[SpectrumList | NonConvergenceError]:
+    """roots() of several polynomials of one degree, solved together.
+
+    Each polynomial takes exactly the steps it would take alone, so its
+    entry equals roots(p) bit for bit; where roots(p) would raise
+    NonConvergenceError, that error is returned in its place.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    degrees = {p.degree for p in ps}
+    if len(degrees) != 1:
+        raise ValueError("a batched solve needs polynomials of one degree")
+    if degrees == {1}:
+        return [SpectrumList((-p.coeffs[0],)) for p in ps]
+    cdesc = np.array([p.descending() for p in ps])
+    value_and_slope = _value_and_slope(cdesc)
+    # Overflow and NaN inside the iteration are expected on hard inputs;
+    # the residual test turns them into NonConvergenceError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _aberth_sweeps(cdesc, max_sweeps, value_and_slope)
+        x = _newton_polish(x, value_and_slope)
+        return [_accept(p, c, r, tol) for p, c, r in zip(ps, cdesc, x)]
+
+
 def roots(p: MonicPolynomial, tol: float = 1e-10, max_sweeps: int = 500) -> SpectrumList:
     """All roots of p with multiplicity, as a canonical SpectrumList.
 
@@ -280,29 +346,10 @@ def roots(p: MonicPolynomial, tol: float = 1e-10, max_sweeps: int = 500) -> Spec
     |p(x)| <= tol * (1 + max|a_k|) fails for some root, including when
     a residual is NaN.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    n = p.degree
-    if n == 1:
-        return SpectrumList((-p.coeffs[0],))
-    cdesc = p.descending()
-    value_and_slope = _value_and_slope(cdesc)
-    # Overflow and NaN inside the iteration are expected on hard inputs;
-    # the residual test below turns them into NonConvergenceError.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _aberth_sweeps(cdesc, max_sweeps, value_and_slope)
-        x = _newton_polish(x, value_and_slope)
-        x = _collapse_root_clusters(cdesc, x)
-        x = _realify_near_real(cdesc, x)
-        worst = float(np.max(np.abs(np.polyval(cdesc, x))))
-    scale = 1.0 + max(abs(c) for c in p.coeffs)
-    if not worst <= tol * scale:
-        raise NonConvergenceError(
-            f"root refinement stalled: residual {worst:.3e} exceeds "
-            f"{tol * scale:.3e}",
-            best_residual=worst,
-        )
-    return SpectrumList(tuple(x))
+    (result,) = roots_batch([p], tol, max_sweeps)
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 def critical_points(lam: SpectrumLike, tol: float = 1e-10) -> SpectrumList:

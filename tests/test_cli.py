@@ -215,6 +215,16 @@ class TestVerifyCommand:
         assert doc["report"]["verdict"] == "certified"
 
 
+    def test_stalled_critical_points_outrank_the_order_limit(self):
+        # p'/n of these 34 entries stalls (exit 3); the order-33 route
+        # candidates exceed charpoly's order limit (exit 2).
+        rng = np.random.default_rng(5)
+        v = sorted(rng.uniform(-1, 0, 33))
+        lam = [-sum(v) + 0.5] + v
+        code, out = run_capture(["verify", ",".join(repr(float(x)) for x in lam)])
+        assert code == 3
+        assert out == ""
+
     def test_nan_roots_exit_three(self):
         values = np.random.default_rng(0).standard_normal(100)
         code, out = run_capture(["verify", ",".join(repr(float(x)) for x in values)])
@@ -320,6 +330,29 @@ class TestChainCommand:
     def test_leading_negative_spectrum_after_separator(self):
         code, out = run_capture(["check", "--", "-1,-1,3"])
         assert code == 0
+
+
+class TestRepeatedRuns:
+    """Consecutive in-process runs share nothing but their code."""
+
+    def test_verify_option_does_not_leak(self):
+        _, first = run_capture(["verify", "3,-1,-1", "--kmax", "3", "--format", "machine"])
+        _, second = run_capture(["verify", "3,-1,-1", "--format", "machine"])
+        assert json.loads(first)["config"]["kmax"] == 3
+        assert json.loads(second)["config"]["kmax"] is None
+
+    def test_hunt_seed_does_not_leak(self):
+        argv = ["hunt", "--n", "3", "--samples", "2", "--format", "machine"]
+        _, first = run_capture(argv + ["--seed", "2"])
+        _, second = run_capture(argv)
+        assert json.loads(first)["config"]["seed"] == 2
+        assert json.loads(second)["config"]["seed"] == 0
+
+    def test_argparse_error_exits_two_again(self):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                run_capture(["verify", "3,-1,-1", "--kmax", "x"])
+            assert info.value.code == 2
 
 
 class TestMachineFormat:

@@ -9,6 +9,7 @@ from critspec import (
     HuntConfig,
     MatrixSignClass,
     MonicPolynomial,
+    NonConvergenceError,
     VerifyConfig,
     antiderivative_chain,
     as_spectrum,
@@ -84,6 +85,15 @@ class TestVerify:
         report = verify_critical_realizability([-2, -2, 1])
         assert report.verdict == "condition-violation"
         assert not report.conditions.spectral_radius_in_list
+
+    def test_stalled_critical_points_raise_before_routes(self):
+        # The routes' candidates have order 33, above charpoly's limit;
+        # the stalled solve of p'/n must still be the error raised.
+        rng = np.random.default_rng(5)
+        v = sorted(rng.uniform(-1, 0, 33))
+        lam = [-sum(v) + 0.5] + v
+        with pytest.raises(NonConvergenceError):
+            verify_critical_realizability(lam)
 
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from critspec import (
     roots,
 )
 from critspec import polynomial
+from critspec.polynomial import roots_batch
 
 
 class TestConstruction:
@@ -332,3 +333,102 @@ class TestFusedEvaluation:
         got = _outcome(lambda: roots(p))
         ref = _outcome(lambda: _polyval_roots(p))
         assert np.isnan(got).all() and np.array_equal(got, ref, equal_nan=True)
+
+
+def _alone(p, tol=1e-10):
+    """roots(p), or the NonConvergenceError it raises."""
+    try:
+        return roots(p, tol=tol)
+    except NonConvergenceError as err:
+        return err
+
+
+def _assert_same(got, ref):
+    """Same roots bit for bit, or the same error message and best residual."""
+    if isinstance(ref, NonConvergenceError):
+        assert isinstance(got, NonConvergenceError), got
+        assert str(got) == str(ref)
+        assert np.array_equal(
+            np.float64(got.best_residual), np.float64(ref.best_residual), equal_nan=True
+        )
+    else:
+        assert isinstance(got, SpectrumList), got
+        assert np.array_equal(
+            np.array(got.entries).view(float), np.array(ref.entries).view(float)
+        )
+
+
+def _sweeps(p):
+    """Aberth sweeps that p takes in a solve of its own."""
+    cdesc = p.descending()[None]
+    evaluate_once = polynomial._value_and_slope(cdesc)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return evaluate_once(x)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        polynomial._aberth_sweeps(cdesc, 500, counted)
+    return len(calls)
+
+
+class TestBatchedRoots:
+    """A batched solve gives every row exactly its single-call result."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
+    def test_rows_match_single_solves(self, tol):
+        corpus = list(_bit_corpus())
+        for n in range(1, 17):
+            ps = [from_roots(lam) for lam in corpus[5 * (n - 1) : 5 * n]]
+            if n > 1 and tol == 1e-10:
+                # The five shapes stop after different numbers of sweeps.
+                assert len({_sweeps(p) for p in ps}) > 1, n
+            alone = [_alone(p, tol) for p in ps]
+            for size in range(1, 5):
+                for start in range(len(ps)):
+                    pick = [(start + i) % len(ps) for i in range(size)]
+                    got = roots_batch([ps[i] for i in pick], tol=tol)
+                    assert len(got) == size
+                    for row, i in zip(got, pick):
+                        _assert_same(row, alone[i])
+
+    def test_failing_rows_beside_converging_ones(self):
+        # From n = 6 on, the mixed-scale shape fails at the default tolerance.
+        corpus = list(_bit_corpus())
+        ps = [from_roots(lam) for lam in corpus[5 * 7 : 5 * 8]]
+        alone = [_alone(p) for p in ps]
+        assert any(isinstance(r, NonConvergenceError) for r in alone)
+        assert any(isinstance(r, SpectrumList) for r in alone)
+        for row, ref in zip(roots_batch(ps), alone):
+            _assert_same(row, ref)
+
+    def test_nan_row_beside_converging_ones(self):
+        nan_row = derivative_monic(from_roots(np.random.default_rng(0).standard_normal(100)))
+        ps = [
+            MonicPolynomial((-1.0,) + (0.0,) * 98),
+            nan_row,
+            MonicPolynomial((-0.5,) + (0.0,) * 97 + (0.25,)),
+        ]
+        alone = [_alone(p) for p in ps]
+        assert [isinstance(r, NonConvergenceError) for r in alone] == [False, True, False]
+        assert np.isnan(alone[1].best_residual)
+        for row, ref in zip(roots_batch(ps), alone):
+            _assert_same(row, ref)
+
+    def test_degree_one_rows(self):
+        # p'/n of a two-entry list, and the 1x1 characteristic polynomials.
+        ps = [derivative_monic(from_roots([3.0, -1.0])), MonicPolynomial((-1.0,))]
+        ps.append(MonicPolynomial((2.0 - 1.0j,)))
+        got = roots_batch(ps)
+        for row, p in zip(got, ps):
+            _assert_same(row, _alone(p))
+        assert got[0].entries == (1.0,)
+
+    def test_mixed_degrees_rejected(self):
+        with pytest.raises(ValueError):
+            roots_batch([MonicPolynomial((1.0,)), MonicPolynomial((1.0, 0.0))])
+
+    def test_nonpositive_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            roots_batch([MonicPolynomial((1.0,))], tol=0.0)
