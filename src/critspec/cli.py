@@ -34,16 +34,16 @@ from .harness import (
     verify_critical_realizability,
 )
 from .moments import check_necessary_conditions, critical_moments, power_sums
-from .polynomial import critical_points, derivative_monic, from_roots
+from .polynomial import critical_points, derivative_monic, from_roots, roots
 from .realizers import (
     MatrixSignClass,
+    charpoly,
     companion,
     d_companion,
     matrix_sign_class,
     principal_submatrix,
     real_d_companion,
 )
-from .realizers import spectrum as matrix_spectrum
 from .spectra import SpectrumList, as_spectrum, pairing_residual
 
 __all__ = ["parse_complex", "parse_spectrum", "run", "main"]
@@ -337,7 +337,8 @@ def _cmd_realize(args, out) -> int:
             sign = matrix_sign_class(M, args.tol)
         except ValueError:
             sign = None
-        residual = pairing_residual(matrix_spectrum(M), crit, _MATCH_TOL)
+        # The same solve as verify's batched row, so the two agree bit for bit.
+        residual = pairing_residual(roots(charpoly(M)), crit, _MATCH_TOL)
         matched = residual <= _MATCH_TOL
         if not matched:
             reason = f"spectrum mismatch: worst pairing distance {residual:.3e}"

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+# Uncalled here, roots stays bound: bench/tracing.py wraps it.
 from .polynomial import MonicPolynomial, roots
 from .spectra import SpectrumLike, SpectrumList, as_spectrum
 
@@ -241,9 +242,22 @@ def charpoly(M: np.ndarray) -> MonicPolynomial:
     return MonicPolynomial(tuple(asc))
 
 
-def spectrum(M: np.ndarray, tol: float = 1e-10) -> SpectrumList:
-    """Eigenvalues of M as roots of its characteristic polynomial."""
-    return roots(charpoly(M), tol=tol)
+def spectrum(M: np.ndarray) -> SpectrumList:
+    """Eigenvalues of M from LAPACK (np.linalg.eigvals).
+
+    The QR algorithm is backward stable in M itself; expanding the
+    characteristic polynomial and solving it again would throw that
+    away.  A real matrix gives exact conjugate pairs.  Non-square and
+    non-finite matrices are rejected with ValueError.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("a square matrix is required")
+    if M.shape[0] < 1:
+        raise ValueError("the matrix must have order at least 1")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    return SpectrumList(tuple(np.linalg.eigvals(M)))
 
 
 def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:

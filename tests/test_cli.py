@@ -311,6 +311,17 @@ class TestHuntCommand:
         code, _ = run_capture(["hunt", "--n", "x", "--samples", "5"])
         assert code == 2
 
+    def test_order_40_stalls_in_the_critical_point_solve(self, capsys):
+        # The sampler has no order cap (it used to stop here with exit 2,
+        # "order 40 exceeds the supported maximum 32"); p'/n of the first
+        # sample stalls instead.
+        code, out = run_capture(["hunt", "--n", "40", "--samples", "2", "--seed", "1"])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: root refinement stalled: residual 8.952e+33 exceeds 1.782e-05\n"
+        )
+
 
 class TestChainCommand:
     def test_nonpositive_constants_exit_zero(self):

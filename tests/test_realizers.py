@@ -263,6 +263,46 @@ class TestPrincipalSubmatrixAndCharpoly:
             charpoly(np.ones((2, 3)))
 
 
+class TestSpectrum:
+    def test_lapack_eigenvalues(self):
+        M = np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 0.25], [0.0, 3.0, 1.0]])
+        got = spectrum(M)
+        assert got.entries == spectrum(M.tolist()).entries
+        assert multiset_equal(got, list(np.linalg.eigvals(M)), 0.0)
+
+    def test_real_matrix_gives_exact_conjugate_pairs(self):
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        got = spectrum(np.kron(np.eye(2), rotation) + np.ones((4, 4)) / 8)
+        assert any(z.imag != 0 for z in got)
+        assert got.conjugate().entries == got.entries
+
+    def test_no_order_cap(self):
+        got = spectrum(np.diag(np.arange(40.0)))
+        assert sorted(z.real for z in got) == list(range(40))
+
+    @pytest.mark.parametrize(
+        "M", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))], ids=["2x3", "vector", "3d"]
+    )
+    def test_nonsquare_rejected(self, M):
+        with pytest.raises(ValueError, match="a square matrix is required"):
+            spectrum(M)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="order at least 1"):
+            spectrum(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_nonfinite_rejected(self, bad):
+        M = np.eye(3, dtype=type(bad))
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(M)
+
+    def test_no_tolerance_parameter(self):
+        with pytest.raises(TypeError):
+            spectrum(np.eye(2), tol=1e-10)
+
+
 class TestSignClass:
     def test_nonnegative(self):
         assert matrix_sign_class(np.array([[0.0, 1.0], [2.0, 0.0]])) is (
