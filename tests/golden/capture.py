@@ -10,16 +10,10 @@ Regenerate the fixture only when output changes on purpose, and name
 every changed record in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/capture.py
-
-``--diff`` writes nothing; it prints the id of every record whose
-rendering differs from the fixture and exits 1 if there is one:
-
-    PYTHONPATH=src python tests/golden/capture.py --diff
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import re
@@ -150,28 +144,10 @@ def capture() -> dict:
     return records
 
 
-def changed(records: dict, fixture: dict) -> list[str]:
-    """Ids whose record differs between two corpora, or is in only one."""
-    return sorted(i for i in records.keys() | fixture.keys() if records.get(i) != fixture.get(i))
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Write or compare the golden corpus.")
-    parser.add_argument(
-        "--diff", action="store_true",
-        help="print the ids of records that differ from the fixture; write nothing",
-    )
-    args = parser.parse_args(argv)
-    records = capture()
-    if args.diff:
-        ids = changed(records, json.loads(FIXTURE.read_text(encoding="utf-8")))
-        for i in ids:
-            print(i)
-        return 1 if ids else 0
-    FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+def main() -> None:
+    FIXTURE.write_text(json.dumps(capture(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} records to {FIXTURE}")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

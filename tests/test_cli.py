@@ -318,9 +318,11 @@ class TestHuntCommand:
         code, out = run_capture(["hunt", "--n", "40", "--samples", "2", "--seed", "1"])
         assert code == 3
         assert out == ""
-        assert capsys.readouterr().err == (
-            "error: root refinement stalled: residual 8.952e+33 exceeds 1.782e-05\n"
-        )
+        # The residual's digits come from a diverged solve and vary with
+        # the LAPACK build, so only the message is pinned.
+        err = capsys.readouterr().err
+        assert err.startswith("error: root refinement stalled: residual ")
+        assert err.count("\n") == 1
 
 
 class TestChainCommand:

@@ -41,27 +41,3 @@ def test_output_matches_fixture(case):
             want["stdout"].splitlines(), stdout.splitlines(), "fixture", "now", lineterm=""
         )
         pytest.fail("stdout differs from the fixture:\n" + "\n".join(diff))
-
-
-def test_changed_names_each_differing_record():
-    first, second = list(RECORDS)[:2]
-    moved = dict(RECORDS, extra={"exit": 0, "stdout": ""})
-    moved[first] = dict(RECORDS[first], exit=9)
-    del moved[second]
-    assert capture.changed(moved, RECORDS) == sorted([first, second, "extra"])
-    assert capture.changed(RECORDS, RECORDS) == []
-
-
-def test_diff_prints_ids_and_writes_nothing(monkeypatch, tmp_path, capsys):
-    fixture = tmp_path / "corpus.json"
-    old = {"a": {"exit": 0, "stdout": "x\n"}, "b": {"exit": 0, "stdout": "y\n"}}
-    fixture.write_text(json.dumps(old), encoding="utf-8")
-    before = fixture.read_bytes()
-    monkeypatch.setattr(capture, "FIXTURE", fixture)
-    monkeypatch.setattr(capture, "capture", lambda: dict(old, b={"exit": 1, "stdout": "y\n"}))
-    assert capture.main(["--diff"]) == 1
-    assert capsys.readouterr().out == "b\n"
-    monkeypatch.setattr(capture, "capture", lambda: old)
-    assert capture.main(["--diff"]) == 0
-    assert capsys.readouterr().out == ""
-    assert fixture.read_bytes() == before
