@@ -530,9 +530,6 @@ def run(argv: list[str], out=None) -> int:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
         return _DISPATCH[args.command](args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,27 +52,6 @@ def is_trace_vector(A: np.ndarray, z: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
-def _orthonormal_complement(z: np.ndarray) -> np.ndarray:
-    """Columns forming an orthonormal basis of the complement of span(z)."""
-    n = z.size
-    basis = [z]
-    for i in range(n):
-        w = np.zeros(n, dtype=complex)
-        w[i] = 1.0
-        # Two Gram-Schmidt passes keep orthogonality at working precision.
-        for _ in range(2):
-            for b in basis:
-                w = w - (b.conj() @ w) * b
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-8:
-            basis.append(w / norm)
-        if len(basis) == n:
-            break
-    if len(basis) != n:
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.column_stack(basis[1:])
-
-
 def compression(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Q* A Q for Q an orthonormal basis of the complement of span(z)."""
     A = np.asarray(A, dtype=complex)
@@ -84,7 +63,9 @@ def compression(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = unit_vector(z)
     if z.size != n:
         raise ValueError(f"vector length {z.size} does not match order {n}")
-    Q = _orthonormal_complement(z)
+    # A complete Householder QR of z: its first column spans z, the rest
+    # are an orthonormal basis of the complement.
+    Q = np.linalg.qr(z[:, None], mode="complete")[0][:, 1:]
     return Q.conj().T @ A @ Q
 
 

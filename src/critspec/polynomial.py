@@ -1,12 +1,13 @@
-"""Monic polynomial arithmetic and a simultaneous-iteration root finder.
+"""Monic polynomial arithmetic and a companion-matrix root finder.
 
 Coefficients are stored ascending, ``(a0, ..., a_{n-1})``, with the
 leading 1 implicit, so a ``MonicPolynomial`` of degree n represents
 
     t**n + a_{n-1} t**(n-1) + ... + a_1 t + a_0.
 
-The root finder runs Ehrlich-Aberth sweeps on all roots at once,
-polishes with Newton steps, and then collapses clusters that are
+The root finder takes LAPACK's eigenvalues of the companion matrix,
+which are backward stable (Edelman & Murakami, Math. Comp. 64, 1995),
+polishes them with Newton steps, and then collapses clusters that are
 certified to be a single multiple root.  The collapse step is what
 keeps multiple roots accurate: an m-fold root perturbs by eps**(1/m)
 under coefficient noise, but its cluster centroid, refined through the
@@ -110,23 +111,6 @@ def _deriv_desc(cdesc: np.ndarray) -> np.ndarray:
     return cdesc[..., :-1] * np.arange(deg, 0, -1)
 
 
-def _columns(table: np.ndarray, width: int) -> np.ndarray:
-    """The columns of table, first column first, each repeated width times.
-
-    Full-width columns keep every Horner step one pass over contiguous
-    arrays of one shape.
-    """
-    return np.repeat(np.moveaxis(table, -1, 0)[..., None], width, axis=-1)
-
-
-def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval's own steps over columns built by _columns."""
-    y = np.zeros(columns.shape[1:], dtype=columns.dtype)
-    for c in columns:
-        y = y * x + c
-    return y
-
-
 def _value_and_slope(cdesc: np.ndarray) -> _Evaluator:
     """Return x -> (p(x), p'(x)) for the polynomial with coefficients cdesc.
 
@@ -140,51 +124,40 @@ def _value_and_slope(cdesc: np.ndarray) -> _Evaluator:
     table = np.zeros((2,) + cdesc.shape, dtype=complex)
     table[0] = cdesc
     table[1, ..., 1:] = _deriv_desc(cdesc)
-    columns = _columns(table, cdesc.shape[-1] - 1)
+    # The table's columns, highest degree first, each repeated to full width
+    # so every Horner step is one pass over contiguous arrays of one shape.
+    columns = np.repeat(np.moveaxis(table, -1, 0)[..., None], cdesc.shape[-1] - 1, axis=-1)
 
     def value_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = _horner(columns, x)
+        y = np.zeros(columns.shape[1:], dtype=complex)
+        for c in columns:
+            y = y * x + c
         return y[0], y[1]
 
     return value_and_slope
 
 
-def _aberth_sweeps(
-    cdesc: np.ndarray, max_sweeps: int, value_and_slope: _Evaluator
-) -> np.ndarray:
-    """Ehrlich-Aberth sweeps on every row of cdesc at once.
+def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of each row's companion matrix.
 
-    A row stops under either rule below and is not moved after that,
-    so each row ends where a solve of that row alone would.
+    Each row is its own LAPACK call, so no row's dtype or failure can
+    change another row's roots.  A row with only real coefficients gets
+    a real companion matrix, so its real roots come out exactly real and
+    its complex roots as exact conjugate pairs.  A row LAPACK rejects,
+    non-finite ones included, gets NaN roots, which the residual test
+    turns into that row's error.
     """
     deg = cdesc.shape[-1] - 1
-    radius = 1.0 + np.max(np.abs(cdesc[:, 1:]), axis=-1)  # Cauchy root bound
-    j = np.arange(deg)
-    x = radius[:, None] * np.exp(1j * (2.0 * np.pi * j / deg + np.pi / (2.0 * deg)))
-    abs_columns = _columns(np.abs(cdesc), deg)
-    live = np.ones(len(cdesc), dtype=bool)
-    for _ in range(max_sweeps):
-        pv, dpv = value_and_slope(x)
-        # Stop a root once |p(x)| is below the evaluation noise floor.
-        noise = 4.0 * _EPS * _horner(abs_columns, np.abs(x))
-        done = np.abs(pv) <= noise
-        live &= ~done.all(axis=-1)
-        if not live.any():
-            break
-        dpv = np.where(dpv == 0, _EPS, dpv)
-        w = pv / dpv
-        diff = x[:, :, None] - x[:, None, :]
-        diff.reshape(len(x), -1)[:, :: deg + 1] = np.inf  # the diagonals
-        repulsion = (1.0 / diff).sum(axis=-1)
-        denom = 1.0 - w * repulsion
-        denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
-        delta = np.where(done, 0.0, w / denom)
-        # Clamp runaway corrections from near-singular denominators.
-        cap = 0.5 * (1.0 + np.abs(x))
-        mag = np.abs(delta)
-        delta = np.where(mag > cap, delta * (cap / np.where(mag == 0, 1.0, mag)), delta)
-        x = np.where(live[:, None], x - delta, x)
-        live &= ~(np.max(np.abs(delta) / (1.0 + np.abs(x)), axis=-1) <= 4.0 * _EPS)
+    x = np.full((len(cdesc), deg), np.nan, dtype=complex)
+    for row, c in zip(x, cdesc):
+        if not np.any(c.imag):
+            c = c.real
+        companion = np.diag(np.ones(deg - 1, dtype=c.dtype), -1)
+        companion[0] = -c[1:]
+        try:
+            row[:] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            pass
     return x
 
 
@@ -278,30 +251,11 @@ def _collapse_root_clusters(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _realify_near_real(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Drop machine-level imaginary dust from roots of a real polynomial.
-
-    Only applies when every coefficient is exactly real, only to roots
-    within a few ulps of the axis, and only when projecting onto the
-    axis does not worsen the residual, so genuinely complex roots and
-    near-real conjugate pairs are left alone.
-    """
-    if np.any(cdesc.imag != 0.0):
-        return x
-    for i, z in enumerate(x):
-        if z.imag == 0.0 or abs(z.imag) > 16.0 * _EPS * (1.0 + abs(z.real)):
-            continue
-        if abs(np.polyval(cdesc, z.real)) <= abs(np.polyval(cdesc, z)):
-            x[i] = z.real
-    return x
-
-
 def _accept(
     p: MonicPolynomial, cdesc: np.ndarray, x: np.ndarray, tol: float
 ) -> SpectrumList | NonConvergenceError:
-    """Collapse clusters, drop imaginary dust, and run the residual test."""
+    """Collapse clusters and run the residual test."""
     x = _collapse_root_clusters(cdesc, x)
-    x = _realify_near_real(cdesc, x)
     worst = float(np.max(np.abs(np.polyval(cdesc, x))))
     scale = 1.0 + max(abs(c) for c in p.coeffs)
     if not worst <= tol * scale:
@@ -314,7 +268,7 @@ def _accept(
 
 
 def roots_batch(
-    ps: list[MonicPolynomial], tol: float = 1e-10, max_sweeps: int = 500
+    ps: list[MonicPolynomial], tol: float = 1e-10
 ) -> list[SpectrumList | NonConvergenceError]:
     """roots() of several polynomials of one degree, solved together.
 
@@ -334,19 +288,18 @@ def roots_batch(
     # Overflow and NaN inside the iteration are expected on hard inputs;
     # the residual test turns them into NonConvergenceError.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _aberth_sweeps(cdesc, max_sweeps, value_and_slope)
-        x = _newton_polish(x, value_and_slope)
+        x = _newton_polish(_companion_eigenvalues(cdesc), value_and_slope)
         return [_accept(p, c, r, tol) for p, c, r in zip(ps, cdesc, x)]
 
 
-def roots(p: MonicPolynomial, tol: float = 1e-10, max_sweeps: int = 500) -> SpectrumList:
+def roots(p: MonicPolynomial, tol: float = 1e-10) -> SpectrumList:
     """All roots of p with multiplicity, as a canonical SpectrumList.
 
     Raises NonConvergenceError when the final residual check
     |p(x)| <= tol * (1 + max|a_k|) fails for some root, including when
     a residual is NaN.
     """
-    (result,) = roots_batch([p], tol, max_sweeps)
+    (result,) = roots_batch([p], tol)
     if isinstance(result, NonConvergenceError):
         raise result
     return result

@@ -1,8 +1,27 @@
-"""Shared random-list generators for the test suite."""
+"""Shared random-list generators for the test suite, and a loader for the
+benchmark's modules."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from critspec import SpectrumList
+
+_BENCH = Path(__file__).parent.parent / "bench"
+
+
+def load_bench(name):
+    """Import bench/<name>.py with bench/ on sys.path, as the benchmark runs it
+    (oracle.py imports exact.py by name)."""
+    if name not in sys.modules:
+        if str(_BENCH) not in sys.path:
+            sys.path.append(str(_BENCH))
+        spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def random_self_conjugate(rng, n, scale=2.0):

@@ -7,30 +7,14 @@ matrix in rational arithmetic through ``bench/exact.py``), and the power
 sums against traces of matrix powers.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import load_bench
 from critspec import critical_points, power_sums, random_realizable, verify_critical_realizability
 from critspec.harness import ENSEMBLES
 
-_BENCH = Path(__file__).parent.parent / "bench"
-# oracle.py imports exact.py by name, as the benchmark runs it.
-sys.path.append(str(_BENCH))
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-exact = _load("exact")
-oracle = _load("oracle")
+oracle = load_bench("oracle")
 
 
 def _draw(n, key, ensemble):
