@@ -162,19 +162,32 @@ def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(x: np.ndarray, value_and_slope: _Evaluator, iters: int = 24) -> np.ndarray:
+    """Up to iters Newton steps on every point; each keeps its least-residual state.
+
+    The steps stop early once every point repeats a state exactly: its
+    next state equals its current one (a fixed point) or its previous
+    one (a 2-cycle).  A point's next state depends only on that point
+    and its row's polynomial, so from then on it only revisits states
+    whose residuals were already compared, and ``best`` moves only on a
+    strict improvement.  The result is the one all iters steps give, bit
+    for bit.  NaN never equals itself, so a NaN point runs every step.
+    """
     best = x.copy()
     fv, dfv = value_and_slope(best)
     best_res = np.abs(fv)
-    cur = x.copy()
+    prev = cur = x
     for _ in range(iters):
         safe = np.where(dfv == 0, 1.0, dfv)
-        cur = cur - np.where(dfv == 0, 0.0, fv / safe)
-        # p(cur) is both this step's residual and the next step's value.
-        fv, dfv = value_and_slope(cur)
+        nxt = cur - np.where(dfv == 0, 0.0, fv / safe)
+        if np.all((nxt == cur) | (nxt == prev)):
+            break
+        # p(nxt) is both this step's residual and the next step's value.
+        fv, dfv = value_and_slope(nxt)
         res = np.abs(fv)
         better = res < best_res
-        np.copyto(best, cur, where=better)
+        np.copyto(best, nxt, where=better)
         np.copyto(best_res, res, where=better)
+        prev, cur = cur, nxt
     return best
 
 
@@ -284,11 +297,11 @@ def roots_batch(
     if degrees == {1}:
         return [SpectrumList((-p.coeffs[0],)) for p in ps]
     cdesc = np.array([p.descending() for p in ps])
-    value_and_slope = _value_and_slope(cdesc)
-    # Overflow and NaN inside the iteration are expected on hard inputs;
-    # the residual test turns them into NonConvergenceError.
+    # Overflow and NaN inside the iteration, and in p' of a non-finite row,
+    # are expected on hard inputs; the residual test turns them into
+    # NonConvergenceError.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _newton_polish(_companion_eigenvalues(cdesc), value_and_slope)
+        x = _newton_polish(_companion_eigenvalues(cdesc), _value_and_slope(cdesc))
         return [_accept(p, c, r, tol) for p, c, r in zip(ps, cdesc, x)]
 
 

@@ -9,7 +9,9 @@ bytes.
 
 from __future__ import annotations
 
-import json
+import functools
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -42,7 +44,7 @@ __all__ = [
 
 def _fmt_float(x: float) -> str:
     x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("non-finite values have no canonical rendering")
     if x == 0.0:
         x = 0.0  # normalize -0.0
@@ -52,34 +54,68 @@ def _fmt_float(x: float) -> str:
     return s
 
 
-def canonical_json(obj: Any, _indent: int = 0) -> str:
+# Each value renders as its type here; a subclass (np.float64, an IntEnum)
+# renders as the first of these it is an instance of.
+_KINDS = (type(None), bool, int, float, str, dict, list, tuple)
+_EXACT_KINDS = frozenset(_KINDS)
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_prefix(key: str) -> str:
+    return encode_basestring_ascii(key) + ": "
+
+
+def canonical_json(obj: Any) -> str:
     """Serialize nested dict/list/scalar data with stable formatting."""
-    pad = "  " * _indent
-    inner = "  " * (_indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
+    parts: list[str] = []
+    _write(obj, parts, "\n")
+    return "".join(parts)
+
+
+def _write(obj: Any, parts: list[str], nl: str) -> None:
+    """Append obj's rendering to parts; nl is a newline and obj's indentation.
+
+    Not a closure over parts: a closure that calls itself is a reference
+    cycle, which keeps each document's parts alive until the collector runs.
+    """
+    kind = type(obj)
+    if kind not in _EXACT_KINDS:
+        kind = next((k for k in _KINDS if isinstance(obj, k)), None)
+        if kind is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if kind is float:
+        parts.append(_fmt_float(obj))
+    elif kind is dict:
         if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {canonical_json(v, _indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            parts.append(sep)
+            parts.append(_key_prefix(str(k)))
+            _write(v, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif kind is list or kind is tuple:
         if not obj:
-            return "[]"
-        parts = [f"{inner}{canonical_json(v, _indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in obj:
+            parts.append(sep)
+            _write(v, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif kind is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif kind is int:
+        parts.append(str(obj))
+    else:
+        parts.append("null")
 
 
 def complex_record(z: complex) -> dict:
@@ -118,9 +154,7 @@ def classification_record(c: Classification) -> dict:
 
 def _finite_or_none(x: float) -> float | None:
     x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        return None
-    return x
+    return x if math.isfinite(x) else None
 
 
 def condition_report_record(r: ConditionReport) -> dict:

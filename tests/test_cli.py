@@ -15,6 +15,9 @@ from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
 
 
+GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
+
+
 def run_capture(argv):
     buf = io.StringIO()
     code = run(argv, out=buf)
@@ -370,17 +373,20 @@ class TestRepeatedRuns:
 
 class TestMachineFormat:
     def test_reserialization_byte_identical(self):
-        for argv in (
-            ["check", "3,-1,-1", "--format", "machine"],
-            ["critical", "1,1,-2/3,-2/3,-2/3", "--format", "machine"],
-            ["verify", "2,i,-i", "--format", "machine"],
-            ["realize", "3,-1,-1", "--route", "dcomp", "--format", "machine"],
-            ["hunt", "--n", "3", "--samples", "5", "--seed", "1", "--format", "machine"],
-            ["chain", "3,-1,-1", "--constants", "-1", "--format", "machine"],
-        ):
-            _, out = run_capture(argv)
-            doc = json.loads(out)
-            assert canonical_json(doc) + "\n" == out
+        # Every machine-format record of the golden corpus; tests/test_golden.py
+        # checks that each one is what its command prints today.
+        corpus = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        machine = {
+            case: record["stdout"]
+            for case, record in corpus.items()
+            if "--format machine" in case or case.startswith("library ")
+        }
+        # Input errors print nothing; every other record is one document.
+        printed = {case.split()[0] for case, out in machine.items() if out}
+        assert printed == {"check", "critical", "verify", "realize", "hunt", "chain", "library"}
+        for case, out in machine.items():
+            if out:
+                assert canonical_json(json.loads(out)) + "\n" == out, case
 
     def test_float_rendering_roundtrips(self):
         _, out = run_capture(["critical", "1,1,-2/3,-2/3,-2/3", "--format", "machine"])

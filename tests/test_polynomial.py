@@ -365,3 +365,106 @@ class TestBatchedRoots:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             roots_batch([MonicPolynomial((1.0,))], tol=0.0)
+
+
+def _polish_every_step(x, value_and_slope, iters=24):
+    """The Newton polish as it ran before its exact-cycle exit: all iters steps."""
+    best = x.copy()
+    fv, dfv = value_and_slope(best)
+    best_res = np.abs(fv)
+    cur = x.copy()
+    for _ in range(iters):
+        safe = np.where(dfv == 0, 1.0, dfv)
+        cur = cur - np.where(dfv == 0, 0.0, fv / safe)
+        fv, dfv = value_and_slope(cur)
+        res = np.abs(fv)
+        better = res < best_res
+        np.copyto(best, cur, where=better)
+        np.copyto(best_res, res, where=better)
+    return best
+
+
+def _ensemble_derivatives():
+    """p'/n of seeded draws from the four hunt ensembles, n = 3..16."""
+    for n in range(3, 17):
+        for ensemble in ENSEMBLES:
+            for s in range(4):
+                rng = np.random.default_rng(np.random.SeedSequence([n, s, 7]))
+                yield derivative_monic(from_roots(random_realizable(n, rng, ensemble)[0]))
+
+
+def _counting(value_and_slope):
+    """The evaluator, and a list that grows by one entry per call."""
+    calls = []
+
+    def counted(x):
+        calls.append(None)
+        return value_and_slope(x)
+
+    return counted, calls
+
+
+class TestPolishExit:
+    """The polish stops at the first exact cycle and returns what 24 steps return."""
+
+    @staticmethod
+    def _assert_polish_unchanged(ps):
+        # Polished alone and as one batch per degree, as roots_batch runs it.
+        by_degree = {}
+        for p in ps:
+            by_degree.setdefault(p.degree, []).append(p)
+        batches = [[p] for p in ps] + list(by_degree.values())
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for batch in batches:
+                cdesc = np.array([p.descending() for p in batch])
+                start = polynomial._companion_eigenvalues(cdesc)
+                value_and_slope = polynomial._value_and_slope(cdesc)
+                got = polynomial._newton_polish(start, value_and_slope)
+                want = _polish_every_step(start, value_and_slope)
+                assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bit_corpus_unchanged(self):
+        self._assert_polish_unchanged(
+            [from_roots(lam) for lam in _bit_corpus() if len(lam) >= 2]
+        )
+
+    def test_ensemble_derivatives_unchanged(self):
+        self._assert_polish_unchanged(list(_ensemble_derivatives()))
+
+    def test_exit_fires_on_simple_roots(self):
+        cdesc = from_roots([3.0, -1.0, 0.5, 2.0 + 1.0j, 2.0 - 1.0j]).descending()[None]
+        value_and_slope, calls = _counting(polynomial._value_and_slope(cdesc))
+        x = polynomial._newton_polish(polynomial._companion_eigenvalues(cdesc), value_and_slope)
+        assert len(calls) < 25
+        assert np.max(np.abs(np.polyval(cdesc[0], x[0]))) < 1e-13
+
+    def test_nonfinite_rows_run_every_step(self, monkeypatch):
+        # NaN never equals itself, so a batch with a NaN or inf row takes all
+        # 24 steps; each such row still fails alone, without a warning.
+        counted = []
+        original = polynomial._value_and_slope
+
+        def value_and_slope(cdesc):
+            evaluator, calls = _counting(original(cdesc))
+            counted.append(calls)
+            return evaluator
+
+        monkeypatch.setattr(polynomial, "_value_and_slope", value_and_slope)
+        for bad in (np.nan, np.inf):
+            ps = [
+                MonicPolynomial((-1.0, 0.0, 0.0)),
+                MonicPolynomial((1.0, bad, 0.0)),
+                MonicPolynomial((-6.0, 11.0, -6.0)),
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                alone = [_alone(p) for p in ps]
+                batched = roots_batch(ps)
+            assert [isinstance(r, NonConvergenceError) for r in batched] == [False, True, False]
+            for row, ref in zip(batched, alone):
+                _assert_same(row, ref)
+            # Three single solves, then the batch.
+            assert len(counted[0]) < 25 and len(counted[2]) < 25
+            assert len(counted[1]) == len(counted[3]) == 25
+            counted.clear()
