@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-# Uncalled here, critical_moment stays bound: bench/tracing.py wraps it.
+# Uncalled here, critical_moment and power_sums stay bound: bench/tracing.py
+# wraps them.
 from .moments import (
     ConditionReport,
     _grade_moments,
@@ -374,16 +375,18 @@ def random_realizable(
     return spectrum(M), M
 
 
-def _moment_cross_check(lam: SpectrumList, crit: SpectrumList, depth: int) -> None:
-    """Moments of computed critical points must match the determinant formula."""
-    direct = power_sums(crit, depth)
-    formula = critical_moments(lam, depth)
-    for k in range(1, depth + 1):
-        a = complex(direct[k - 1])
-        b = complex(formula[k - 1])
+def _moment_cross_check(lam: SpectrumList, conditions: ConditionReport) -> None:
+    """Moments of computed critical points must match the determinant formula.
+
+    The direct moments are the ones the condition battery graded, at its
+    depth (kmax, or 4 times the number of critical points).
+    """
+    formula = critical_moments(lam, conditions.moment_depth)
+    for check, b in zip(conditions.moment_checks, formula.tolist()):
+        a = check.value
         if abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)):
             raise NumericError(
-                f"critical-moment cross-check failed at k={k}: "
+                f"critical-moment cross-check failed at k={check.k}: "
                 f"direct {a}, determinant formula {b}"
             )
 
@@ -439,8 +442,7 @@ def hunt(config: HuntConfig) -> HuntReport:
         n = int(rng.integers(config.n_min, config.n_max + 1))
         lam, _ = random_realizable(n, rng, config.ensemble)
         report = verify_critical_realizability(lam, vcfg)
-        depth = config.kmax if config.kmax is not None else 4 * len(report.critical)
-        _moment_cross_check(lam, report.critical, depth)
+        _moment_cross_check(lam, report.conditions)
         for r in report.routes:
             if r.succeeded:
                 successes[r.name] += 1

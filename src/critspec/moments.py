@@ -34,21 +34,25 @@ __all__ = [
 
 
 def power_sums(lam: SpectrumLike, kmax: int) -> np.ndarray:
-    """s_1 .. s_kmax as a complex array; s_k = sum of k-th powers."""
+    """s_1 .. s_kmax as a complex array; s_k = sum of k-th powers.
+
+    Row k of one cumulative product over a row of ones and kmax copies
+    of the list holds the k-th powers, so every sum comes out of a
+    single numpy pass.  The row of ones makes each power the product of
+    1 and k copies of the entry, also for NaN and inf entries, where
+    1 * z is not z.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     arr = as_spectrum(lam).as_array()
     if arr.size == 0:
         raise ValueError("power sums of an empty list are undefined")
-    out = np.empty(kmax, dtype=complex)
-    running = np.ones_like(arr)
+    factors = np.ones((kmax + 1, arr.size), dtype=complex)
+    factors[1:] = arr
     # Overflow to inf/nan is tolerated; condition checks compare such
     # moments in log-magnitude space instead of crashing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(kmax):
-            running = running * arr
-            out[k] = running.sum()
-    return out
+        return np.cumprod(factors, axis=0)[1:].sum(axis=1)
 
 
 def _monov_matrix(s: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -165,36 +169,64 @@ def _jll_compare(
     return lhs, rhs, bool(holds)
 
 
+def _powers(base: float, count: int) -> list[float]:
+    """base**0 .. base**count by Python's float power.
+
+    A power that overflows is inf, as is every later one.
+    """
+    out = [1.0]
+    try:
+        for k in range(1, count + 1):
+            out.append(base**k)
+    except OverflowError:
+        out += [math.inf] * (count + 1 - len(out))
+    return out
+
+
 def _grade_moments(
     s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int, tol: float
 ) -> tuple[tuple[MomentCheck, ...], tuple[JllCheck, ...]]:
     """Moment and power-sum checks on s_1.. of n entries of spectral radius rho.
 
     s needs max(depth, jll_depth**2) entries.  Tolerances scale with
-    (1 + rho)**k, as the moments grow; a NaN moment fails its check.
+    (1 + rho)**k, as the moments grow, and are inf where that power
+    overflows; a NaN moment fails its check.  Both sets of checks are
+    graded with array comparisons, but every power is Python's float
+    power, which np.power does not always match, so each field is what
+    a scalar loop over the checks gives.  Grid cells whose log-magnitude
+    reaches 150 are decided by _jll_compare alone.
     """
-    moment_checks = []
-    for k in range(1, depth + 1):
-        try:
-            tk = tol * (1.0 + rho) ** k
-        except OverflowError:
-            tk = math.inf
-        v = complex(s[k - 1])
-        ok = v.real >= -tk and abs(v.imag) <= tk
-        moment_checks.append(MomentCheck(k=k, value=v, passed=bool(ok)))
+    growth = np.array(_powers(1.0 + rho, max(depth, jll_depth * jll_depth)))
+    moments = s[:depth]
+    # Row k, column m of the grid is the check s_k**m <= n**(m-1) * s_km.
+    j = np.arange(1, jll_depth + 1)
+    k, m = j[:, None], j[None, :]
+    km = k * m
+    real = s.real[: jll_depth * jll_depth]
+    a, b = real[:jll_depth].tolist(), real[km - 1]
+    logs = np.array([math.log10(abs(x)) if x != 0 else -math.inf for x in real.tolist()])
+    in_range = (m * logs[k - 1] < 150.0) & ((m - 1) * math.log10(n) + logs[km - 1] < 150.0)
+    lhs = np.array([_powers(x, jll_depth) for x in a])[:, 1:]
+    n_pow = np.array(_powers(float(n), jll_depth - 1))[m - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tk = np.where(np.isinf(growth), math.inf, tol * growth)[1 : depth + 1]
+        moment_ok = (moments.real >= -tk) & (np.abs(moments.imag) <= tk)
+        rhs = n_pow * b
+        overflow = np.isinf(n_pow) | np.isinf(growth[km])
+        slack = np.where(overflow, math.inf, tol * n_pow * growth[km])
+        passed = lhs <= rhs + slack
+    moment_checks = tuple(
+        map(MomentCheck, range(1, depth + 1), moments.tolist(), moment_ok.tolist())
+    )
 
-    jll_checks = []
-    for k in range(1, jll_depth + 1):
-        for m in range(1, jll_depth + 1):
-            a = float(s[k - 1].real)
-            b = float(s[k * m - 1].real)
-            try:
-                slack = tol * float(n) ** (m - 1) * (1.0 + rho) ** (k * m)
-            except OverflowError:
-                slack = math.inf
-            lhs, rhs, ok = _jll_compare(a, b, n, m, slack)
-            jll_checks.append(JllCheck(k=k, m=m, lhs=lhs, rhs=rhs, passed=ok))
-    return tuple(moment_checks), tuple(jll_checks)
+    cells = [lhs.ravel().tolist(), rhs.ravel().tolist(), passed.ravel().tolist()]
+    for row, col in zip(*np.nonzero(~in_range)):
+        i = row * jll_depth + col
+        cells[0][i], cells[1][i], cells[2][i] = _jll_compare(
+            a[row], float(b[row, col]), n, int(col) + 1, float(slack[row, col])
+        )
+    ks, ms = (c.ravel().tolist() for c in np.broadcast_arrays(k, m))
+    return moment_checks, tuple(map(JllCheck, ks, ms, *cells))
 
 
 def check_necessary_conditions(

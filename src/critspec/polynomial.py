@@ -164,30 +164,32 @@ def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
 def _newton_polish(x: np.ndarray, value_and_slope: _Evaluator, iters: int = 24) -> np.ndarray:
     """Up to iters Newton steps on every point; each keeps its least-residual state.
 
-    The steps stop early once every point repeats a state exactly: its
-    next state equals its current one (a fixed point) or its previous
-    one (a 2-cycle).  A point's next state depends only on that point
-    and its row's polynomial, so from then on it only revisits states
-    whose residuals were already compared, and ``best`` moves only on a
-    strict improvement.  The result is the one all iters steps give, bit
-    for bit.  NaN never equals itself, so a NaN point runs every step.
+    The steps stop early once every point's next state equals one of
+    its earlier states exactly, which one comparison against the
+    history of states decides per step.  A point's next state depends
+    only on that point and its row's polynomial, so from then on it only
+    cycles through states whose residuals were already compared, and
+    ``best`` moves only on a strict improvement.  The result is the one
+    all iters steps give, bit for bit.  NaN never equals itself, so a
+    NaN point runs every step.
     """
     best = x.copy()
     fv, dfv = value_and_slope(best)
     best_res = np.abs(fv)
-    prev = cur = x
-    for _ in range(iters):
+    states = np.empty((iters + 1,) + x.shape, dtype=x.dtype)
+    states[0] = x
+    for step in range(1, iters + 1):
         safe = np.where(dfv == 0, 1.0, dfv)
-        nxt = cur - np.where(dfv == 0, 0.0, fv / safe)
-        if np.all((nxt == cur) | (nxt == prev)):
+        nxt = states[step - 1] - np.where(dfv == 0, 0.0, fv / safe)
+        if np.all(np.any(states[:step] == nxt, axis=0)):
             break
+        states[step] = nxt
         # p(nxt) is both this step's residual and the next step's value.
         fv, dfv = value_and_slope(nxt)
         res = np.abs(fv)
         better = res < best_res
         np.copyto(best, nxt, where=better)
         np.copyto(best_res, res, where=better)
-        prev, cur = cur, nxt
     return best
 
 
@@ -213,9 +215,12 @@ def _collapse_root_clusters(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Replace certified multiple-root clusters by copies of the exact root.
 
     A cluster of m approximants is collapsed only when Newton refinement
-    through p^(m-1) lands inside the cluster and every lower derivative
-    vanishes there to within its own evaluation noise.  Clusters of
-    genuinely distinct roots fail the derivative test and are kept.
+    through p^(m-1) lands within the cluster radius of the cluster's
+    centroid and every lower derivative vanishes there to within its own
+    evaluation noise.  Clusters of genuinely distinct roots fail the
+    derivative test and are kept.  The refined root may lie well outside
+    the approximants' own spread: the polish can leave all m copies on
+    one side of a multiple root, eps**(1/m) away from it.
     """
     deg = len(x)
     if deg < 2:
@@ -244,12 +249,11 @@ def _collapse_root_clusters(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
             continue
         vals = x[members]
         centre = complex(vals.mean())
-        diam = float(np.abs(vals[:, None] - vals[None, :]).max())
         q = cdesc
         for _ in range(m - 1):
             q = _deriv_desc(q)
         z = _newton_simple(q, centre)
-        if not np.isfinite(z) or abs(z - centre) > 2.0 * diam + 1e-9 * scale:
+        if not np.isfinite(z) or abs(z - centre) > radius:
             continue
         deriv = cdesc
         certified = True

@@ -314,6 +314,18 @@ class TestHuntCommand:
         code, _ = run_capture(["hunt", "--n", "x", "--samples", "5"])
         assert code == 2
 
+    def test_order_8_fails_the_moment_cross_check(self, capsys):
+        # Sample 3's direct s'_24 agrees with mpmath to 1e-15, but the
+        # determinant formula is 1.9e-5 off by then (the default depth,
+        # 4 * 7 = 28, reaches it), so the hunt stops with exit 3.
+        code, out = run_capture(["hunt", "--n", "8", "--samples", "40", "--seed", "1"])
+        assert code == 3
+        assert out == ""
+        # The digits after the index are rounding noise of that formula.
+        err = capsys.readouterr().err
+        assert err.startswith("error: critical-moment cross-check failed at k=24: direct ")
+        assert err.count("\n") == 1
+
     def test_order_40_stalls_in_the_critical_point_solve(self, capsys):
         # The sampler has no order cap (it used to stop here with exit 2,
         # "order 40 exceeds the supported maximum 32"); p'/n of the first

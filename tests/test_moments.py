@@ -1,11 +1,14 @@
 """Power sums, the determinant formula, and the condition battery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_complex_list, random_self_conjugate, random_suleimanova
 from critspec import (
     ENSEMBLES,
+    as_spectrum,
     check_necessary_conditions,
     critical_moment,
     critical_moments,
@@ -15,7 +18,13 @@ from critspec import (
     power_sums,
     random_realizable,
 )
-from critspec.moments import _monov_matrix
+from critspec.moments import (
+    JllCheck,
+    MomentCheck,
+    _grade_moments,
+    _jll_compare,
+    _monov_matrix,
+)
 
 
 class TestPowerSums:
@@ -243,3 +252,121 @@ class TestJllPairEquivalence:
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
             jll_pair_equivalence([1.0])
+
+
+def _power_sums_loop(lam, kmax):
+    """Power sums as one multiply and one sum per power: the reference."""
+    arr = as_spectrum(lam).as_array()
+    out = np.empty(kmax, dtype=complex)
+    running = np.ones_like(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(kmax):
+            running = running * arr
+            out[k] = running.sum()
+    return out
+
+
+def _grade_moments_loop(s, n, rho, depth, jll_depth, tol):
+    """The battery's grader as a scalar loop over the checks: the reference."""
+    moment_checks = []
+    for k in range(1, depth + 1):
+        try:
+            tk = tol * (1.0 + rho) ** k
+        except OverflowError:
+            tk = math.inf
+        v = complex(s[k - 1])
+        ok = v.real >= -tk and abs(v.imag) <= tk
+        moment_checks.append(MomentCheck(k=k, value=v, passed=bool(ok)))
+
+    jll_checks = []
+    for k in range(1, jll_depth + 1):
+        for m in range(1, jll_depth + 1):
+            a = float(s[k - 1].real)
+            b = float(s[k * m - 1].real)
+            try:
+                slack = tol * float(n) ** (m - 1) * (1.0 + rho) ** (k * m)
+            except OverflowError:
+                slack = math.inf
+            lhs, rhs, ok = _jll_compare(a, b, n, m, slack)
+            jll_checks.append(JllCheck(k=k, m=m, lhs=lhs, rhs=rhs, passed=ok))
+    return tuple(moment_checks), tuple(jll_checks)
+
+
+def _battery_corpus():
+    """Seeded lists with the depths to grade them at.
+
+    Real, self-conjugate and structureless complex lists; mixed-scale
+    lists (entries times 10**U(-4, 4)) whose high moments reach the
+    log-magnitude branch; lists whose moments overflow to inf or NaN;
+    and depths other than the default 4n.
+    """
+    rng = np.random.default_rng(909)
+    for i in range(300):
+        n = int(rng.integers(1, 10))
+        shape = i % 6
+        if shape == 0:
+            lam = rng.standard_normal(n)
+        elif shape == 1:
+            lam = random_self_conjugate(rng, n).as_array()
+        elif shape == 2:
+            lam = random_complex_list(rng, n).as_array()
+        elif shape == 3:
+            lam = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)
+        elif shape == 4:
+            lam = random_complex_list(rng, n).as_array() * 10.0 ** rng.uniform(-4, 4, n)
+        else:
+            lam = (rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)).astype(complex)
+            lam[0] = (1e200, -1e200, 1e300j, np.nan, np.inf)[i // 6 % 5]
+        depth = 4 * n if i % 4 == 0 else int(rng.integers(1, 80))
+        jll_depth = 8 if i % 3 == 0 else int(rng.integers(1, 11))
+        yield np.asarray(lam, dtype=complex), depth, jll_depth
+
+
+class TestBatteryReference:
+    """Vectorized power sums and grading agree with the scalar loops."""
+
+    def test_real_power_sums_bit_identical(self):
+        for lam, depth, jll_depth in _battery_corpus():
+            if np.any(lam.imag):
+                continue
+            K = max(depth, jll_depth * jll_depth)
+            got = power_sums(lam, K)
+            want = _power_sums_loop(lam, K)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), lam
+
+    def test_complex_power_sums_agree_to_rounding(self):
+        # The cumulative product rounds complex products differently from
+        # the ufunc's multiply in the last bits.
+        for lam, _, _ in _battery_corpus():
+            got, want = power_sums(lam, 24), _power_sums_loop(lam, 24)
+            if not np.any(lam.imag) or not np.all(np.isfinite(want)):
+                continue
+            scale = _power_sums_loop(np.abs(lam).astype(complex), 24).real
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), lam
+
+    def test_grader_matches_scalar_loop_field_for_field(self):
+        tol = 1e-9
+        ranged = 0
+        for lam, depth, jll_depth in _battery_corpus():
+            s = _power_sums_loop(lam, max(depth, jll_depth * jll_depth))
+            n = len(lam)
+            with np.errstate(invalid="ignore"):
+                rho = float(np.max(np.abs(lam)))
+            got = _grade_moments(s, n, rho, depth, jll_depth, tol)
+            want = _grade_moments_loop(s, n, rho, depth, jll_depth, tol)
+            # repr tells signed zeros apart and prints NaN, which == cannot.
+            assert repr(got) == repr(want), lam
+            ranged += any(math.isinf(c.lhs) or math.isinf(c.rhs) for c in got[1])
+        # The corpus reaches the log-magnitude branch, not just once.
+        assert ranged > 20
+
+    def test_battery_matches_scalar_reference(self):
+        # Through check_necessary_conditions, on the reference's moments.
+        for lam, depth, jll_depth in _battery_corpus():
+            if not np.all(np.isfinite(lam)):
+                continue
+            report = check_necessary_conditions(lam, kmax=depth, jll_depth=jll_depth)
+            rho = as_spectrum(lam).spectral_radius
+            s = power_sums(lam, max(depth, jll_depth * jll_depth))
+            want = _grade_moments_loop(s, len(lam), rho, depth, jll_depth, 1e-9)
+            assert repr((report.moment_checks, report.jll_checks)) == repr(want), lam

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_bench, random_complex_list, random_self_conjugate
+from conftest import (
+    load_bench,
+    random_complex_list,
+    random_self_conjugate,
+    random_suleimanova,
+)
 from critspec import (
     MonicPolynomial,
     NonConvergenceError,
@@ -23,8 +28,9 @@ from critspec import (
     pairing_residual,
     random_realizable,
     roots,
+    verify_critical_realizability,
 )
-from critspec import polynomial
+from critspec import harness, polynomial
 from critspec.harness import ENSEMBLES
 from critspec.polynomial import roots_batch
 
@@ -230,6 +236,14 @@ class TestCriticalPoints:
                 want = oracle.critical_points_of_list(lam)
                 assert oracle.scaled_error(critical_points(lam), want) <= 1e-7, lam
 
+    def test_double_root_polished_to_one_side_stays_exact(self):
+        # The polish leaves both copies of the double critical point 3 some
+        # 7e-8 to 9e-8 below it, farther from the refined root than twice
+        # their spread; the collapse still certifies and takes that root.
+        lam = as_spectrum([0, 3, -3, 0, 2, 3, 3, 0])
+        want = oracle.critical_points_of_list(lam)
+        assert oracle.scaled_error(critical_points(lam), want) <= 1e-12
+
     def test_gauss_lucas_containment(self):
         # Critical points lie in the convex hull of the roots; the
         # bounding disc is a cheap proxy.
@@ -404,16 +418,62 @@ def _counting(value_and_slope):
     return counted, calls
 
 
+def _longest_cycle(ps, iters=24):
+    """The longest cycle the points of a batch settle into within iters steps.
+
+    A point's cycle length is the distance from its first repeated state
+    back to the earlier state it equals; 0 means some point never repeats.
+    """
+    cdesc = np.array([p.descending() for p in ps])
+    value_and_slope = polynomial._value_and_slope(cdesc)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states = [polynomial._companion_eigenvalues(cdesc)]
+        fv, dfv = value_and_slope(states[0])
+        for _ in range(iters):
+            safe = np.where(dfv == 0, 1.0, dfv)
+            states.append(states[-1] - np.where(dfv == 0, 0.0, fv / safe))
+            fv, dfv = value_and_slope(states[-1])
+    lengths = np.zeros(states[0].shape, dtype=int)
+    for t in range(1, iters + 1):
+        equal = np.array(states[:t]) == states[t]
+        first = equal.any(axis=0) & (lengths == 0)
+        lengths[first] = (t - np.argmax(equal, axis=0))[first]
+    return int(lengths.max()) if lengths.all() else 0
+
+
+def _verify_batches(monkeypatch):
+    """The roots_batch calls of verify on seeded order-8 lists.
+
+    Each holds p'/n and the characteristic polynomials of the route
+    candidates, as verify solves them together.
+    """
+    batches = []
+    solve = harness.roots_batch
+
+    def recorded(ps, tol=1e-10):
+        batches.append(ps)
+        return solve(ps, tol)
+
+    monkeypatch.setattr(harness, "roots_batch", recorded)
+    rng = np.random.default_rng(8)
+    for i in range(240):
+        if i % 3 == 0:
+            lam = random_suleimanova(rng, 8)
+        else:
+            ensemble = "circulant-nonnegative" if i % 3 == 1 else ENSEMBLES[i % 4]
+            lam = random_realizable(8, rng, ensemble)[0]
+        try:
+            verify_critical_realizability(lam)
+        except NumericError:
+            pass
+    return batches
+
+
 class TestPolishExit:
-    """The polish stops at the first exact cycle and returns what 24 steps return."""
+    """The polish stops at the first repeated state and returns what 24 steps return."""
 
     @staticmethod
-    def _assert_polish_unchanged(ps):
-        # Polished alone and as one batch per degree, as roots_batch runs it.
-        by_degree = {}
-        for p in ps:
-            by_degree.setdefault(p.degree, []).append(p)
-        batches = [[p] for p in ps] + list(by_degree.values())
+    def _assert_polish_unchanged(batches):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for batch in batches:
                 cdesc = np.array([p.descending() for p in batch])
@@ -424,13 +484,41 @@ class TestPolishExit:
                 assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @classmethod
+    def _assert_alone_and_by_degree_unchanged(cls, ps):
+        # Polished alone and as one batch per degree, as roots_batch runs it.
+        by_degree = {}
+        for p in ps:
+            by_degree.setdefault(p.degree, []).append(p)
+        cls._assert_polish_unchanged([[p] for p in ps] + list(by_degree.values()))
+
     def test_bit_corpus_unchanged(self):
-        self._assert_polish_unchanged(
+        self._assert_alone_and_by_degree_unchanged(
             [from_roots(lam) for lam in _bit_corpus() if len(lam) >= 2]
         )
 
     def test_ensemble_derivatives_unchanged(self):
-        self._assert_polish_unchanged(list(_ensemble_derivatives()))
+        self._assert_alone_and_by_degree_unchanged(list(_ensemble_derivatives()))
+
+    def test_verify_batches_in_long_cycles_unchanged(self, monkeypatch):
+        # Batches whose points settle into 3- to 22-cycles, which an exit on
+        # fixed points and 2-cycles alone ran for all 24 steps.
+        batches = _verify_batches(monkeypatch)
+        longest = [_longest_cycle(ps) for ps in batches]
+        assert set(range(3, 16)) <= set(longest)
+        assert max(longest) >= 20
+        self._assert_polish_unchanged(batches)
+
+    def test_exit_fires_once_every_point_repeats(self, monkeypatch):
+        batches = _verify_batches(monkeypatch)
+        settled = [ps for ps in batches if _longest_cycle(ps) >= 3]
+        assert len(settled) > len(batches) / 3
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for ps in settled:
+                cdesc = np.array([p.descending() for p in ps])
+                value_and_slope, calls = _counting(polynomial._value_and_slope(cdesc))
+                polynomial._newton_polish(polynomial._companion_eigenvalues(cdesc), value_and_slope)
+                assert len(calls) < 25
 
     def test_exit_fires_on_simple_roots(self):
         cdesc = from_roots([3.0, -1.0, 0.5, 2.0 + 1.0j, 2.0 - 1.0j]).descending()[None]
