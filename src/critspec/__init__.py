@@ -55,6 +55,7 @@ from .differentiator import (
     compression,
     is_differentiator,
     is_trace_vector,
+    trace_moments,
     unit_vector,
 )
 from .harness import (
@@ -115,6 +116,7 @@ __all__ = [
     "compression",
     "is_differentiator",
     "is_trace_vector",
+    "trace_moments",
     "unit_vector",
     "ENSEMBLES",
     "ChainReport",

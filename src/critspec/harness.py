@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .differentiator import trace_moments
 from .errors import NumericError
 # Uncalled here, critical_moment and power_sums stay bound: bench/tracing.py
 # wraps them.
@@ -24,7 +25,6 @@ from .moments import (
     _grade_moments,
     check_necessary_conditions,
     critical_moment,
-    critical_moments,
     power_sums,
 )
 from .polynomial import (
@@ -376,28 +376,32 @@ def random_realizable(
 
 
 def _moment_cross_check(lam: SpectrumList, conditions: ConditionReport) -> None:
-    """Moments of computed critical points must match the determinant formula.
+    """Moments of computed critical points must match tr(B**k) from the list.
 
     The direct moments are the ones the condition battery graded, at its
-    depth (kmax, or 4 times the number of critical points).
+    depth (kmax, or 4 times the number of critical points).  B is the
+    compression of diag(lam) that trace_moments builds; it never touches
+    the computed critical points, so the two routes are independent.
     """
-    formula = critical_moments(lam, conditions.moment_depth)
-    for check, b in zip(conditions.moment_checks, formula.tolist()):
-        a = check.value
-        if abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)):
-            raise NumericError(
-                f"critical-moment cross-check failed at k={check.k}: "
-                f"direct {a}, determinant formula {b}"
-            )
+    direct = np.array([c.value for c in conditions.moment_checks])
+    traces = trace_moments(lam, conditions.moment_depth)
+    size = np.maximum(1.0, np.maximum(np.abs(direct), np.abs(traces)))
+    bad = np.flatnonzero(np.abs(direct - traces) > 1e-6 * size)
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"critical-moment cross-check failed at k={i + 1}: "
+            f"direct {direct[i]}, compression trace {traces[i]}"
+        )
 
 
 def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> bool:
     """Re-run a failed condition battery tighter before believing it.
 
     The recheck drops the tolerance a hundredfold, and any moment or
-    power-sum failure must reproduce through the determinant formula
-    computed from the original list, which never touches the computed
-    critical points.  Only failures that survive both are alarms.
+    power-sum failure must reproduce through the moments tr(B**k) of the
+    compression of diag(lam), which never touch the computed critical
+    points.  Only failures that survive both are alarms.
     """
     tight_tol = cfg.tol / 100.0
     tight = check_necessary_conditions(
@@ -408,9 +412,9 @@ def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> 
     if not tight.self_conjugate or not tight.spectral_radius_in_list:
         return True
     depth, jll_depth = tight.moment_depth, tight.jll_depth
-    formula = critical_moments(lam, max(depth, jll_depth * jll_depth))
+    traces = trace_moments(lam, max(depth, jll_depth * jll_depth))
     moment_checks, jll_checks = _grade_moments(
-        formula, len(crit), crit.spectral_radius, depth, jll_depth, tight_tol
+        traces, len(crit), crit.spectral_radius, depth, jll_depth, tight_tol
     )
     pairs = zip(tight.moment_checks + tight.jll_checks, moment_checks + jll_checks)
     return any(not (d.passed or f.passed) for d, f in pairs)

@@ -6,9 +6,13 @@ determinant formula
 
     s_k(crit) = s_k(lam) + (-1/n)**k * d_k(lam),
 
-where d_k is a k x k determinant built from the moments of lam.  Having
-both routes is the point: they are independent, so their agreement
-cross-checks the root finder and the moment algebra against each other.
+where d_k is a k x k determinant built from the moments of lam.  The
+determinant is the paper's object: `critical` prints it beside the
+direct moments.  It loses digits as k grows (every digit past k ~ 35 at
+unit scale, from k ~ 23 at n >= 8), so hunt's independent route is
+tr(B**k) of the differentiator compression B instead
+(differentiator.trace_moments), which never touches the computed
+critical points either.
 """
 
 from __future__ import annotations

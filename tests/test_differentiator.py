@@ -1,12 +1,17 @@
 """Trace vectors, compressions, and the differentiator equivalence."""
 
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import load_bench
 from critspec import (
+    ENSEMBLES,
     MonicPolynomial,
+    as_spectrum,
     charpoly,
     compression,
+    critical_moments,
     derivative_monic,
     dft_matrix,
     hadamard_similarity,
@@ -15,9 +20,13 @@ from critspec import (
     is_trace_vector,
     pairing_residual,
     principal_submatrix,
+    random_realizable,
     spectrum,
+    trace_moments,
     unit_vector,
 )
+
+oracle = load_bench("oracle")
 
 
 def _flat_vector(n, rng=None):
@@ -95,6 +104,26 @@ class TestCompression:
         with pytest.raises(ValueError):
             compression(np.array([[1.0]]), np.array([1.0]))
 
+    def test_hermitian_input_gives_hermitian_compression(self):
+        # The basis is orthonormal, so Q* A Q is Hermitian with A, for
+        # complex z with any phase, including a zero first entry.
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 7):
+            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            A = X + X.conj().T
+            for z in (rng.normal(size=n) + 1j * rng.normal(size=n), np.eye(n)[-1]):
+                B = compression(A, z)
+                assert np.abs(B - B.conj().T).max() < 1e-13 * np.abs(A).max()
+
+    def test_compression_along_a_basis_vector_deletes_its_entry(self):
+        # z = e_j with z_0 = 0: the complement is spanned by the other
+        # basis vectors, so the compression of a diagonal drops entry j.
+        lam = [3.0, -1.0, 0.5, 2.0]
+        for j in range(4):
+            B = compression(np.diag(lam), np.eye(4)[j])
+            rest = lam[:j] + lam[j + 1 :]
+            assert pairing_residual(spectrum(B), rest, 1e-12) < 1e-14
+
 
 class TestDifferentiator:
     def test_flat_vector_differentiates_diagonal(self):
@@ -161,3 +190,75 @@ class TestDifferentiator:
         got = charpoly(B)
         want = derivative_monic(charpoly(D))
         assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) < 1e-9
+
+
+def _oracle_moments(lam, kmax):
+    """s'_1 .. s'_kmax from the mpmath oracle's critical points of lam.
+
+    The oracle's points are rounded to doubles; their power sums are
+    taken at 50 digits, so the reference is off by at most about
+    k * eps * sum |mu|**k.
+    """
+    crit = oracle.critical_points_of_list(as_spectrum(lam).entries)
+    out = []
+    with mpmath.workdps(50):
+        points = [mpmath.mpc(z) for z in crit]
+        powers = [mpmath.mpc(1)] * len(points)
+        for _ in range(kmax):
+            powers = [p * z for p, z in zip(powers, points)]
+            out.append(complex(mpmath.fsum(powers)))
+    return np.array(out)
+
+
+_TRACE_MOMENT_CASES = {"3,-1,-1": [3.0, -1.0, -1.0], "1^8": [1.0] * 8} | {
+    f"{ensemble}-{n}": random_realizable(n, n, ensemble)[0]
+    for ensemble in ENSEMBLES
+    for n in (3, 5, 8, 16, 32)
+}
+
+
+class TestTraceMoments:
+    """tr(B**k) of the compression of diag(lam) against mpmath."""
+
+    @pytest.mark.parametrize(
+        "lam", _TRACE_MOMENT_CASES.values(), ids=_TRACE_MOMENT_CASES.keys()
+    )
+    def test_within_error_bound_of_oracle(self, lam):
+        # |error| <= k * n * eps * (1 + rho)**k for every k <= 64.
+        spec = as_spectrum(lam)
+        K = 64
+        got = trace_moments(spec, K)
+        assert got.shape == (K,)
+        k = np.arange(1, K + 1)
+        bound = k * len(spec) * np.finfo(float).eps * (1.0 + spec.spectral_radius) ** k
+        assert np.all(np.abs(got - _oracle_moments(spec, K)) <= bound)
+
+    def test_keeps_the_digits_the_determinant_loses(self):
+        # Monov's determinant gives s'_38 of 3,-1,-1 as a large negative
+        # number; the exact value is about +2.7e8.
+        lam = [3.0, -1.0, -1.0]
+        want = _oracle_moments(lam, 40)
+        assert critical_moments(lam, 40)[37].real < 0
+        got = trace_moments(lam, 40)
+        assert got[37].real > 0
+        assert abs(got[37] - want[37]) <= 1e-14 * abs(want[37])
+
+    def test_every_depth_gives_its_prefix(self):
+        # The baby-step/giant-step split changes with kmax; every split
+        # must give the same moments.
+        lam, _ = random_realizable(6, 62, "dense-uniform")
+        full = trace_moments(lam, 70)
+        for K in (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 63, 64, 65):
+            got = trace_moments(lam, K)
+            assert got.shape == (K,)
+            assert np.allclose(got, full[:K], rtol=1e-13, atol=0)
+
+    def test_overflow_is_not_finite_and_silent(self):
+        # Any RuntimeWarning from critspec fails the suite.
+        assert not np.isfinite(trace_moments([1e200, -1e200, 3.0], 4)[-1])
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            trace_moments([3.0, -1.0, -1.0], 0)
+        with pytest.raises(ValueError):
+            trace_moments([1.0], 4)

@@ -10,6 +10,7 @@ from critspec import (
     MatrixSignClass,
     MonicPolynomial,
     NonConvergenceError,
+    NumericError,
     VerifyConfig,
     antiderivative_chain,
     as_spectrum,
@@ -25,7 +26,7 @@ from critspec import (
     spectrum,
     verify_critical_realizability,
 )
-from critspec.harness import _confirm_alarm
+from critspec.harness import _confirm_alarm, _moment_cross_check
 
 
 class TestVerify:
@@ -178,6 +179,39 @@ class TestHunt:
             hunt(HuntConfig(n_min=1, n_max=3, samples=5, seed=0))
         with pytest.raises(ValueError):
             hunt(HuntConfig(n_min=3, n_max=3, samples=5, seed=0, ensemble="nope"))
+
+
+class TestMomentCrossCheck:
+    """Hunt's check of the battery's moments against tr(B**k) from the list."""
+
+    def test_computed_critical_points_pass(self):
+        lam, _ = random_realizable(5, 63, "dense-uniform")
+        _moment_cross_check(lam, check_necessary_conditions(critical_points(lam)))
+
+    def test_nudged_critical_points_fail(self):
+        lam, _ = random_realizable(5, 63, "dense-uniform")
+        crit = critical_points(lam).as_array()
+        crit[np.argmax(crit.real)] += 1e-4
+        conditions = check_necessary_conditions(list(crit))
+        with pytest.raises(NumericError, match="cross-check failed at k=1: "):
+            _moment_cross_check(lam, conditions)
+
+    def test_hunts_at_orders_6_to_10_pass(self):
+        # Monov's determinant lost enough digits by k = 23..32 to stop 7
+        # of these 12 hunts on correct critical points.
+        for ensemble in ENSEMBLES:
+            for seed in (1, 2, 3):
+                report = hunt(
+                    HuntConfig(n_min=6, n_max=10, samples=60, seed=seed, ensemble=ensemble)
+                )
+                assert report.certified + report.uncertified + len(report.alarms) == 60
+
+    def test_hunt_takes_no_determinant(self, monkeypatch):
+        def det(*args, **kwargs):
+            raise AssertionError("hunt called np.linalg.det")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        hunt(HuntConfig(n_min=3, n_max=6, samples=20, seed=4))
 
 
 class TestConfirmAlarm:
