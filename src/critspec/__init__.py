@@ -53,8 +53,11 @@ from .realizers import (
 )
 from .differentiator import (
     compression,
+    compression_critical_points,
+    critical_compression,
     is_differentiator,
     is_trace_vector,
+    power_traces,
     trace_moments,
     unit_vector,
 )
@@ -114,8 +117,11 @@ __all__ = [
     "real_d_companion",
     "spectrum",
     "compression",
+    "compression_critical_points",
+    "critical_compression",
     "is_differentiator",
     "is_trace_vector",
+    "power_traces",
     "trace_moments",
     "unit_vector",
     "ENSEMBLES",

@@ -27,6 +27,7 @@ from .harness import (
     HuntConfig,
     VerifyConfig,
     _MATCH_TOL,
+    _certify,
     _dft_circulant,
     _RouteFailure,
     antiderivative_chain,
@@ -34,17 +35,17 @@ from .harness import (
     verify_critical_realizability,
 )
 from .moments import check_necessary_conditions, critical_moments, power_sums
-from .polynomial import critical_points, derivative_monic, from_roots, roots
+from .differentiator import compression_critical_points
+from .polynomial import critical_points, derivative_monic, from_roots
 from .realizers import (
     MatrixSignClass,
-    charpoly,
     companion,
     d_companion,
     matrix_sign_class,
     principal_submatrix,
     real_d_companion,
 )
-from .spectra import SpectrumList, as_spectrum, pairing_residual
+from .spectra import SpectrumList, as_spectrum
 
 __all__ = ["parse_complex", "parse_spectrum", "run", "main"]
 
@@ -275,8 +276,15 @@ def _cmd_critical(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
     crit = critical_points(spec)
     depth = args.kmax if args.kmax is not None else 4 * len(spec)
+    formula = critical_moments(spec, depth)
     direct = power_sums(crit, depth)
-    table = list(zip(range(1, depth + 1), critical_moments(spec, depth), direct))
+    bad = np.flatnonzero(~(np.isfinite(formula) & np.isfinite(direct)))
+    if bad.size:
+        raise NumericError(
+            f"moment k={int(bad[0]) + 1} of the critical points is not finite "
+            f"in double precision"
+        )
+    table = list(zip(range(1, depth + 1), formula, direct))
     if args.fmt == "machine":
         doc = {
             "command": "critical",
@@ -322,12 +330,16 @@ def _build_realizer(args, spec: SpectrumList):
 def _cmd_realize(args, out) -> int:
     """Build one route's matrix and report on it.
 
+    The critical points are verify's, the eigenvalues of the
+    differentiator compression, and the matrix is certified by the same
+    backward-error test (harness._certify), so realize and verify agree.
     Unlike verify, which stops at a route's first failed check to skip
     the eigenvalue solve, realize always shows the matrix, its sign class
-    and its spectrum residual, so a failed route can be inspected.
+    and the backward error of its spectrum, so a failed route can be
+    inspected.  A matrix with non-finite entries is a NumericError.
     """
     spec = parse_spectrum(args.spectrum)
-    crit = critical_points(spec)
+    crit = compression_critical_points(spec)
     M, reason = _build_realizer(args, spec)
     sign = None
     residual = None
@@ -337,11 +349,10 @@ def _cmd_realize(args, out) -> int:
             sign = matrix_sign_class(M, args.tol)
         except ValueError:
             sign = None
-        # The same solve as verify's batched row, so the two agree bit for bit.
-        residual = pairing_residual(roots(charpoly(M)), crit, _MATCH_TOL)
-        matched = residual <= _MATCH_TOL
+        residual, mismatch = _certify(M, spec, crit)
+        matched = mismatch is None
         if not matched:
-            reason = f"spectrum mismatch: worst pairing distance {residual:.3e}"
+            reason = mismatch
         # real-dcomp promises a real matrix with the right spectrum, not
         # a nonnegative one; the other routes certify only when nonnegative.
         if args.route == "real-dcomp":
@@ -379,7 +390,7 @@ def _cmd_realize(args, out) -> int:
             print(f"failed: {reason}", file=out)
         else:
             print(f"sign class: {'none' if sign is None else sign.value}", file=out)
-            print(f"spectrum pairing residual: {residual:.3e}", file=out)
+            print(f"spectrum backward error: {residual:.3e}", file=out)
             print(f"certified: {'yes' if certified else 'no'}", file=out)
             if not certified and reason:
                 print(f"reason: {reason}", file=out)
@@ -415,7 +426,7 @@ def _cmd_verify(args, out) -> int:
             if not r.attempted:
                 print(f"  {r.name:<14s} not attempted: {r.reason}", file=out)
             elif r.succeeded:
-                print(f"  {r.name:<14s} succeeded (pairing residual {r.residual:.3e})",
+                print(f"  {r.name:<14s} succeeded (backward error {r.residual:.3e})",
                       file=out)
             else:
                 print(f"  {r.name:<14s} failed: {r.reason}", file=out)

@@ -5,9 +5,10 @@ normalized trace of A**k for every k.  Compressing A to the orthogonal
 complement of a trace vector produces a matrix whose characteristic
 polynomial is p'/n for p the characteristic polynomial of A; checking
 that property directly gives an independent second route to the same
-yes/no answer.  For A = diag(lam) and the flat vector, the traces of the
-powers of that compression are the moments of the critical points of
-lam, with no root finding.
+yes/no answer.  For A = diag(lam) and the flat vector, that compression
+B is where critspec takes the critical points of lam from: they are the
+eigenvalues of B, and the traces of the powers of B are their moments,
+with no polynomial expanded or solved.
 """
 
 from __future__ import annotations
@@ -18,12 +19,16 @@ import numpy as np
 
 from .polynomial import derivative_monic
 from .realizers import charpoly
-from .spectra import SpectrumLike, as_spectrum
+from .errors import NumericError
+from .spectra import SpectrumLike, SpectrumList, as_spectrum
 
 __all__ = [
     "unit_vector",
     "is_trace_vector",
     "compression",
+    "critical_compression",
+    "compression_critical_points",
+    "power_traces",
     "trace_moments",
     "is_differentiator",
 ]
@@ -69,45 +74,91 @@ def compression(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     Q is the last n-1 columns of the Householder reflector
     H = I - 2 v v* / (v* v), v = z + phase(z_0) e_1, which maps z to a
     multiple of e_1, so its first column spans z and the rest span the
-    complement.
+    complement.  Real A and z give a real result.
     """
-    A = np.asarray(A, dtype=complex)
+    A, z = np.asarray(A), np.asarray(z)
+    dtype = np.result_type(A, z, float)
+    A = A.astype(dtype, copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("a square matrix is required")
     n = A.shape[0]
     if n < 2:
         raise ValueError("compression needs order at least 2")
     z = unit_vector(z)
+    if not np.issubdtype(dtype, np.complexfloating):
+        z = z.real
     if z.size != n:
         raise ValueError(f"vector length {z.size} does not match order {n}")
     v = z.copy()
     v[0] += z[0] / abs(z[0]) if z[0] != 0 else 1.0
-    Q = np.eye(n, n - 1, -1, dtype=complex)
+    Q = np.eye(n, n - 1, -1, dtype=dtype)
     Q -= (2.0 / np.vdot(v, v).real) * np.outer(v, v[1:].conj())
     return Q.conj().T @ A @ Q
 
 
-def trace_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
-    """s_1 .. s_kmax of the critical points of lam, as tr(B**k).
+def critical_compression(lam: SpectrumLike) -> np.ndarray:
+    """B, the compression of diag(lam) to the complement of the flat vector.
 
-    B is the compression of diag(lam) to the complement of the flat
-    vector, whose characteristic polynomial is p'/n, so tr(B**k) is the
-    k-th moment of the critical points.  The error is about
-    k * eps * ||B||**k with ||B|| <= the spectral radius of lam, and no
-    eigensolver or root finder is involved.  With m = ceil(sqrt(kmax)),
-    B**1 .. B**m and B**0, B**m, B**2m, ... come from repeated products
-    and every trace tr(B**i B**jm) from one einsum.
+    e/sqrt(n) is a trace vector of diag(lam), so the characteristic
+    polynomial of B is p'/n: its eigenvalues are the critical points of
+    lam (Pereira 2003; Malamud 2005).  For a real list B is real
+    symmetric.  For a self-conjugate list B is built real too: each pair
+    a + ib, a - ib becomes the block [[a, -b], [b, a]] in the basis
+    (e_j + e_k)/sqrt(2), i(e_j - e_k)/sqrt(2), in which the flat vector
+    stays real, so the eigenvalues come out as exact conjugate pairs.
+    Any other list gives a complex B.
     """
-    lam = as_spectrum(lam).as_array()
-    if lam.size < 2:
-        raise ValueError("critical moments need a list of at least two entries")
+    spec = as_spectrum(lam)
+    if len(spec) < 2:
+        raise ValueError("critical points need a list of at least two entries")
+    arr = spec.as_array()
+    ups = arr[arr.imag > 0]
+    if not np.array_equal(np.sort_complex(ups), np.sort_complex(arr[arr.imag < 0].conj())):
+        return compression(np.diag(arr), np.ones(arr.size))
+    reals = arr.real[arr.imag == 0]
+    m = reals.size
+    D = np.diag(np.concatenate([reals, np.repeat(ups.real, 2)]))
+    rows = np.arange(m, arr.size, 2)
+    D[rows, rows + 1] = -ups.imag
+    D[rows + 1, rows] = ups.imag
+    z = np.zeros(arr.size)
+    z[:m] = 1.0
+    z[rows] = math.sqrt(2.0)
+    return compression(D, z)
+
+
+def compression_critical_points(lam: SpectrumLike, B: np.ndarray | None = None) -> SpectrumList:
+    """The critical points of lam as the eigenvalues of B.
+
+    B is critical_compression(lam), built here unless given.  A real
+    list takes LAPACK's symmetric solver, whose eigenvalues are within
+    about n * eps * rho of the exact ones, multiple ones included; other
+    lists take np.linalg.eigvals, which is backward stable in B.
+    Raises NumericError when B is not finite (entries near the top of
+    the double range).
+    """
+    spec = as_spectrum(lam)
+    if B is None:
+        B = critical_compression(spec)
+    if not np.all(np.isfinite(B)):
+        raise NumericError("the compression of the list has non-finite entries")
+    real = not any(z.imag for z in spec)
+    values = np.linalg.eigvalsh(B) if real else np.linalg.eigvals(B)
+    return SpectrumList(tuple(values))
+
+
+def power_traces(B: np.ndarray, kmax: int) -> np.ndarray:
+    """tr(B**1) .. tr(B**kmax) of a square matrix.
+
+    With m = ceil(sqrt(kmax)), B**1 .. B**m and B**0, B**m, B**2m, ...
+    come from repeated products and every trace tr(B**i B**jm) from one
+    einsum.  Overflow to inf/nan is tolerated, as in power_sums.
+    """
     if kmax < 1:
         raise ValueError("moment index must be at least 1")
-    B = compression(np.diag(lam), np.ones(lam.size))
     m = math.isqrt(kmax - 1) + 1
     small = [B]
-    giant = [np.eye(len(B), dtype=complex)]
-    # Overflow to inf/nan is tolerated, as in power_sums.
+    giant = [np.eye(len(B), dtype=B.dtype)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(m - 1):
             small.append(small[-1] @ B)
@@ -115,6 +166,17 @@ def trace_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
             giant.append(giant[-1] @ small[-1])
         traces = np.einsum("aij,bji->ba", np.array(small), np.array(giant))
     return traces.ravel()[:kmax]
+
+
+def trace_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
+    """s_1 .. s_kmax of the critical points of lam, as tr(B**k).
+
+    B is critical_compression(lam), whose characteristic polynomial is
+    p'/n, so tr(B**k) is the k-th moment of the critical points.  The
+    error is about k * eps * ||B||**k with ||B|| <= the spectral radius
+    of lam, and no eigensolver or root finder is involved.
+    """
+    return power_traces(critical_compression(lam), kmax)
 
 
 def is_differentiator(A: np.ndarray, z: np.ndarray, tol: float = 1e-8) -> bool:

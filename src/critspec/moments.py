@@ -86,6 +86,7 @@ def critical_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
     """s_1 .. s_kmax of the critical points of lam, via the determinant formula.
 
     Each d_k is the leading k x k minor of one kmax x kmax matrix.
+    Overflow to inf/nan is tolerated without a warning, as in power_sums.
     """
     spec = as_spectrum(lam)
     n = len(spec)
@@ -94,10 +95,11 @@ def critical_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
     if kmax < 1:
         raise ValueError("moment index must be at least 1")
     s = power_sums(spec, kmax)
-    M = _monov_matrix(s, n, kmax)
     out = np.empty(kmax, dtype=complex)
-    for k in range(1, kmax + 1):
-        out[k - 1] = s[k - 1] + (-1.0 / n) ** k * np.linalg.det(M[:k, :k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _monov_matrix(s, n, kmax)
+        for k in range(1, kmax + 1):
+            out[k - 1] = s[k - 1] + (-1.0 / n) ** k * np.linalg.det(M[:k, :k])
     return out
 
 

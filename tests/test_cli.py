@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_bench
 from critspec import ParseError, verify_critical_realizability
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
@@ -158,6 +160,26 @@ class TestCriticalCommand:
         assert code == 2
         assert out == ""
 
+    def test_nan_roots_exit_three(self):
+        # critical still solves p'/n, which stalls on these 100 entries.
+        values = np.random.default_rng(0).standard_normal(100)
+        code, out = run_capture(["critical", ",".join(repr(float(x)) for x in values)])
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_nonfinite_formula_exits_three(self, capsys, fmt):
+        # Monov's determinant overflows to NaN from k = 324 on.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_capture(
+                ["critical", "3,-1,-1", "--kmax", "700", "--format", fmt]
+            )
+        assert code == 3
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "error: moment k=324 of the critical points is not finite in double precision\n"
+
 
 class TestRealizeCommand:
     def test_companion_certifies_suleimanova(self):
@@ -218,21 +240,30 @@ class TestVerifyCommand:
         assert doc["report"]["verdict"] == "certified"
 
 
-    def test_stalled_critical_points_outrank_the_order_limit(self):
-        # p'/n of these 34 entries stalls (exit 3); the order-33 route
-        # candidates exceed charpoly's order limit (exit 2).
+    def test_34_entries_get_a_verdict(self):
+        # Solving p'/n of these 34 entries stalls, and the order-33 route
+        # candidates are past charpoly's order limit; verify needs neither.
         rng = np.random.default_rng(5)
         v = sorted(rng.uniform(-1, 0, 33))
         lam = [-sum(v) + 0.5] + v
-        code, out = run_capture(["verify", ",".join(repr(float(x)) for x in lam)])
-        assert code == 3
-        assert out == ""
+        argv = ["verify", ",".join(repr(float(x)) for x in lam), "--format", "machine"]
+        code, out = run_capture(argv)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["verdict"] == "certified"
+        oracle = load_bench("oracle")
+        crit = [complex(z["re"], z["im"]) for z in report["critical"]]
+        want = oracle.critical_points_of_list(lam)
+        bound = 8 * len(lam) * np.finfo(float).eps * (1 + max(map(abs, lam)))
+        assert oracle.pairing_distance(crit, want) <= bound
 
-    def test_nan_roots_exit_three(self):
+    def test_100_entries_get_a_verdict(self):
+        # Solving p'/n of these stalls.  Their spectral radius is not a
+        # critical point: the critical point of largest modulus is negative.
         values = np.random.default_rng(0).standard_normal(100)
         code, out = run_capture(["verify", ",".join(repr(float(x)) for x in values)])
-        assert code == 3
-        assert out == ""
+        assert code == 1
+        assert "verdict: condition-violation" in out
 
 
 class TestRealizeAgreesWithVerify:
@@ -323,18 +354,22 @@ class TestHuntCommand:
         assert lines[0] == "ensemble: dense-uniform  seed: 1  samples: 40  orders: 8..8"
         assert lines[1].endswith("alarms: 0")
 
-    def test_order_40_stalls_in_the_critical_point_solve(self, capsys):
-        # The sampler has no order cap (it used to stop here with exit 2,
-        # "order 40 exceeds the supported maximum 32"); p'/n of the first
-        # sample stalls instead.
+    def test_order_40_completes(self):
+        # Solving p'/n of the first sample used to stall here (exit 3).
         code, out = run_capture(["hunt", "--n", "40", "--samples", "2", "--seed", "1"])
+        assert code == 0
+        assert out.splitlines()[1] == "certified: 0  uncertified: 2  alarms: 0"
+
+    def test_order_64_moment_overflow_exits_three(self, capsys):
+        # Moments past k = 200 of the order-63 critical points leave the
+        # double range; a check on them cannot be decided, and an alarm
+        # from it would claim a counterexample.
+        code, out = run_capture(["hunt", "--n", "64", "--samples", "2", "--seed", "1"])
         assert code == 3
         assert out == ""
-        # The residual's digits come from a diverged solve and vary with
-        # the LAPACK build, so only the message is pinned.
         err = capsys.readouterr().err
-        assert err.startswith("error: root refinement stalled: residual ")
-        assert err.count("\n") == 1
+        assert err.startswith("error: moment k=")
+        assert err.endswith(" of the critical points overflows double precision\n")
 
 
 class TestChainCommand:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_suleimanova
+from conftest import load_bench, random_suleimanova
 from critspec import (
     ENSEMBLES,
     HuntConfig,
@@ -15,6 +15,7 @@ from critspec import (
     antiderivative_chain,
     as_spectrum,
     check_necessary_conditions,
+    critical_compression,
     critical_points,
     dft_matrix,
     from_roots,
@@ -87,14 +88,22 @@ class TestVerify:
         assert report.verdict == "condition-violation"
         assert not report.conditions.spectral_radius_in_list
 
-    def test_stalled_critical_points_raise_before_routes(self):
-        # The routes' candidates have order 33, above charpoly's limit;
-        # the stalled solve of p'/n must still be the error raised.
+    def test_34_entries_get_a_verdict_within_the_oracle_bound(self):
+        # Solving p'/n of these 34 entries stalls, and the order-33 route
+        # candidates are past charpoly's order limit; the eigenvalues of
+        # the compression and the backward-error certificate need neither.
         rng = np.random.default_rng(5)
         v = sorted(rng.uniform(-1, 0, 33))
-        lam = [-sum(v) + 0.5] + v
+        lam = as_spectrum([-sum(v) + 0.5] + v)
         with pytest.raises(NonConvergenceError):
-            verify_critical_realizability(lam)
+            critical_points(lam)
+        report = verify_critical_realizability(lam)
+        assert report.verdict == "certified"
+        assert next(r for r in report.routes if r.name == "companion").succeeded
+        oracle = load_bench("oracle")
+        want = oracle.critical_points_of_list(lam.entries)
+        bound = 8 * len(lam) * np.finfo(float).eps * (1 + lam.spectral_radius)
+        assert oracle.pairing_distance(report.critical, want) <= bound
 
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
@@ -186,15 +195,27 @@ class TestMomentCrossCheck:
 
     def test_computed_critical_points_pass(self):
         lam, _ = random_realizable(5, 63, "dense-uniform")
-        _moment_cross_check(lam, check_necessary_conditions(critical_points(lam)))
+        conditions = check_necessary_conditions(critical_points(lam))
+        _moment_cross_check(lam, critical_compression(lam), conditions)
 
-    def test_nudged_critical_points_fail(self):
+    @staticmethod
+    def _nudged(nudge):
         lam, _ = random_realizable(5, 63, "dense-uniform")
         crit = critical_points(lam).as_array()
-        crit[np.argmax(crit.real)] += 1e-4
-        conditions = check_necessary_conditions(list(crit))
+        crit[np.argmax(crit.real)] += nudge
+        return lam, check_necessary_conditions(list(crit))
+
+    def test_nudged_critical_points_fail(self):
+        lam, conditions = self._nudged(1e-4)
         with pytest.raises(NumericError, match="cross-check failed at k=1: "):
-            _moment_cross_check(lam, conditions)
+            _moment_cross_check(lam, critical_compression(lam), conditions)
+
+    def test_nudge_of_1e_9_fails(self):
+        # The bound is k * n * eps * (1 + rho)**k times a safety factor,
+        # 6e-14 at k = 1 here; the fixed 1e-6 it replaced let this pass.
+        lam, conditions = self._nudged(1e-9)
+        with pytest.raises(NumericError, match="cross-check failed at k=1: "):
+            _moment_cross_check(lam, critical_compression(lam), conditions)
 
     def test_hunts_at_orders_6_to_10_pass(self):
         # Monov's determinant lost enough digits by k = 23..32 to stop 7

@@ -20,6 +20,7 @@ from critspec import (
     SpectrumList,
     antiderivative_monic,
     as_spectrum,
+    charpoly,
     critical_points,
     derivative_monic,
     evaluate,
@@ -28,7 +29,6 @@ from critspec import (
     pairing_residual,
     random_realizable,
     roots,
-    verify_critical_realizability,
 )
 from critspec import harness, polynomial
 from critspec.harness import ENSEMBLES
@@ -441,20 +441,16 @@ def _longest_cycle(ps, iters=24):
     return int(lengths.max()) if lengths.all() else 0
 
 
-def _verify_batches(monkeypatch):
-    """The roots_batch calls of verify on seeded order-8 lists.
+def _verify_batches():
+    """The batches verify solved on seeded order-8 lists before it took the
+    critical points from the compression and certified by backward error.
 
     Each holds p'/n and the characteristic polynomials of the route
-    candidates, as verify solves them together.
+    candidates that pass their sign checks, as verify solved them
+    together; they are built here the same way.
     """
     batches = []
-    solve = harness.roots_batch
-
-    def recorded(ps, tol=1e-10):
-        batches.append(ps)
-        return solve(ps, tol)
-
-    monkeypatch.setattr(harness, "roots_batch", recorded)
+    cfg = harness.VerifyConfig()
     rng = np.random.default_rng(8)
     for i in range(240):
         if i % 3 == 0:
@@ -462,10 +458,9 @@ def _verify_batches(monkeypatch):
         else:
             ensemble = "circulant-nonnegative" if i % 3 == 1 else ENSEMBLES[i % 4]
             lam = random_realizable(8, rng, ensemble)[0]
-        try:
-            verify_critical_realizability(lam)
-        except NumericError:
-            pass
+        dp = derivative_monic(from_roots(lam))
+        built = [harness._build_route(name, build, lam, dp, cfg) for name, build in harness._ROUTES]
+        batches.append([dp] + [charpoly(M) for M in built if isinstance(M, np.ndarray)])
     return batches
 
 
@@ -500,17 +495,17 @@ class TestPolishExit:
     def test_ensemble_derivatives_unchanged(self):
         self._assert_alone_and_by_degree_unchanged(list(_ensemble_derivatives()))
 
-    def test_verify_batches_in_long_cycles_unchanged(self, monkeypatch):
+    def test_verify_batches_in_long_cycles_unchanged(self):
         # Batches whose points settle into 3- to 22-cycles, which an exit on
         # fixed points and 2-cycles alone ran for all 24 steps.
-        batches = _verify_batches(monkeypatch)
+        batches = _verify_batches()
         longest = [_longest_cycle(ps) for ps in batches]
         assert set(range(3, 16)) <= set(longest)
         assert max(longest) >= 20
         self._assert_polish_unchanged(batches)
 
-    def test_exit_fires_once_every_point_repeats(self, monkeypatch):
-        batches = _verify_batches(monkeypatch)
+    def test_exit_fires_once_every_point_repeats(self):
+        batches = _verify_batches()
         settled = [ps for ps in batches if _longest_cycle(ps) >= 3]
         assert len(settled) > len(batches) / 3
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
