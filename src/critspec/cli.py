@@ -36,7 +36,7 @@ from .harness import (
 )
 from .moments import check_necessary_conditions, critical_moments, power_sums
 from .differentiator import compression_critical_points
-from .polynomial import critical_points, derivative_monic, from_roots
+from .polynomial import derivative_monic, from_roots
 from .realizers import (
     MatrixSignClass,
     companion,
@@ -274,7 +274,7 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_critical(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
-    crit = critical_points(spec)
+    crit = compression_critical_points(spec)
     depth = args.kmax if args.kmax is not None else 4 * len(spec)
     formula = critical_moments(spec, depth)
     direct = power_sums(crit, depth)

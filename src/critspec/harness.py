@@ -350,15 +350,15 @@ def _require_decided(conditions: ConditionReport) -> None:
     power that overflows does), and a check on it fails whatever the
     exact moment is, so it must not read as a condition violation.
     """
-    for c in conditions.moment_checks:
-        if not c.passed and cmath.isnan(c.value):
+    for k, value, ok in conditions.moment_cells():
+        if not ok and cmath.isnan(value):
             raise NumericError(
-                f"moment k={c.k} of the critical points overflows double precision"
+                f"moment k={k} of the critical points overflows double precision"
             )
-    for c in conditions.jll_checks:
-        if not c.passed and (math.isnan(c.lhs) or math.isnan(c.rhs)):
+    for k, m, lhs, rhs, ok in conditions.jll_cells():
+        if not ok and (math.isnan(lhs) or math.isnan(rhs)):
             raise NumericError(
-                f"power-sum inequality (k={c.k}, m={c.m}) overflows double precision"
+                f"power-sum inequality (k={k}, m={m}) overflows double precision"
             )
 
 
@@ -461,7 +461,7 @@ def _moment_cross_check(
     and ||B|| is at most the spectral radius rho of lam, so moment k
     must agree to _CROSS_CHECK_SAFETY * k * n * eps * (1 + rho)**k.
     """
-    direct = np.array([c.value for c in conditions.moment_checks])
+    direct = np.array(conditions.moment_values)
     traces = power_traces(B, conditions.moment_depth)
     k = np.arange(1, direct.size + 1)
     with np.errstate(over="ignore"):
@@ -495,11 +495,11 @@ def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> 
         return True
     depth, jll_depth = tight.moment_depth, tight.jll_depth
     traces = trace_moments(lam, max(depth, jll_depth * jll_depth))
-    moment_checks, jll_checks = _grade_moments(
+    _, moment_ok, _, _, jll_ok = _grade_moments(
         traces, len(crit), crit.spectral_radius, depth, jll_depth, tight_tol
     )
-    pairs = zip(tight.moment_checks + tight.jll_checks, moment_checks + jll_checks)
-    return any(not (d.passed or f.passed) for d, f in pairs)
+    pairs = zip(tight.moment_passed + tight.jll_passed, moment_ok + jll_ok)
+    return any(not (d or f) for d, f in pairs)
 
 
 def hunt(config: HuntConfig) -> HuntReport:

@@ -17,6 +17,8 @@ critical points either.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,19 +132,46 @@ class ConditionReport:
 
     self_conjugate           the list equals its conjugate as a multiset
     spectral_radius_in_list  some entry attains the spectral radius
-    moment_checks            s_k >= 0 for k = 1..moment_depth
-    jll_checks               s_k**m <= n**(m-1) * s_{km} over the depth grid
+    moment_values, _passed   s_k and whether s_k >= 0, for k = 1..moment_depth
+    jll_lhs, _rhs, _passed   s_k**m, n**(m-1) * s_{km} and whether lhs <= rhs,
+                             over the depth grid, row-major in (k, m)
+
+    moment_cells() and jll_cells() yield each check's fields as a tuple;
+    moment_checks and jll_checks build the check objects on first access.
     """
 
     self_conjugate: bool
     pairing_residual: float
     spectral_radius_in_list: bool
     spectral_radius_margin: float
-    moment_checks: tuple[MomentCheck, ...]
-    jll_checks: tuple[JllCheck, ...]
+    moment_values: tuple[complex, ...]
+    moment_passed: tuple[bool, ...]
+    jll_lhs: tuple[float, ...]
+    jll_rhs: tuple[float, ...]
+    jll_passed: tuple[bool, ...]
     moment_depth: int
     jll_depth: int
     overall: bool
+
+    @functools.cached_property
+    def moment_checks(self) -> tuple[MomentCheck, ...]:
+        return tuple(itertools.starmap(MomentCheck, self.moment_cells()))
+
+    @functools.cached_property
+    def jll_checks(self) -> tuple[JllCheck, ...]:
+        return tuple(itertools.starmap(JllCheck, self.jll_cells()))
+
+    def moment_cells(self):
+        return zip(itertools.count(1), self.moment_values, self.moment_passed)
+
+    def jll_cells(self):
+        ks, ms = _jll_grid(self.jll_depth)
+        return zip(ks, ms, self.jll_lhs, self.jll_rhs, self.jll_passed)
+
+
+@functools.lru_cache(maxsize=16)
+def _jll_grid(depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(zip(*itertools.product(range(1, depth + 1), repeat=2)))
 
 
 def _jll_compare(
@@ -191,9 +220,10 @@ def _powers(base: float, count: int) -> list[float]:
 
 def _grade_moments(
     s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int, tol: float
-) -> tuple[tuple[MomentCheck, ...], tuple[JllCheck, ...]]:
+) -> tuple[tuple, tuple, tuple, tuple, tuple]:
     """Moment and power-sum checks on s_1.. of n entries of spectral radius rho.
 
+    Returns ConditionReport's five tuples, moment_values to jll_passed.
     s needs max(depth, jll_depth**2) entries.  Tolerances scale with
     (1 + rho)**k, as the moments grow, and are inf where that power
     overflows; a NaN moment fails its check.  Both sets of checks are
@@ -221,18 +251,13 @@ def _grade_moments(
         overflow = np.isinf(n_pow) | np.isinf(growth[km])
         slack = np.where(overflow, math.inf, tol * n_pow * growth[km])
         passed = lhs <= rhs + slack
-    moment_checks = tuple(
-        map(MomentCheck, range(1, depth + 1), moments.tolist(), moment_ok.tolist())
-    )
-
     cells = [lhs.ravel().tolist(), rhs.ravel().tolist(), passed.ravel().tolist()]
     for row, col in zip(*np.nonzero(~in_range)):
         i = row * jll_depth + col
         cells[0][i], cells[1][i], cells[2][i] = _jll_compare(
             a[row], float(b[row, col]), n, int(col) + 1, float(slack[row, col])
         )
-    ks, ms = (c.ravel().tolist() for c in np.broadcast_arrays(k, m))
-    return moment_checks, tuple(map(JllCheck, ks, ms, *cells))
+    return (tuple(moments.tolist()), tuple(moment_ok.tolist()), *map(tuple, cells))
 
 
 def check_necessary_conditions(
@@ -265,17 +290,18 @@ def check_necessary_conditions(
     radius_in_list = margin <= base
 
     s = power_sums(spec, max(depth, jll_depth * jll_depth))
-    moment_checks, jll_checks = _grade_moments(s, n, rho, depth, jll_depth, tol)
-
-    checks = moment_checks + jll_checks
-    overall = self_conjugate and radius_in_list and all(c.passed for c in checks)
+    values, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    overall = self_conjugate and radius_in_list and all(moment_ok) and all(jll_ok)
     return ConditionReport(
         self_conjugate=bool(self_conjugate),
         pairing_residual=float(residual),
         spectral_radius_in_list=bool(radius_in_list),
         spectral_radius_margin=margin,
-        moment_checks=moment_checks,
-        jll_checks=jll_checks,
+        moment_values=values,
+        moment_passed=moment_ok,
+        jll_lhs=lhs,
+        jll_rhs=rhs,
+        jll_passed=jll_ok,
         moment_depth=depth,
         jll_depth=jll_depth,
         overall=bool(overall),

@@ -44,12 +44,12 @@ __all__ = [
 
 def _fmt_float(x: float) -> str:
     x = float(x)
+    if x == 0.0:
+        return "0.0"  # -0.0 too
     if not math.isfinite(x):
         raise ValueError("non-finite values have no canonical rendering")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
     s = format(x, ".17g")
-    if "e" not in s and "E" not in s and "." not in s:
+    if "e" not in s and "." not in s:
         s += ".0"
     return s
 
@@ -169,24 +169,21 @@ def condition_report_record(r: ConditionReport) -> dict:
         "jll_depth": r.jll_depth,
         "moment_checks": [
             {
-                "k": c.k,
-                "value": {
-                    "re": _finite_or_none(c.value.real),
-                    "im": _finite_or_none(c.value.imag),
-                },
-                "passed": c.passed,
+                "k": k,
+                "value": {"re": _finite_or_none(v.real), "im": _finite_or_none(v.imag)},
+                "passed": ok,
             }
-            for c in r.moment_checks
+            for k, v, ok in r.moment_cells()
         ],
         "jll_checks": [
             {
-                "k": c.k,
-                "m": c.m,
-                "lhs": _finite_or_none(c.lhs),
-                "rhs": _finite_or_none(c.rhs),
-                "passed": c.passed,
+                "k": k,
+                "m": m,
+                "lhs": _finite_or_none(lhs),
+                "rhs": _finite_or_none(rhs),
+                "passed": ok,
             }
-            for c in r.jll_checks
+            for k, m, lhs, rhs, ok in r.jll_cells()
         ],
         "overall": r.overall,
     }

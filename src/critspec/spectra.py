@@ -83,19 +83,21 @@ def as_spectrum(values: SpectrumLike) -> SpectrumList:
 def pairing_residual(a: SpectrumLike, b: SpectrumLike, tol: float) -> float:
     """Worst matched distance under a near-optimal pairing of two lists.
 
-    Returns inf when the sizes differ.  A greedy nearest-neighbour pass
-    in canonical order is tried first; if its worst distance lands in
-    the ambiguous band (above tol but within 10*tol) the pairing is
-    redone as an optimal assignment on squared distances, which
-    untangles conjugate pairs the greedy pass may have crossed.
+    Returns inf when the sizes differ, and 0.0, as the greedy pass would,
+    when the canonical orders agree entry for entry: equal multisets
+    without NaN.  A greedy nearest-neighbour pass in canonical order is
+    tried first; if its worst distance lands in the ambiguous band (above
+    tol but within 10*tol) the pairing is redone as an optimal assignment
+    on squared distances, which untangles conjugate pairs the greedy
+    pass may have crossed.
     """
     A = as_spectrum(a).as_array()
     B = as_spectrum(b).as_array()
     if A.shape != B.shape:
         return float("inf")
-    n = len(A)
-    if n == 0:
+    if np.array_equal(A, B):
         return 0.0
+    n = len(A)
     dist = np.abs(A[:, None] - B[None, :])
     used = np.zeros(n, dtype=bool)
     worst = 0.0

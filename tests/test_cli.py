@@ -160,12 +160,16 @@ class TestCriticalCommand:
         assert code == 2
         assert out == ""
 
-    def test_nan_roots_exit_three(self):
-        # critical still solves p'/n, which stalls on these 100 entries.
+    def test_100_entries_overflow_the_formula_exit_three(self, capsys):
+        # Monov's determinant of these 100 entries leaves the double range
+        # at k = 131 of the default 400 (solving p'/n stalled here before).
         values = np.random.default_rng(0).standard_normal(100)
         code, out = run_capture(["critical", ",".join(repr(float(x)) for x in values)])
         assert code == 3
         assert out == ""
+        assert capsys.readouterr().err == (
+            "error: moment k=131 of the critical points is not finite in double precision\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_nonfinite_formula_exits_three(self, capsys, fmt):
@@ -239,6 +243,16 @@ class TestVerifyCommand:
         assert names == ["companion", "d-companion", "dft-circulant", "hadamard"]
         assert doc["report"]["verdict"] == "certified"
 
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_overflowing_power_sum_exits_three(self, capsys, fmt):
+        # s_40 of the critical points leaves the double range; the check
+        # on it cannot be decided, so it must not read as a violation.
+        code, out = run_capture(["verify", "3e8,-1e8,-1e8", "--format", fmt])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: power-sum inequality (k=5, m=8) overflows double precision\n"
+        )
 
     def test_34_entries_get_a_verdict(self):
         # Solving p'/n of these 34 entries stalls, and the order-33 route

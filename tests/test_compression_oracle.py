@@ -1,5 +1,5 @@
-"""verify's critical points, the eigenvalues of the differentiator
-compression, against the mpmath oracle of bench/oracle.py.
+"""The critical points of verify and critical, the eigenvalues of the
+differentiator compression, against the mpmath oracle of bench/oracle.py.
 
 The oracle's critical points of a list of exact doubles are good to
 about 50 digits.  The compression B has norm at most the spectral radius
@@ -89,6 +89,28 @@ def test_eightfold_entry_gives_seven_copies_within_8_eps():
     crit = json.loads(buf.getvalue())["report"]["critical"]
     assert len(crit) == 7
     assert all(abs(complex(z["re"], z["im"]) - 1.0) <= 8 * EPS for z in crit)
+
+
+def test_critical_command_gives_seven_copies_within_8_eps():
+    buf = io.StringIO()
+    assert run(["critical", "1,1,1,1,1,1,1,1", "--format", "machine"], out=buf) == 0
+    crit = json.loads(buf.getvalue())["report"]["critical"]
+    assert len(crit) == 7
+    assert all(abs(complex(z["re"], z["im"]) - 1.0) <= 8 * EPS for z in crit)
+
+
+def test_critical_command_within_oracle_bound_on_fifty_mixed_scale_lists():
+    # Solving p'/n raised NonConvergenceError on 29 of these.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        lam = rng.standard_normal(6) * 10.0 ** rng.uniform(-4, 4, 6)
+        buf = io.StringIO()
+        argv = ["critical", "--format", "machine", "--", ",".join(map(repr, lam.tolist()))]
+        assert run(argv, out=buf) == 0
+        got = [complex(z["re"], z["im"]) for z in json.loads(buf.getvalue())["report"]["critical"]]
+        want = oracle.critical_points_of_list(lam.astype(complex).tolist())
+        bound = C * len(lam) * EPS * (1.0 + float(np.max(np.abs(lam))))
+        assert oracle.pairing_distance(got, want) <= bound
 
 
 def test_fifty_mixed_scale_lists_get_a_verdict():

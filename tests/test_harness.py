@@ -1,5 +1,7 @@
 """Verification pipeline, random ensembles, hunt, antiderivative chains."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,9 @@ from critspec import (
     spectrum,
     verify_critical_realizability,
 )
+from critspec.cli import run
 from critspec.harness import _confirm_alarm, _moment_cross_check
+from critspec.moments import JllCheck, MomentCheck
 
 
 class TestVerify:
@@ -188,6 +192,54 @@ class TestHunt:
             hunt(HuntConfig(n_min=1, n_max=3, samples=5, seed=0))
         with pytest.raises(ValueError):
             hunt(HuntConfig(n_min=3, n_max=3, samples=5, seed=0, ensemble="nope"))
+
+
+@pytest.fixture
+def check_objects(monkeypatch):
+    """Names of the MomentCheck and JllCheck objects built while the test runs."""
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return __init__
+
+    for cls in (MomentCheck, JllCheck):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return built
+
+
+class TestCheckObjectsOnDemand:
+    """The battery's results travel as tuples; check objects are built
+    only where something reads them."""
+
+    def test_built_once_on_first_access(self, check_objects):
+        report = check_necessary_conditions([3, -1, -1])
+        assert check_objects == []
+        assert [c.k for c in report.moment_checks] == list(range(1, 13))
+        assert [(c.k, c.m) for c in report.jll_checks][:3] == [(1, 1), (1, 2), (1, 3)]
+        last = report.jll_checks[-1]
+        assert (last.k, last.m, last.lhs, last.rhs, last.passed) == (
+            8, 8, report.jll_lhs[-1], report.jll_rhs[-1], report.jll_passed[-1]
+        )
+        assert len(check_objects) == 12 + 64
+        report.moment_checks, report.jll_checks
+        assert len(check_objects) == 12 + 64
+
+    def test_hunt_builds_none(self, check_objects):
+        report = hunt(HuntConfig(5, 5, samples=40, seed=1))
+        assert report.certified + report.uncertified + len(report.alarms) == 40
+        assert check_objects == []
+
+    @pytest.mark.parametrize("lam", ["3,-1,-1", "2,i,-i", "1,1,1,1,1,1,1,1", "1,-1,-1"])
+    def test_machine_verify_builds_none(self, check_objects, lam):
+        code = run(["verify", lam, "--format", "machine"], out=io.StringIO())
+        assert code in (0, 1)
+        assert check_objects == []
 
 
 class TestMomentCrossCheck:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import random_self_conjugate
 from critspec import (
@@ -87,6 +88,88 @@ class TestMultisetEqual:
     def test_symmetric(self, a, b):
         tol = 1e-6
         assert multiset_equal(a, b, tol) == multiset_equal(b, a, tol)
+
+
+def _pairing_residual_reference(a, b, tol):
+    """pairing_residual without its early exit on equal lists: the reference."""
+    A = as_spectrum(a).as_array()
+    B = as_spectrum(b).as_array()
+    if A.shape != B.shape:
+        return float("inf")
+    n = len(A)
+    if n == 0:
+        return 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf in lists with inf entries
+        dist = np.abs(A[:, None] - B[None, :])
+    used = np.zeros(n, dtype=bool)
+    worst = 0.0
+    for i in range(n):
+        row = np.where(used, np.inf, dist[i])
+        j = int(np.argmin(row))
+        used[j] = True
+        worst = max(worst, float(row[j]))
+    if worst <= tol or worst > 10.0 * tol or n < 2:
+        return worst
+    rows, cols = linear_sum_assignment(dist**2)
+    return float(dist[rows, cols].max())
+
+
+# Few distinct parts, so entries repeat, zeros of both signs are common
+# and the conjugate of a list often equals it.
+_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 3.0])
+_entries = st.builds(complex, _parts, _parts)
+_odd = st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                        complex(-np.inf, 1.0), complex(np.inf, np.inf)])
+
+
+@st.composite
+def _pairing_cases(draw):
+    """(a, b, tol): b a permutation of a, then conjugated, nudged by a few
+    ulps, moved by 1 to 10 times tol, or given NaN or inf entries."""
+    a = draw(st.lists(_entries, max_size=8))
+    if draw(st.booleans()):
+        a += [z.conjugate() for z in a]
+    b = draw(st.permutations(a))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5]))
+    mode = draw(st.sampled_from(["equal", "conjugate", "nudge", "band", "odd"]))
+    if mode == "conjugate":
+        b = [z.conjugate() for z in b]
+    elif mode == "nudge" and b:
+        i = draw(st.integers(0, len(b) - 1))
+        b[i] += draw(st.sampled_from([5e-324, 2.2e-16, -4.4e-16, 2.2e-16j]))
+    elif mode == "band":
+        for i in range(len(b)):
+            angle = draw(st.floats(0.0, 2 * np.pi))
+            b[i] += draw(st.floats(1.0, 10.0)) * tol * np.exp(1j * angle)
+    elif mode == "odd":
+        z = draw(_odd)
+        side = draw(st.sampled_from(["a", "b", "both"]))
+        if side != "b":
+            a = a + [z]
+        if side != "a":
+            b = b + [z]
+    return a, b, tol
+
+
+class TestPairingResidualReference:
+    @given(_pairing_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_greedy_and_assignment(self, case):
+        a, b, tol = case
+        # repr tells NaN and signed zeros apart, which == cannot.
+        assert repr(pairing_residual(a, b, tol)) == repr(_pairing_residual_reference(a, b, tol))
+
+    def test_equal_multisets_are_exactly_zero(self):
+        a = [1, 1, -0.0, 2 + 1j, 2 - 1j, 1]
+        b = [0.0, 2 - 1j, 1, 2 + 1j, 1, 1]
+        assert pairing_residual(a, b, 0.0) == 0.0
+        spec = as_spectrum([3, -1 + 2j, -1 - 2j, -1 + 2j, -1 - 2j])
+        assert pairing_residual(spec, spec.conjugate(), 0.0) == 0.0
+
+    def test_nan_entries_take_the_greedy_pass(self):
+        # NaN equals nothing, so equal-looking lists are not short-cut.
+        a = [1.0, complex(np.nan, 0.0)]
+        assert repr(pairing_residual(a, a, 1e-9)) == repr(_pairing_residual_reference(a, a, 1e-9))
 
 
 class TestClassify:
