@@ -29,6 +29,7 @@ from .harness import (
     _MATCH_TOL,
     _certify,
     _dft_circulant,
+    _require_decided,
     _RouteFailure,
     antiderivative_chain,
     hunt,
@@ -258,6 +259,7 @@ def _cmd_check(args, out) -> int:
     report = check_necessary_conditions(
         spec, kmax=args.kmax, jll_depth=args.jll, tol=args.tol
     )
+    _require_decided(report, of="the list")
     if args.fmt == "machine":
         doc = {
             "command": "check",

@@ -343,18 +343,17 @@ def _build_route(name: str, build, spec, dp, cfg: VerifyConfig) -> np.ndarray | 
     return M
 
 
-def _require_decided(conditions: ConditionReport) -> None:
+def _require_decided(conditions: ConditionReport, of: str = "the critical points") -> None:
     """Raise NumericError when a check fails on a NaN.
 
     A moment past the double range comes out with a NaN part (a complex
     power that overflows does), and a check on it fails whatever the
-    exact moment is, so it must not read as a condition violation.
+    exact moment is, so it must not read as a condition violation.  ``of``
+    names the list whose moments were checked.
     """
     for k, value, ok in conditions.moment_cells():
         if not ok and cmath.isnan(value):
-            raise NumericError(
-                f"moment k={k} of the critical points overflows double precision"
-            )
+            raise NumericError(f"moment k={k} of {of} overflows double precision")
     for k, m, lhs, rhs, ok in conditions.jll_cells():
         if not ok and (math.isnan(lhs) or math.isnan(rhs)):
             raise NumericError(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "SpectrumList",
@@ -90,6 +89,12 @@ def pairing_residual(a: SpectrumLike, b: SpectrumLike, tol: float) -> float:
     tol but within 10*tol) the pairing is redone as an optimal assignment
     on squared distances, which untangles conjugate pairs the greedy
     pass may have crossed.
+
+    scipy is imported here, when the assignment runs, not with the
+    module: importing scipy.optimize takes about 0.6 s and 40 MiB (2-vCPU
+    Xeon VM), which every fresh critspec process would otherwise pay at
+    start-up, and verify and hunt on ordinary lists never reach this
+    branch.
     """
     A = as_spectrum(a).as_array()
     B = as_spectrum(b).as_array()
@@ -108,6 +113,8 @@ def pairing_residual(a: SpectrumLike, b: SpectrumLike, tol: float) -> float:
         worst = max(worst, float(row[j]))
     if worst <= tol or worst > 10.0 * tol or n < 2:
         return worst
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(dist**2)
     return float(dist[rows, cols].max())
 

@@ -1,7 +1,9 @@
-"""Shared random-list generators for the test suite, and a loader for the
-benchmark's modules."""
+"""Shared random-list generators for the test suite, a loader for the
+benchmark's modules, and a runner for fresh interpreters."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 from critspec import SpectrumList
 
 _BENCH = Path(__file__).parent.parent / "bench"
+_SRC = Path(__file__).parent.parent / "src"
 
 
 def load_bench(name):
@@ -22,6 +25,16 @@ def load_bench(name):
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def run_fresh(*args):
+    """Run ``python *args`` in a fresh interpreter that imports critspec from
+    src/, and return the completed process with text stdout and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def random_self_conjugate(rng, n, scale=2.0):

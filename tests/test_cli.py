@@ -2,16 +2,14 @@
 
 import io
 import json
-import os
-import subprocess
-import sys
+import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import load_bench
+from conftest import load_bench, run_fresh
 from critspec import ParseError, verify_critical_realizability
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
@@ -104,6 +102,18 @@ class TestCheckCommand:
     def test_malformed_spectrum_exit_two(self):
         code, _ = run_capture(["check", "3,oops"])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_overflowing_power_sum_exits_three(self, capsys, fmt):
+        # A Suleimanova list, so every check holds in exact arithmetic;
+        # s_5**8 leaves the double range, and the NaN check must not read
+        # as a failure.
+        code, out = run_capture(["check", "3e8,-1e8,-1e8", "--format", fmt])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: power-sum inequality (k=5, m=8) overflows double precision\n"
+        )
 
 
 class TestCriticalCommand:
@@ -324,18 +334,43 @@ class TestBadTolerance:
 
 class TestModuleEntryPoint:
     def test_python_m_critspec_runs_the_cli(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "critspec", "verify", "3,-1,-1"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_fresh("-m", "critspec", "verify", "3,-1,-1")
         assert proc.returncode == 0
         assert "verdict: certified" in proc.stdout
+
+
+class TestImportFootprint:
+    def test_commands_and_hunts_load_no_scipy(self):
+        # scipy serves only pairing_residual's assignment fallback, which
+        # none of these calls reaches; a fresh interpreter must not pay
+        # for importing it.
+        code = textwrap.dedent(
+            f"""
+            import io, sys
+            import critspec
+            import critspec.cli
+            from critspec import HuntConfig, hunt
+            from critspec.cli import run
+
+            sys.path.insert(0, {str(GOLDEN.parent)!r})
+            from capture import ENSEMBLES, LISTS, REALIZE_ROUTES
+
+            run(["chain", "3,-1,-1", "--constants=-1,-1"], out=io.StringIO())
+            for spec in LISTS:
+                run(["check", spec], out=io.StringIO())
+                run(["critical", spec], out=io.StringIO())
+                run(["verify", spec, "--format", "machine"], out=io.StringIO())
+                for route in REALIZE_ROUTES:
+                    run(["realize", spec, "--route", route], out=io.StringIO())
+            for seed in (1, 2):
+                for ensemble in ENSEMBLES:
+                    hunt(HuntConfig(3, 8, samples=50, seed=seed, ensemble=ensemble))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        proc = run_fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestHuntCommand:

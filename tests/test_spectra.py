@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import random_self_conjugate
+from conftest import random_self_conjugate, run_fresh
 from critspec import (
     SpectrumList,
     as_spectrum,
@@ -170,6 +170,25 @@ class TestPairingResidualReference:
         # NaN equals nothing, so equal-looking lists are not short-cut.
         a = [1.0, complex(np.nan, 0.0)]
         assert repr(pairing_residual(a, a, 1e-9)) == repr(_pairing_residual_reference(a, a, 1e-9))
+
+
+class TestDeferredAssignmentImport:
+    def test_cold_interpreter_imports_scipy_at_the_assignment(self):
+        # The greedy worst distance, 5e-9, is in (tol, 10*tol], so this
+        # call takes the assignment branch, the only user of scipy.
+        code = (
+            "import sys\n"
+            "from critspec import pairing_residual\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "got = pairing_residual([0.0, 10.0], [5e-9, 10.0], 1e-9)\n"
+            "print(repr(got), before, 'scipy.optimize' in sys.modules)\n"
+        )
+        proc = run_fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        dist = np.abs(np.subtract.outer([0.0, 10.0], [5e-9, 10.0]))
+        rows, cols = linear_sum_assignment(dist**2)
+        want = float(dist[rows, cols].max())
+        assert proc.stdout == f"{want!r} False True\n"
 
 
 class TestClassify:
