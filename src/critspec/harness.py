@@ -278,7 +278,10 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
         d[n - j] = u.conjugate()
     for j, (r1, r2) in enumerate(pairs, start=len(ups) + 1):
         d[j] = d[n - j] = 0.5 * (r1 + r2)
-    c = np.fft.ifft(d)
+    # A list near the double range overflows to inf or NaN here, and the
+    # candidate is then rejected for its non-finite entries.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.fft.ifft(d)
     if float(np.max(np.abs(c.imag))) > tol_abs:
         raise _RouteFailure("inverse transform is not real")
     return circulant(c.real)

@@ -98,7 +98,7 @@ def critical_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
         raise ValueError("moment index must be at least 1")
     s = power_sums(spec, kmax)
     out = np.empty(kmax, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         M = _monov_matrix(s, n, kmax)
         for k in range(1, kmax + 1):
             out[k - 1] = s[k - 1] + (-1.0 / n) ** k * np.linalg.det(M[:k, :k])

@@ -5,8 +5,11 @@ leading 1 implicit, so a ``MonicPolynomial`` of degree n represents
 
     t**n + a_{n-1} t**(n-1) + ... + a_1 t + a_0.
 
-The root finder takes LAPACK's eigenvalues of the companion matrix,
-which are backward stable (Edelman & Murakami, Math. Comp. 64, 1995),
+The root finder serves ``critical_points`` and the ``chain`` command only;
+verify, realize, critical and hunt take the critical points from the
+differentiator compression instead (``differentiator``).  It solves one
+polynomial per call: it takes LAPACK's eigenvalues of the companion
+matrix, which are backward stable (Edelman & Murakami, Math. Comp. 64, 1995),
 polishes them with Newton steps, and then collapses clusters that are
 certified to be a single multiple root.  The collapse step is what
 keeps multiple roots accurate: an m-fold root perturbs by eps**(1/m)
@@ -17,7 +20,6 @@ precision.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +34,13 @@ __all__ = [
     "derivative_monic",
     "antiderivative_monic",
     "roots",
-    "roots_batch",
     "critical_points",
 ]
 
 _EPS = float(np.finfo(float).eps)
 
-# x -> (p(x), p'(x)) for fixed polynomials p; see _value_and_slope.
-_Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# roots() accepts x when every |p(x)| <= _ROOT_TOL * (1 + max|a_k|).
+_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,9 @@ def derivative_monic(p: MonicPolynomial) -> MonicPolynomial:
         raise ValueError("a linear polynomial has no critical points")
     a = np.array(p.coeffs, dtype=complex)
     k = np.arange(1, n)
-    return MonicPolynomial(tuple(a[1:] * k / n))
+    # Infinite coefficients give NaN here, which callers report as errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return MonicPolynomial(tuple(a[1:] * k / n))
 
 
 def antiderivative_monic(p: MonicPolynomial, c: complex = 0.0) -> MonicPolynomial:
@@ -102,90 +105,61 @@ def antiderivative_monic(p: MonicPolynomial, c: complex = 0.0) -> MonicPolynomia
     a = np.array(p.coeffs, dtype=complex)
     b = np.empty(n + 1, dtype=complex)
     b[0] = (n + 1) * complex(c)
-    b[1:] = (n + 1) * a / np.arange(1, n + 1)
+    # Infinite coefficients give NaN here, which callers report as errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b[1:] = (n + 1) * a / np.arange(1, n + 1)
     return MonicPolynomial(tuple(b))
 
 
 def _deriv_desc(cdesc: np.ndarray) -> np.ndarray:
-    deg = cdesc.shape[-1] - 1
-    return cdesc[..., :-1] * np.arange(deg, 0, -1)
-
-
-def _value_and_slope(cdesc: np.ndarray) -> _Evaluator:
-    """Return x -> (p(x), p'(x)) for the polynomial with coefficients cdesc.
-
-    cdesc may be a stack of polynomials, one per row; x then holds one
-    row of deg points per polynomial.  One Horner pass runs over a table
-    of cdesc and the derivative's coefficients with one leading zero.
-    Each point takes the same steps as np.polyval, so both values equal
-    np.polyval(cdesc, x) and np.polyval(_deriv_desc(cdesc), x) bit for
-    bit.  The usual recurrence d = d*x + y would round p' differently.
-    """
-    table = np.zeros((2,) + cdesc.shape, dtype=complex)
-    table[0] = cdesc
-    table[1, ..., 1:] = _deriv_desc(cdesc)
-    # The table's columns, highest degree first, each repeated to full width
-    # so every Horner step is one pass over contiguous arrays of one shape.
-    columns = np.repeat(np.moveaxis(table, -1, 0)[..., None], cdesc.shape[-1] - 1, axis=-1)
-
-    def value_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.zeros(columns.shape[1:], dtype=complex)
-        for c in columns:
-            y = y * x + c
-        return y[0], y[1]
-
-    return value_and_slope
+    return cdesc[:-1] * np.arange(len(cdesc) - 1, 0, -1)
 
 
 def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
-    """LAPACK eigenvalues of each row's companion matrix.
+    """LAPACK eigenvalues of the companion matrix of cdesc.
 
-    Each row is its own LAPACK call, so no row's dtype or failure can
-    change another row's roots.  A row with only real coefficients gets
-    a real companion matrix, so its real roots come out exactly real and
-    its complex roots as exact conjugate pairs.  A row LAPACK rejects,
-    non-finite ones included, gets NaN roots, which the residual test
-    turns into that row's error.
+    Real coefficients get a real companion matrix, so real roots come out
+    exactly real and complex roots as exact conjugate pairs.  A matrix
+    LAPACK rejects, a non-finite one included, gets NaN roots, which the
+    residual test turns into an error.
     """
-    deg = cdesc.shape[-1] - 1
-    x = np.full((len(cdesc), deg), np.nan, dtype=complex)
-    for row, c in zip(x, cdesc):
-        if not np.any(c.imag):
-            c = c.real
-        companion = np.diag(np.ones(deg - 1, dtype=c.dtype), -1)
-        companion[0] = -c[1:]
-        try:
-            row[:] = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError:
-            pass
-    return x
+    if not np.any(cdesc.imag):
+        cdesc = cdesc.real
+    deg = len(cdesc) - 1
+    companion = np.diag(np.ones(deg - 1, dtype=cdesc.dtype), -1)
+    companion[0] = -cdesc[1:]
+    try:
+        return np.linalg.eigvals(companion).astype(complex)
+    except np.linalg.LinAlgError:
+        return np.full(deg, np.nan, dtype=complex)
 
 
-def _newton_polish(x: np.ndarray, value_and_slope: _Evaluator, iters: int = 24) -> np.ndarray:
+def _newton_polish(x: np.ndarray, cdesc: np.ndarray, iters: int = 24) -> np.ndarray:
     """Up to iters Newton steps on every point; each keeps its least-residual state.
 
     The steps stop early once every point's next state equals one of
     its earlier states exactly, which one comparison against the
     history of states decides per step.  A point's next state depends
-    only on that point and its row's polynomial, so from then on it only
-    cycles through states whose residuals were already compared, and
-    ``best`` moves only on a strict improvement.  The result is the one
-    all iters steps give, bit for bit.  NaN never equals itself, so a
-    NaN point runs every step.
+    only on that point, so from then on it only cycles through states
+    whose residuals were already compared, and ``best`` moves only on a
+    strict improvement.  The result is the one all iters steps give,
+    bit for bit.  NaN never equals itself, so a NaN point runs every
+    step.
     """
+    dcdesc = _deriv_desc(cdesc)
     best = x.copy()
-    fv, dfv = value_and_slope(best)
+    fv, dfv = np.polyval(cdesc, best), np.polyval(dcdesc, best)
     best_res = np.abs(fv)
     states = np.empty((iters + 1,) + x.shape, dtype=x.dtype)
     states[0] = x
     for step in range(1, iters + 1):
-        safe = np.where(dfv == 0, 1.0, dfv)
-        nxt = states[step - 1] - np.where(dfv == 0, 0.0, fv / safe)
-        if np.all(np.any(states[:step] == nxt, axis=0)):
+        flat = dfv == 0
+        nxt = states[step - 1] - np.where(flat, 0.0, fv / np.where(flat, 1.0, dfv))
+        if (states[:step] == nxt).any(axis=0).all():
             break
         states[step] = nxt
         # p(nxt) is both this step's residual and the next step's value.
-        fv, dfv = value_and_slope(nxt)
+        fv, dfv = np.polyval(cdesc, nxt), np.polyval(dcdesc, nxt)
         res = np.abs(fv)
         better = res < best_res
         np.copyto(best, nxt, where=better)
@@ -222,15 +196,11 @@ def _collapse_root_clusters(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
     the approximants' own spread: the polish can leave all m copies on
     one side of a multiple root, eps**(1/m) away from it.
     """
-    deg = len(x)
-    if deg < 2:
-        return x
     x = x.copy()
-    scale = 1.0 + float(np.max(np.abs(x)))
-    radius = 1e-3 * scale
+    radius = 1e-3 * (1.0 + float(np.max(np.abs(x))))
     dist = np.abs(x[:, None] - x[None, :])
-    seen = np.zeros(deg, dtype=bool)
-    for start in range(deg):
+    seen = np.zeros(len(x), dtype=bool)
+    for start in range(len(x)):
         if seen[start]:
             continue
         # Grow the connected component under the cluster radius.
@@ -238,93 +208,55 @@ def _collapse_root_clusters(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
         seen[start] = True
         frontier = [start]
         while frontier:
-            i = frontier.pop()
-            close = np.where((dist[i] <= radius) & ~seen)[0]
+            close = np.where((dist[frontier.pop()] <= radius) & ~seen)[0]
             for j in close:
                 seen[j] = True
                 members.append(int(j))
                 frontier.append(int(j))
-        m = len(members)
-        if m < 2:
+        if len(members) < 2:
             continue
-        vals = x[members]
-        centre = complex(vals.mean())
-        q = cdesc
-        for _ in range(m - 1):
-            q = _deriv_desc(q)
-        z = _newton_simple(q, centre)
+        centre = complex(x[members].mean())
+        derivs = [cdesc]
+        for _ in range(len(members) - 1):
+            derivs.append(_deriv_desc(derivs[-1]))
+        z = _newton_simple(derivs[-1], centre)
         if not np.isfinite(z) or abs(z - centre) > radius:
             continue
-        deriv = cdesc
-        certified = True
-        for _ in range(m):
-            bound = float(np.polyval(np.abs(deriv), abs(z)))
-            if abs(complex(np.polyval(deriv, z))) > 256.0 * _EPS * bound + 1e-300:
-                certified = False
-                break
-            deriv = _deriv_desc(deriv)
-        if certified:
+        # Certified when p, ..., p^(m-1) vanish at z to within their noise.
+        noise = (256.0 * _EPS * float(np.polyval(np.abs(d), abs(z))) + 1e-300 for d in derivs)
+        if not any(abs(complex(np.polyval(d, z))) > e for d, e in zip(derivs, noise)):
             x[members] = z
     return x
 
 
-def _accept(
-    p: MonicPolynomial, cdesc: np.ndarray, x: np.ndarray, tol: float
-) -> SpectrumList | NonConvergenceError:
-    """Collapse clusters and run the residual test."""
-    x = _collapse_root_clusters(cdesc, x)
-    worst = float(np.max(np.abs(np.polyval(cdesc, x))))
-    scale = 1.0 + max(abs(c) for c in p.coeffs)
-    if not worst <= tol * scale:
-        return NonConvergenceError(
-            f"root refinement stalled: residual {worst:.3e} exceeds "
-            f"{tol * scale:.3e}",
+def roots(p: MonicPolynomial) -> SpectrumList:
+    """All roots of p with multiplicity, as a canonical SpectrumList.
+
+    Raises NonConvergenceError when the final residual check
+    |p(x)| <= 1e-10 * (1 + max|a_k|) fails for some root, including
+    when a residual is NaN.
+    """
+    if p.degree == 1:
+        return SpectrumList((-p.coeffs[0],))
+    cdesc = p.descending()
+    # Overflow and NaN are expected on hard inputs; the residual test
+    # turns them into NonConvergenceError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _newton_polish(_companion_eigenvalues(cdesc), cdesc)
+        x = _collapse_root_clusters(cdesc, x)
+        worst = float(np.max(np.abs(np.polyval(cdesc, x))))
+    bound = _ROOT_TOL * (1.0 + max(abs(c) for c in p.coeffs))
+    if not worst <= bound:
+        raise NonConvergenceError(
+            f"root refinement stalled: residual {worst:.3e} exceeds {bound:.3e}",
             best_residual=worst,
         )
     return SpectrumList(tuple(x))
 
 
-def roots_batch(
-    ps: list[MonicPolynomial], tol: float = 1e-10
-) -> list[SpectrumList | NonConvergenceError]:
-    """roots() of several polynomials of one degree, solved together.
-
-    Each polynomial takes exactly the steps it would take alone, so its
-    entry equals roots(p) bit for bit; where roots(p) would raise
-    NonConvergenceError, that error is returned in its place.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    degrees = {p.degree for p in ps}
-    if len(degrees) != 1:
-        raise ValueError("a batched solve needs polynomials of one degree")
-    if degrees == {1}:
-        return [SpectrumList((-p.coeffs[0],)) for p in ps]
-    cdesc = np.array([p.descending() for p in ps])
-    # Overflow and NaN inside the iteration, and in p' of a non-finite row,
-    # are expected on hard inputs; the residual test turns them into
-    # NonConvergenceError.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _newton_polish(_companion_eigenvalues(cdesc), _value_and_slope(cdesc))
-        return [_accept(p, c, r, tol) for p, c, r in zip(ps, cdesc, x)]
-
-
-def roots(p: MonicPolynomial, tol: float = 1e-10) -> SpectrumList:
-    """All roots of p with multiplicity, as a canonical SpectrumList.
-
-    Raises NonConvergenceError when the final residual check
-    |p(x)| <= tol * (1 + max|a_k|) fails for some root, including when
-    a residual is NaN.
-    """
-    (result,) = roots_batch([p], tol)
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
-
-
-def critical_points(lam: SpectrumLike, tol: float = 1e-10) -> SpectrumList:
+def critical_points(lam: SpectrumLike) -> SpectrumList:
     """Roots of p'/n for p with root list lam; needs at least two entries."""
     spec = as_spectrum(lam)
     if len(spec) < 2:
         raise ValueError("critical points need a list of at least two entries")
-    return roots(derivative_monic(from_roots(spec)), tol=tol)
+    return roots(derivative_monic(from_roots(spec)))

@@ -2,8 +2,9 @@
 and a writer for the fixture file.
 
 Each case is either a command line, run in-process through ``cli.run``
-with stdout captured, or a Hadamard-route verification made through the
-library and rendered with ``serialize.canonical_json``.  The fixture
+with stdout captured, or a library call rendered with
+``serialize.canonical_json``: a Hadamard-route verification, or
+``critical_points``, which solves p'/n with ``polynomial.roots``.  The fixture
 ``corpus.json`` pins the exit code and stdout bytes of every case.
 
 Regenerate the fixture only when output changes on purpose, and name
@@ -21,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from critspec import VerifyConfig, dft_matrix, serialize, verify_critical_realizability
+from critspec import (
+    NonConvergenceError,
+    VerifyConfig,
+    critical_points,
+    dft_matrix,
+    serialize,
+    verify_critical_realizability,
+)
 from critspec.cli import parse_spectrum, run
 
 FIXTURE = Path(__file__).with_name("corpus.json")
@@ -33,12 +41,20 @@ LISTS = (
     "1,1,-2/3,-2/3,-2/3",
     "4,1+i,1-i,-1",
     "5,-1,-1,-1,-1,1/2",
-    # The critical points of this list come out wrong (the 7-fold root is
-    # not collapsed); the corpus pins the output as it is.
+    # critical_points gets this list's 7-fold critical point wrong (the
+    # cluster is not collapsed); the corpus pins the output as it is.
     "1,1,1,1,1,1,1,1",
     # Triple-entry Suleimanova list: the d-companion route fails with
     # "spectrum mismatch".
     "12,-1/4,-1/4,-1/4,-1/2",
+)
+
+# critical_points on LISTS and these: the polish leaves both copies of the
+# double critical point 3 on one side of it, and the residual test rejects
+# the mixed-scale list; a failure is recorded by its message.
+CRITICAL_POINTS_LISTS = LISTS + (
+    "0,3,-3,0,2,3,3,0",
+    "700,0.0031,3.5,-0.032,-7.4,0.0022",
 )
 
 REALIZE_ROUTES = ("companion", "dcomp", "real-dcomp", "dft", "circulant")
@@ -108,7 +124,14 @@ def _hadamard_cases() -> list[dict]:
     ]
 
 
-CASES = _cli_cases() + _hadamard_cases()
+def _critical_points_cases() -> list[dict]:
+    return [
+        {"id": f"library critical_points {spec}", "critical_points": spec}
+        for spec in CRITICAL_POINTS_LISTS
+    ]
+
+
+CASES = _cli_cases() + _hadamard_cases() + _critical_points_cases()
 
 
 def _similarity(name: str, order: int) -> np.ndarray:
@@ -130,6 +153,13 @@ def render(case: dict) -> tuple[int | None, str]:
         cfg = VerifyConfig(hadamard=_similarity(name, order))
         report = verify_critical_realizability(parse_spectrum(spec), cfg)
         return None, serialize.canonical_json(serialize.realizability_record(report)) + "\n"
+    if "critical_points" in case:
+        try:
+            crit = critical_points(parse_spectrum(case["critical_points"]))
+            record = {"critical": serialize.spectrum_record(crit)}
+        except NonConvergenceError as err:
+            record = {"error": str(err)}
+        return None, serialize.canonical_json(record) + "\n"
     buf = io.StringIO()
     code = run(case["argv"], out=buf)
     text = re.sub(r"^wall clock: .* s$", "wall clock: <elided> s", buf.getvalue(), flags=re.M)

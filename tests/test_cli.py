@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import load_bench, run_fresh
-from critspec import ParseError, verify_critical_realizability
+from critspec import NumericError, ParseError, verify_critical_realizability
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
 
@@ -288,6 +288,36 @@ class TestVerifyCommand:
         code, out = run_capture(["verify", ",".join(repr(float(x)) for x in values)])
         assert code == 1
         assert "verdict: condition-violation" in out
+
+
+class TestNearTheDoubleRange:
+    """Lists near the double range exit 3 with one error line and no warning."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "1e300,-1e300,1"),
+            ("verify", "1e308,1e308"),
+            ("realize", "1e308,1e308", "--route", "companion"),
+            ("realize", "1e308,1e308,1e308", "--route", "dft"),
+            ("chain", "1e200,-1e200", "--constants=-1"),
+            ("critical", "1e300,-1e300,1"),
+        ],
+        ids=" ".join,
+    )
+    def test_exit_three_with_one_error_line(self, argv):
+        # A fresh interpreter, so each warning would print as it would for a user.
+        proc = run_fresh("-m", "critspec", *argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_library_raises_numeric_error_with_warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                verify_critical_realizability([1e300, -1e300, 1])
 
 
 class TestRealizeAgreesWithVerify:

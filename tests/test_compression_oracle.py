@@ -129,7 +129,7 @@ def test_verify_and_hunt_solve_no_polynomial(monkeypatch):
 
     # Wherever the names are bound, not only where they are defined.
     for module in (polynomial, realizers, differentiator, harness):
-        for name in ("roots_batch", "charpoly"):
+        for name in ("roots", "charpoly"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for lam in (LISTS["circulant-nonnegative-8"], LISTS["repeated-16"], LISTS["complex-8"]):

@@ -17,7 +17,6 @@ from critspec import (
     MonicPolynomial,
     NonConvergenceError,
     NumericError,
-    SpectrumList,
     antiderivative_monic,
     as_spectrum,
     charpoly,
@@ -32,7 +31,6 @@ from critspec import (
 )
 from critspec import harness, polynomial
 from critspec.harness import ENSEMBLES
-from critspec.polynomial import roots_batch
 
 oracle = load_bench("oracle")
 
@@ -163,10 +161,6 @@ class TestRoots:
         got = roots(from_roots(target))
         assert pairing_residual(got, target, 1e-6) < 1e-9
 
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            roots(MonicPolynomial((1.0, 1.0)), tol=0.0)
-
     def test_random_reconstruction_roundtrip(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -200,13 +194,26 @@ class TestRoots:
         assert solved >= 440
 
     def test_residual_reported_on_failure(self):
-        # Absurdly tight tolerance cannot be met; the error carries the
-        # best residual reached.
-        p = from_roots(random_complex_list(np.random.default_rng(3), 8, scale=3.0))
+        # A mixed-scale list whose p'/n the polish cannot bring within the
+        # residual bound; the error carries the best residual reached.
+        p = derivative_monic(from_roots([700, 0.0031, 3.5, -0.032, -7.4, 0.0022]))
+        bound = polynomial._ROOT_TOL * (1.0 + max(abs(c) for c in p.coeffs))
         with pytest.raises(NonConvergenceError) as info:
-            roots(p, tol=1e-300)
-        assert info.value.best_residual is not None
-        assert info.value.best_residual > 0
+            roots(p)
+        assert info.value.best_residual > bound
+        assert f"{info.value.best_residual:.3e}" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("degree", [3, 99])
+    def test_nonfinite_coefficients_fail_without_warning(self, bad, degree):
+        # LAPACK rejects the companion matrix; the roots come back NaN and
+        # the residual test reports them, with nothing else to stderr.
+        p = MonicPolynomial((bad,) + (0.0,) * (degree - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError) as info:
+                roots(p)
+        assert np.isnan(info.value.best_residual)
 
 
 class TestCriticalPoints:
@@ -278,119 +285,17 @@ def _bit_corpus():
         yield rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)
 
 
-class TestFusedEvaluation:
-    """The one-pass p, p' evaluation equals np.polyval bit for bit."""
-
-    def test_evaluator_matches_polyval(self):
-        rng = np.random.default_rng(31)
-        for deg in range(2, 17):
-            for scale in (1e-4, 1.0, 1e4):
-                a = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
-                x = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
-                cdesc = np.concatenate(([1.0 + 0j], scale * a))
-                pv, dpv = polynomial._value_and_slope(cdesc)(scale * x)
-                ref_p = np.polyval(cdesc, scale * x)
-                ref_d = np.polyval(polynomial._deriv_desc(cdesc), scale * x)
-                assert np.array_equal(pv.view(float), ref_p.view(float))
-                assert np.array_equal(dpv.view(float), ref_d.view(float))
-
-
-def _alone(p, tol=1e-10):
-    """roots(p), or the NonConvergenceError it raises."""
-    try:
-        return roots(p, tol=tol)
-    except NonConvergenceError as err:
-        return err
-
-
-def _assert_same(got, ref):
-    """Same roots bit for bit, or the same error message and best residual."""
-    if isinstance(ref, NonConvergenceError):
-        assert isinstance(got, NonConvergenceError), got
-        assert str(got) == str(ref)
-        assert np.array_equal(
-            np.float64(got.best_residual), np.float64(ref.best_residual), equal_nan=True
-        )
-    else:
-        assert isinstance(got, SpectrumList), got
-        assert np.array_equal(
-            np.array(got.entries).view(float), np.array(ref.entries).view(float)
-        )
-
-
-class TestBatchedRoots:
-    """A batched solve gives every row exactly its single-call result."""
-
-    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
-    def test_rows_match_single_solves(self, tol):
-        corpus = list(_bit_corpus())
-        for n in range(1, 17):
-            ps = [from_roots(lam) for lam in corpus[5 * (n - 1) : 5 * n]]
-            alone = [_alone(p, tol) for p in ps]
-            for size in range(1, 5):
-                for start in range(len(ps)):
-                    pick = [(start + i) % len(ps) for i in range(size)]
-                    got = roots_batch([ps[i] for i in pick], tol=tol)
-                    assert len(got) == size
-                    for row, i in zip(got, pick):
-                        _assert_same(row, alone[i])
-
-    def test_failing_rows_beside_converging_ones(self):
-        # From n = 6 on, the mixed-scale shape fails at the default tolerance.
-        corpus = list(_bit_corpus())
-        ps = [from_roots(lam) for lam in corpus[5 * 7 : 5 * 8]]
-        alone = [_alone(p) for p in ps]
-        assert any(isinstance(r, NonConvergenceError) for r in alone)
-        assert any(isinstance(r, SpectrumList) for r in alone)
-        for row, ref in zip(roots_batch(ps), alone):
-            _assert_same(row, ref)
-
-    def test_nan_row_beside_converging_ones(self):
-        # LAPACK rejects a companion matrix with a NaN or inf entry; those
-        # rows get NaN roots and fail alone, without a warning.
-        ps = [
-            MonicPolynomial((-1.0,) + (0.0,) * 98),
-            MonicPolynomial((1.0,) + (np.nan,) + (0.0,) * 97),
-            MonicPolynomial((-0.5,) + (0.0,) * 97 + (0.25,)),
-            MonicPolynomial((np.inf,) + (0.0,) * 98),
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            alone = [_alone(p) for p in ps]
-            batched = roots_batch(ps)
-        assert [isinstance(r, NonConvergenceError) for r in alone] == [False, True, False, True]
-        assert np.isnan(alone[1].best_residual) and np.isnan(alone[3].best_residual)
-        for row, ref in zip(batched, alone):
-            _assert_same(row, ref)
-
-    def test_degree_one_rows(self):
-        # p'/n of a two-entry list, and the 1x1 characteristic polynomials.
-        ps = [derivative_monic(from_roots([3.0, -1.0])), MonicPolynomial((-1.0,))]
-        ps.append(MonicPolynomial((2.0 - 1.0j,)))
-        got = roots_batch(ps)
-        for row, p in zip(got, ps):
-            _assert_same(row, _alone(p))
-        assert got[0].entries == (1.0,)
-
-    def test_mixed_degrees_rejected(self):
-        with pytest.raises(ValueError):
-            roots_batch([MonicPolynomial((1.0,)), MonicPolynomial((1.0, 0.0))])
-
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            roots_batch([MonicPolynomial((1.0,))], tol=0.0)
-
-
-def _polish_every_step(x, value_and_slope, iters=24):
+def _polish_every_step(x, cdesc, iters=24):
     """The Newton polish as it ran before its exact-cycle exit: all iters steps."""
+    dcdesc = polynomial._deriv_desc(cdesc)
     best = x.copy()
-    fv, dfv = value_and_slope(best)
+    fv, dfv = np.polyval(cdesc, best), np.polyval(dcdesc, best)
     best_res = np.abs(fv)
     cur = x.copy()
     for _ in range(iters):
         safe = np.where(dfv == 0, 1.0, dfv)
         cur = cur - np.where(dfv == 0, 0.0, fv / safe)
-        fv, dfv = value_and_slope(cur)
+        fv, dfv = np.polyval(cdesc, cur), np.polyval(dcdesc, cur)
         res = np.abs(fv)
         better = res < best_res
         np.copyto(best, cur, where=better)
@@ -407,32 +312,33 @@ def _ensemble_derivatives():
                 yield derivative_monic(from_roots(random_realizable(n, rng, ensemble)[0]))
 
 
-def _counting(value_and_slope):
-    """The evaluator, and a list that grows by one entry per call."""
+def _polyval_calls(monkeypatch):
+    """A list that grows by one entry per np.polyval call from now on."""
     calls = []
+    polyval = np.polyval
 
-    def counted(x):
+    def counted(*args):
         calls.append(None)
-        return value_and_slope(x)
+        return polyval(*args)
 
-    return counted, calls
+    monkeypatch.setattr(np, "polyval", counted)
+    return calls
 
 
-def _longest_cycle(ps, iters=24):
-    """The longest cycle the points of a batch settle into within iters steps.
+def _longest_cycle(p, iters=24):
+    """The longest cycle the points of p's polish settle into within iters steps.
 
     A point's cycle length is the distance from its first repeated state
     back to the earlier state it equals; 0 means some point never repeats.
     """
-    cdesc = np.array([p.descending() for p in ps])
-    value_and_slope = polynomial._value_and_slope(cdesc)
+    cdesc = p.descending()
+    dcdesc = polynomial._deriv_desc(cdesc)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states = [polynomial._companion_eigenvalues(cdesc)]
-        fv, dfv = value_and_slope(states[0])
         for _ in range(iters):
+            fv, dfv = np.polyval(cdesc, states[-1]), np.polyval(dcdesc, states[-1])
             safe = np.where(dfv == 0, 1.0, dfv)
             states.append(states[-1] - np.where(dfv == 0, 0.0, fv / safe))
-            fv, dfv = value_and_slope(states[-1])
     lengths = np.zeros(states[0].shape, dtype=int)
     for t in range(1, iters + 1):
         equal = np.array(states[:t]) == states[t]
@@ -441,15 +347,14 @@ def _longest_cycle(ps, iters=24):
     return int(lengths.max()) if lengths.all() else 0
 
 
-def _verify_batches():
-    """The batches verify solved on seeded order-8 lists before it took the
-    critical points from the compression and certified by backward error.
+def _verify_polynomials():
+    """The polynomials verify solved on seeded order-8 lists before it took
+    the critical points from the compression and certified by backward error.
 
-    Each holds p'/n and the characteristic polynomials of the route
-    candidates that pass their sign checks, as verify solved them
-    together; they are built here the same way.
+    For each list: p'/n and the characteristic polynomials of the route
+    candidates that pass their sign checks, built here the same way.
     """
-    batches = []
+    polys = []
     cfg = harness.VerifyConfig()
     rng = np.random.default_rng(8)
     for i in range(240):
@@ -460,94 +365,68 @@ def _verify_batches():
             lam = random_realizable(8, rng, ensemble)[0]
         dp = derivative_monic(from_roots(lam))
         built = [harness._build_route(name, build, lam, dp, cfg) for name, build in harness._ROUTES]
-        batches.append([dp] + [charpoly(M) for M in built if isinstance(M, np.ndarray)])
-    return batches
+        polys += [dp] + [charpoly(M) for M in built if isinstance(M, np.ndarray)]
+    return polys
 
 
 class TestPolishExit:
     """The polish stops at the first repeated state and returns what 24 steps return."""
 
     @staticmethod
-    def _assert_polish_unchanged(batches):
+    def _assert_polish_unchanged(ps):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for batch in batches:
-                cdesc = np.array([p.descending() for p in batch])
+            for p in ps:
+                cdesc = p.descending()
                 start = polynomial._companion_eigenvalues(cdesc)
-                value_and_slope = polynomial._value_and_slope(cdesc)
-                got = polynomial._newton_polish(start, value_and_slope)
-                want = _polish_every_step(start, value_and_slope)
-                assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    @classmethod
-    def _assert_alone_and_by_degree_unchanged(cls, ps):
-        # Polished alone and as one batch per degree, as roots_batch runs it.
-        by_degree = {}
-        for p in ps:
-            by_degree.setdefault(p.degree, []).append(p)
-        cls._assert_polish_unchanged([[p] for p in ps] + list(by_degree.values()))
+                got = polynomial._newton_polish(start, cdesc)
+                want = _polish_every_step(start, cdesc)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), p
 
     def test_bit_corpus_unchanged(self):
-        self._assert_alone_and_by_degree_unchanged(
-            [from_roots(lam) for lam in _bit_corpus() if len(lam) >= 2]
-        )
+        self._assert_polish_unchanged([from_roots(lam) for lam in _bit_corpus() if len(lam) >= 2])
 
     def test_ensemble_derivatives_unchanged(self):
-        self._assert_alone_and_by_degree_unchanged(list(_ensemble_derivatives()))
+        self._assert_polish_unchanged(list(_ensemble_derivatives()))
 
     def test_verify_batches_in_long_cycles_unchanged(self):
-        # Batches whose points settle into 3- to 22-cycles, which an exit on
-        # fixed points and 2-cycles alone ran for all 24 steps.
-        batches = _verify_batches()
-        longest = [_longest_cycle(ps) for ps in batches]
-        assert set(range(3, 16)) <= set(longest)
-        assert max(longest) >= 20
-        self._assert_polish_unchanged(batches)
+        # Polynomials whose points settle into 3- to 21-cycles, which an exit
+        # on fixed points and 2-cycles alone ran for all 24 steps.
+        ps = _verify_polynomials()
+        longest = {_longest_cycle(p) for p in ps}
+        assert set(range(3, 18)) | {19, 20, 21} <= longest
+        self._assert_polish_unchanged(ps)
 
-    def test_exit_fires_once_every_point_repeats(self):
-        batches = _verify_batches()
-        settled = [ps for ps in batches if _longest_cycle(ps) >= 3]
-        assert len(settled) > len(batches) / 3
+    def test_exit_fires_once_every_point_repeats(self, monkeypatch):
+        settled = [p for p in _verify_polynomials() if _longest_cycle(p) >= 3]
+        assert len(settled) > 100
+        calls = _polyval_calls(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for ps in settled:
-                cdesc = np.array([p.descending() for p in ps])
-                value_and_slope, calls = _counting(polynomial._value_and_slope(cdesc))
-                polynomial._newton_polish(polynomial._companion_eigenvalues(cdesc), value_and_slope)
-                assert len(calls) < 25
+            for p in settled:
+                cdesc = p.descending()
+                start = polynomial._companion_eigenvalues(cdesc)
+                calls.clear()
+                polynomial._newton_polish(start, cdesc)
+                # Two evaluations to start and two per step taken.
+                assert len(calls) < 50
 
-    def test_exit_fires_on_simple_roots(self):
-        cdesc = from_roots([3.0, -1.0, 0.5, 2.0 + 1.0j, 2.0 - 1.0j]).descending()[None]
-        value_and_slope, calls = _counting(polynomial._value_and_slope(cdesc))
-        x = polynomial._newton_polish(polynomial._companion_eigenvalues(cdesc), value_and_slope)
-        assert len(calls) < 25
-        assert np.max(np.abs(np.polyval(cdesc[0], x[0]))) < 1e-13
+    def test_exit_fires_on_simple_roots(self, monkeypatch):
+        cdesc = from_roots([3.0, -1.0, 0.5, 2.0 + 1.0j, 2.0 - 1.0j]).descending()
+        start = polynomial._companion_eigenvalues(cdesc)
+        calls = _polyval_calls(monkeypatch)
+        x = polynomial._newton_polish(start, cdesc)
+        assert len(calls) < 50
+        assert np.max(np.abs(np.polyval(cdesc, x))) < 1e-13
 
     def test_nonfinite_rows_run_every_step(self, monkeypatch):
-        # NaN never equals itself, so a batch with a NaN or inf row takes all
-        # 24 steps; each such row still fails alone, without a warning.
-        counted = []
-        original = polynomial._value_and_slope
-
-        def value_and_slope(cdesc):
-            evaluator, calls = _counting(original(cdesc))
-            counted.append(calls)
-            return evaluator
-
-        monkeypatch.setattr(polynomial, "_value_and_slope", value_and_slope)
+        # LAPACK rejects the companion matrix of a coefficient row with NaN
+        # or inf, so every root starts as NaN, which never equals itself:
+        # the polish takes all 24 steps.
+        calls = _polyval_calls(monkeypatch)
         for bad in (np.nan, np.inf):
-            ps = [
-                MonicPolynomial((-1.0, 0.0, 0.0)),
-                MonicPolynomial((1.0, bad, 0.0)),
-                MonicPolynomial((-6.0, 11.0, -6.0)),
-            ]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                alone = [_alone(p) for p in ps]
-                batched = roots_batch(ps)
-            assert [isinstance(r, NonConvergenceError) for r in batched] == [False, True, False]
-            for row, ref in zip(batched, alone):
-                _assert_same(row, ref)
-            # Three single solves, then the batch.
-            assert len(counted[0]) < 25 and len(counted[2]) < 25
-            assert len(counted[1]) == len(counted[3]) == 25
-            counted.clear()
+            cdesc = MonicPolynomial((1.0, bad, 0.0)).descending()
+            start = polynomial._companion_eigenvalues(cdesc)
+            assert np.isnan(start).all()
+            calls.clear()
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                polynomial._newton_polish(start, cdesc)
+            assert len(calls) == 50
