@@ -14,6 +14,7 @@ from .spectra import (
     SpectrumList,
     as_spectrum,
     classify,
+    conjugate_split,
     interlaces,
     multiset_equal,
     pairing_residual,
@@ -86,6 +87,7 @@ __all__ = [
     "SpectrumList",
     "as_spectrum",
     "classify",
+    "conjugate_split",
     "interlaces",
     "multiset_equal",
     "pairing_residual",

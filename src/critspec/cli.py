@@ -322,7 +322,7 @@ def _build_realizer(args, spec: SpectrumList):
     if route == "dcomp":
         return d_companion(spec, pivot=args.pivot), None
     if route == "real-dcomp":
-        return real_d_companion(spec, tol=args.tol), None
+        return real_d_companion(spec), None
     try:
         return principal_submatrix(_dft_circulant(spec, args.tol), 1), None
     except _RouteFailure as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from .polynomial import derivative_monic
 from .realizers import charpoly
 from .errors import NumericError
-from .spectra import SpectrumLike, SpectrumList, as_spectrum
+from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
 
 __all__ = [
     "unit_vector",
@@ -102,26 +102,27 @@ def critical_compression(lam: SpectrumLike) -> np.ndarray:
     e/sqrt(n) is a trace vector of diag(lam), so the characteristic
     polynomial of B is p'/n: its eigenvalues are the critical points of
     lam (Pereira 2003; Malamud 2005).  For a real list B is real
-    symmetric.  For a self-conjugate list B is built real too: each pair
-    a + ib, a - ib becomes the block [[a, -b], [b, a]] in the basis
-    (e_j + e_k)/sqrt(2), i(e_j - e_k)/sqrt(2), in which the flat vector
-    stays real, so the eigenvalues come out as exact conjugate pairs.
-    Any other list gives a complex B.
+    symmetric.  For an exactly self-conjugate list (conjugate_split) B
+    is built real too: each pair a + ib, a - ib becomes the block
+    [[a, -b], [b, a]] in the basis (e_j + e_k)/sqrt(2),
+    i(e_j - e_k)/sqrt(2), in which the flat vector stays real, so the
+    eigenvalues come out as exact conjugate pairs.  Any other list gives
+    a complex B.
     """
     spec = as_spectrum(lam)
     if len(spec) < 2:
         raise ValueError("critical points need a list of at least two entries")
-    arr = spec.as_array()
-    ups = arr[arr.imag > 0]
-    if not np.array_equal(np.sort_complex(ups), np.sort_complex(arr[arr.imag < 0].conj())):
-        return compression(np.diag(arr), np.ones(arr.size))
-    reals = arr.real[arr.imag == 0]
-    m = reals.size
+    split = conjugate_split(spec)
+    if split is None:
+        return compression(np.diag(spec.as_array()), np.ones(len(spec)))
+    reals, ups = split
+    m = len(reals)
+    ups = np.array(ups, dtype=complex)
     D = np.diag(np.concatenate([reals, np.repeat(ups.real, 2)]))
-    rows = np.arange(m, arr.size, 2)
+    rows = np.arange(m, len(spec), 2)
     D[rows, rows + 1] = -ups.imag
     D[rows + 1, rows] = ups.imag
-    z = np.zeros(arr.size)
+    z = np.zeros(len(spec))
     z[:m] = 1.0
     z[rows] = math.sqrt(2.0)
     return compression(D, z)

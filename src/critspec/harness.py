@@ -45,7 +45,6 @@ from .polynomial import (
 )
 from .realizers import (
     MatrixSignClass,
-    _split_conjugate,
     circulant,
     companion,
     d_companion,
@@ -61,6 +60,7 @@ from .spectra import (
     SpectrumList,
     as_spectrum,
     classify,
+    conjugate_split,
     pairing_residual,
 )
 
@@ -253,18 +253,16 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
 
     The list is ordered as DFT frequency content d with d[n-j] = conj(d[j]):
     the dominant real entry goes to frequency 0 and, for even order, the
-    smallest real entry to frequency n/2.  Conjugate pairs take mirrored
-    slots; the remaining real entries must pair up with equal values to
-    share one.  The entry counts leave exactly enough slots.  Raises
-    _RouteFailure when no such ordering exists or the inverse transform
-    is not real.
+    smallest real entry to frequency n/2.  Exact conjugate pairs
+    (conjugate_split) take mirrored slots, by descending imaginary part;
+    the remaining real entries must pair up with values equal within
+    tol * (1 + rho) to share one.  The entry counts leave exactly enough
+    slots.  d is Hermitian, so the real part of its inverse transform is
+    taken.  Raises _RouteFailure when no such ordering exists.
     """
     n = len(spec)
     tol_abs = tol * (1.0 + spec.spectral_radius)
-    try:
-        reals, ups = _split_conjugate(spec, tol_abs)
-    except ValueError:
-        reals, ups = [], []
+    reals, ups = conjugate_split(spec) or ([], [])
     rest = reals[1:-1] if n % 2 == 0 else reals[1:]
     pairs = list(zip(rest[::2], rest[1::2]))
     if not reals or any(abs(r1 - r2) > 2.0 * tol_abs for r1, r2 in pairs):
@@ -273,7 +271,7 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
     d[0] = reals[0]
     if n % 2 == 0:
         d[n // 2] = reals[-1]
-    for j, u in enumerate(ups, start=1):
+    for j, u in enumerate(sorted(ups, key=lambda z: (-z.imag, -z.real)), start=1):
         d[j] = u
         d[n - j] = u.conjugate()
     for j, (r1, r2) in enumerate(pairs, start=len(ups) + 1):
@@ -281,10 +279,8 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
     # A list near the double range overflows to inf or NaN here, and the
     # candidate is then rejected for its non-finite entries.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.fft.ifft(d)
-    if float(np.max(np.abs(c.imag))) > tol_abs:
-        raise _RouteFailure("inverse transform is not real")
-    return circulant(c.real)
+        c = np.fft.ifft(d).real
+    return circulant(c)
 
 
 def _dft_candidate(

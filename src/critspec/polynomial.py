@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .spectra import SpectrumLike, SpectrumList, as_spectrum, multiset_equal
+from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
 
 __all__ = [
     "MonicPolynomial",
@@ -66,20 +66,20 @@ class MonicPolynomial:
 
 
 def from_roots(root_list: SpectrumLike) -> MonicPolynomial:
-    """Expand prod (t - r) over the given roots."""
+    """Expand prod (t - r) over the given roots.
+
+    The coefficients of an exactly self-conjugate list (conjugate_split)
+    are real in exact arithmetic, so only their real parts are kept.
+    """
     spec = as_spectrum(root_list)
     if len(spec) == 0:
         raise ValueError("cannot build a polynomial from an empty root list")
     c = np.ones(1, dtype=complex)
     for r in spec:
         c = np.convolve(c, np.array([1.0, -r], dtype=complex))
-    asc = c[1:][::-1].copy()
-    # Self-conjugate roots give real coefficients in exact arithmetic;
-    # scrub the rounding-level imaginary dust so downstream sign tests
-    # see genuinely real data.
-    if multiset_equal(spec, spec.conjugate(), 1e-12 * (1.0 + spec.spectral_radius)):
-        dust = np.abs(asc.imag) <= 1e-12 * (1.0 + np.abs(asc))
-        asc[dust] = asc[dust].real
+    asc = c[1:][::-1]
+    if conjugate_split(spec) is not None:
+        asc = asc.real
     return MonicPolynomial(tuple(asc))
 
 
@@ -120,8 +120,8 @@ def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
 
     Real coefficients get a real companion matrix, so real roots come out
     exactly real and complex roots as exact conjugate pairs.  A matrix
-    LAPACK rejects, a non-finite one included, gets NaN roots, which the
-    residual test turns into an error.
+    LAPACK cannot converge on gets NaN roots, which the residual test
+    turns into an error.
     """
     if not np.any(cdesc.imag):
         cdesc = cdesc.real
@@ -232,10 +232,12 @@ def _collapse_root_clusters(cdesc: np.ndarray, x: np.ndarray) -> np.ndarray:
 def roots(p: MonicPolynomial) -> SpectrumList:
     """All roots of p with multiplicity, as a canonical SpectrumList.
 
-    Raises NonConvergenceError when the final residual check
-    |p(x)| <= 1e-10 * (1 + max|a_k|) fails for some root, including
-    when a residual is NaN.
+    Raises NonConvergenceError when a coefficient is not finite, and when
+    the final residual check |p(x)| <= 1e-10 * (1 + max|a_k|) fails for
+    some root, including when a residual is NaN.
     """
+    if not np.all(np.isfinite(p.coeffs)):
+        raise NonConvergenceError("polynomial has non-finite coefficients", best_residual=np.nan)
     if p.degree == 1:
         return SpectrumList((-p.coeffs[0],))
     cdesc = p.descending()

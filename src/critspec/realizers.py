@@ -16,7 +16,7 @@ import numpy as np
 
 # Uncalled here, roots stays bound: bench/tracing.py wraps it.
 from .polynomial import MonicPolynomial, roots
-from .spectra import SpectrumLike, SpectrumList, as_spectrum
+from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
 
 __all__ = [
     "MatrixSignClass",
@@ -84,64 +84,37 @@ def d_companion(lam: SpectrumLike, pivot: int | None = None) -> np.ndarray:
     return A
 
 
-def _split_conjugate(spec: SpectrumList, tol_abs: float):
-    """Split a self-conjugate list into real entries and upper-half pairs."""
-    reals = []
-    ups = []
-    downs = []
-    for z in spec:
-        if abs(z.imag) <= tol_abs:
-            reals.append(z.real)
-        elif z.imag > 0:
-            ups.append(z)
-        else:
-            downs.append(z)
-    if len(ups) != len(downs):
-        raise ValueError("list is not self-conjugate: unpaired complex entries")
-    used = [False] * len(downs)
-    for u in ups:
-        best, best_d = -1, math.inf
-        for j, d in enumerate(downs):
-            if not used[j] and abs(u.conjugate() - d) < best_d:
-                best, best_d = j, abs(u.conjugate() - d)
-        if best < 0 or best_d > 2.0 * tol_abs:
-            raise ValueError(
-                f"list is not self-conjugate: no partner for {u} within tolerance"
-            )
-        used[best] = True
-    reals.sort(reverse=True)
-    ups.sort(key=lambda z: (-z.imag, -z.real))
-    return reals, ups
-
-
-def real_d_companion(lam: SpectrumLike, tol: float = 1e-9) -> np.ndarray:
+def real_d_companion(lam: SpectrumLike) -> np.ndarray:
     """All-real analogue of d_companion for self-conjugate lists.
 
     Conjugate pairs enter through 2 x 2 rotation blocks
 
         [[Re u, Im u], [-Im u, Re u]],
 
-    real entries through a diagonal block, and the coupling pattern K
-    carries weights 1 (real-real), sqrt(2) (real-pair) and 2 (pair-pair)
-    so that the construction is unitarily similar to the complex one.
-    The pivot is the largest real entry; there must be one.
+    in descending order of Im u, real entries through a diagonal block,
+    and the coupling pattern K carries weights 1 (real-real), sqrt(2)
+    (real-pair) and 2 (pair-pair) so that the construction is unitarily
+    similar to the complex one.  The list must be exactly self-conjugate
+    (conjugate_split), and the pivot is its largest real entry.
     """
     spec = as_spectrum(lam)
     n = len(spec)
     if n < 2:
         raise ValueError("the construction needs a list of at least two entries")
-    tol_abs = tol * (1.0 + spec.spectral_radius)
-    reals, pairs = _split_conjugate(spec, tol_abs)
+    split = conjugate_split(spec)
+    if split is None:
+        raise ValueError("list is not self-conjugate")
+    reals, ups = split
     if not reals:
         raise ValueError("the pivot must be real: the list has no real entry")
+    pairs = sorted(ups, key=lambda z: (-z.imag, -z.real))
     lam1 = reals[0]
     rest = reals[1:]
     m = len(reals)
     npairs = len(pairs)
     size = n - 1
     B = np.zeros((size, size))
-    for i, r in enumerate(rest):
-        B[i, i] = r
+    B[: m - 1, : m - 1] = np.diag(rest)
     for t, mu in enumerate(pairs):
         r0 = (m - 1) + 2 * t
         B[r0, r0] = B[r0 + 1, r0 + 1] = mu.real

@@ -19,6 +19,7 @@ __all__ = [
     "SpectrumLike",
     "Classification",
     "as_spectrum",
+    "conjugate_split",
     "pairing_residual",
     "multiset_equal",
     "classify",
@@ -77,6 +78,22 @@ def as_spectrum(values: SpectrumLike) -> SpectrumList:
     if isinstance(values, SpectrumList):
         return values
     return SpectrumList(tuple(values))
+
+
+def conjugate_split(lam: SpectrumLike) -> tuple[list[float], list[complex]] | None:
+    """The real entries and the upper-half entries of a self-conjugate list.
+
+    Both come back in canonical order.  Returns None unless the list
+    equals its conjugate exactly, as a multiset: every entry with a
+    positive imaginary part has its exact conjugate in the list, and no
+    entry is NaN.  An imaginary part of -0.0 is real.  Every real
+    construction reads conjugate structure here; pairing_residual
+    measures it on computed data.
+    """
+    spec = as_spectrum(lam)
+    if any(a != b for a, b in zip(spec, spec.conjugate())):
+        return None
+    return [z.real for z in spec if not z.imag], [z for z in spec if z.imag > 0]
 
 
 def pairing_residual(a: SpectrumLike, b: SpectrumLike, tol: float) -> float:

@@ -2,22 +2,27 @@
 and a writer for the fixture file.
 
 Each case is either a command line, run in-process through ``cli.run``
-with stdout captured, or a library call rendered with
+with stdout and stderr captured, or a library call rendered with
 ``serialize.canonical_json``: a Hadamard-route verification, or
 ``critical_points``, which solves p'/n with ``polynomial.roots``.  The fixture
-``corpus.json`` pins the exit code and stdout bytes of every case.
+``corpus.json`` pins the exit code, stdout and stderr bytes of every
+case, so the one ``error:`` line of an exit-2 or exit-3 case is pinned
+too.
 
 Regenerate the fixture only when output changes on purpose, and name
-every changed record in CHANGES.md:
+every changed record in CHANGES.md.  The writer refuses to change an
+existing record unless its id is given:
 
-    PYTHONPATH=src python tests/golden/capture.py
+    PYTHONPATH=src python tests/golden/capture.py ['<record id>' ...]
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +63,10 @@ CRITICAL_POINTS_LISTS = LISTS + (
 )
 
 REALIZE_ROUTES = ("companion", "dcomp", "real-dcomp", "dft", "circulant")
+
+# Not self-conjugate: 1+i has no exact conjugate.  The real routes must
+# refuse it, and verify shows the battery's measured pairing residual.
+NEARLY_PAIRED = "2,1+1i,1-1.0000000001i,-1"
 
 README_EXAMPLES = (
     ("check", "--", "-1,-1,3"),
@@ -112,6 +121,13 @@ def _cli_cases() -> list[dict]:
     for cmd in ("critical", "verify"):
         cases.append({"argv": [cmd, "5", "--format", "machine"]})
     cases.append({"argv": ["realize", "5", "--route", "dft", "--format", "machine"]})
+    for route in ("real-dcomp", "dft"):
+        cases.append(
+            {"argv": ["realize", NEARLY_PAIRED, "--route", route, "--format", "machine"]}
+        )
+    cases.append({"argv": ["verify", NEARLY_PAIRED, "--format", "machine"]})
+    # The antiderivative's coefficients overflow: exit 3.
+    cases.append({"argv": ["chain", "1e200,-1e200", "--constants=-1"]})
     for case in cases:
         case["id"] = " ".join(case["argv"])
     return cases
@@ -142,12 +158,19 @@ def _similarity(name: str, order: int) -> np.ndarray:
     raise ValueError(f"unknown similarity matrix {name}({order})")
 
 
-def render(case: dict) -> tuple[int | None, str]:
-    """Exit code (None for a library case) and stdout of one case.
+def render(case: dict) -> tuple[int | None, str, str]:
+    """Exit code (None for a library case), stdout and stderr of one case.
 
     The human hunt report's wall-clock line is the only volatile text;
     its value is replaced by "<elided>".
     """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _render_stdout(case)
+    return code, out, err.getvalue()
+
+
+def _render_stdout(case: dict) -> tuple[int | None, str]:
     if "hadamard" in case:
         spec, name, order = case["hadamard"]
         cfg = VerifyConfig(hadamard=_similarity(name, order))
@@ -169,15 +192,32 @@ def render(case: dict) -> tuple[int | None, str]:
 def capture() -> dict:
     records = {}
     for case in CASES:
-        code, stdout = render(case)
-        records[case["id"]] = {"exit": code, "stdout": stdout}
+        code, stdout, stderr = render(case)
+        records[case["id"]] = {"exit": code, "stdout": stdout, "stderr": stderr}
     return records
 
 
-def main() -> None:
-    FIXTURE.write_text(json.dumps(capture(), indent=1) + "\n", encoding="utf-8")
+def changed_records(old: dict, new: dict) -> list[str]:
+    """Ids in both fixtures that differ in a field the old record has."""
+    return [
+        cid
+        for cid, rec in old.items()
+        if cid in new and any(new[cid][key] != value for key, value in rec.items())
+    ]
+
+
+def main(argv: list[str]) -> None:
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    records = capture()
+    unnamed = sorted(set(changed_records(old, records)) - set(argv))
+    if unnamed:
+        sys.exit(
+            "not written: output changed in records not named on the command "
+            "line:\n  " + "\n  ".join(unnamed)
+        )
+    FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} records to {FIXTURE}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -219,6 +219,15 @@ class TestRealizeCommand:
         doc = json.loads(out)
         assert doc["report"]["certified"] is True
 
+    def test_real_dcomp_refuses_a_nearly_paired_list(self, capsys):
+        # 1+i and 1-1.0000000001i are no conjugate pair: no real matrix has
+        # this spectrum.
+        code, out = run_capture(
+            ["realize", "2,1+1i,1-1.0000000001i,-1", "--route", "real-dcomp"]
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: list is not self-conjugate\n"
+
     def test_circulant_route_failure_reason(self):
         code, out = run_capture(
             ["realize", "1,1,-2/3,-2/3,-2/3", "--route", "circulant", "--format", "machine"]
@@ -312,6 +321,11 @@ class TestNearTheDoubleRange:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_chain_names_nonfinite_coefficients(self, capsys):
+        # The antiderivative's coefficients overflow; the error names that.
+        assert run_capture(["chain", "1e200,-1e200", "--constants=-1"]) == (3, "")
+        assert capsys.readouterr().err == "error: polynomial has non-finite coefficients\n"
 
     def test_library_raises_numeric_error_with_warnings_as_errors(self):
         with warnings.catch_warnings():

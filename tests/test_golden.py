@@ -1,8 +1,8 @@
 """Byte-identical golden corpus of CLI and library output.
 
 Every case in ``tests/golden/capture.py`` is rendered again and compared
-with ``tests/golden/corpus.json``: exit code and stdout, byte for byte.
-The fixture pins the bytes as captured, not their correctness.  Its
+with ``tests/golden/corpus.json``: exit code, stdout and stderr, byte for
+byte.  The fixture pins the bytes as captured, not their correctness.  Its
 floats are 17-digit renderings of double arithmetic on the machine that
 captured it (x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS 0.3.31);
 another platform or library build may differ in the last digits.  A
@@ -34,8 +34,9 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("case", capture.CASES, ids=[c["id"] for c in capture.CASES])
 def test_output_matches_fixture(case):
     want = RECORDS[case["id"]]
-    code, stdout = capture.render(case)
+    code, stdout, stderr = capture.render(case)
     assert code == want["exit"]
+    assert stderr == want["stderr"]
     if stdout != want["stdout"]:
         diff = difflib.unified_diff(
             want["stdout"].splitlines(), stdout.splitlines(), "fixture", "now", lineterm=""

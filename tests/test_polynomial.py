@@ -204,16 +204,16 @@ class TestRoots:
         assert f"{info.value.best_residual:.3e}" in str(info.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("degree", [3, 99])
+    @pytest.mark.parametrize("degree", [1, 3, 99])
     def test_nonfinite_coefficients_fail_without_warning(self, bad, degree):
-        # LAPACK rejects the companion matrix; the roots come back NaN and
-        # the residual test reports them, with nothing else to stderr.
+        # Rejected before any solve, with nothing else to stderr.
         p = MonicPolynomial((bad,) + (0.0,) * (degree - 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergenceError) as info:
                 roots(p)
         assert np.isnan(info.value.best_residual)
+        assert str(info.value) == "polynomial has non-finite coefficients"
 
 
 class TestCriticalPoints:

@@ -138,8 +138,10 @@ class TestRealDCompanion:
             real_d_companion([1j, -1j])
 
     def test_not_self_conjugate_rejected(self):
-        with pytest.raises(ValueError):
-            real_d_companion([1, 1j])
+        # The second list's partner is off by 1e-10: no real matrix has it.
+        for lam in ([1, 1j], [2, 1 + 1j, complex(1, -1.0000000001), -1]):
+            with pytest.raises(ValueError, match="^list is not self-conjugate$"):
+                real_d_companion(lam)
 
 
 class TestDftAndHadamard:

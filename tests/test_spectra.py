@@ -1,4 +1,5 @@
-"""Canonical ordering, multiset matching, classification, interlacing."""
+"""Canonical ordering, conjugate splitting, multiset matching, classification,
+interlacing."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from critspec import (
     SpectrumList,
     as_spectrum,
     classify,
+    conjugate_split,
+    critical_compression,
+    from_roots,
     interlaces,
     multiset_equal,
     pairing_residual,
+    real_d_companion,
 )
 
 finite_complex = st.builds(
@@ -88,6 +93,55 @@ class TestMultisetEqual:
     def test_symmetric(self, a, b):
         tol = 1e-6
         assert multiset_equal(a, b, tol) == multiset_equal(b, a, tol)
+
+
+class TestConjugateSplit:
+    def test_exact_pairs_in_canonical_order(self):
+        lam = [-1, 1 - 2j, 3, 1 + 2j, 0.5 + 1j, 0.5 - 1j, 1 + 3j, 1 - 3j]
+        assert conjugate_split(lam) == ([3.0, -1.0], [1 + 3j, 1 + 2j, 0.5 + 1j])
+
+    def test_partner_off_in_last_digits_is_not_a_pair(self):
+        assert conjugate_split([2, 1 + 1j, complex(1, -(1 + 1e-15)), -1]) is None
+
+    def test_unpaired_entry(self):
+        assert conjugate_split([1, 1j]) is None
+        assert conjugate_split([1, -1j]) is None
+        # Multiplicity counts: two copies of i need two copies of -i.
+        assert conjugate_split([1j, 1j, -1j]) is None
+
+    def test_negative_zero_imaginary_part_is_real(self):
+        split = conjugate_split([complex(2, -0.0), complex(1, 0.0), complex(1, -0.0)])
+        assert split == ([2.0, 1.0, 1.0], [])
+
+    def test_nan_entry_is_not_dropped(self):
+        assert conjugate_split([1, complex(0, np.nan)]) is None
+
+    def test_constructions_agree_on_structure(self):
+        # B is real-typed exactly when the real d-companion accepts the list
+        # and its polynomial has exactly real coefficients.  Each list is
+        # also tried with the lower entry of one pair nudged by 1e-12.
+        rng = np.random.default_rng(15)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            # Odd order: at least one real entry, the d-companion's pivot.
+            lam = random_self_conjugate(rng, 2 * int(rng.integers(1, 5)) + 1)
+            lists = [lam]
+            lower = [i for i, z in enumerate(lam) if z.imag < 0]
+            if lower:
+                entries = list(lam)
+                entries[lower[int(rng.integers(len(lower)))]] -= 1e-12j
+                lists.append(SpectrumList(tuple(entries)))
+            for spec in lists:
+                real_b = not np.iscomplexobj(critical_compression(spec))
+                try:
+                    real_d_companion(spec)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                real_p = not any(c.imag for c in from_roots(spec).coeffs)
+                assert real_b == accepted == real_p, spec
+                seen[real_b] += 1
+        assert seen[True] > 50 and seen[False] > 50
 
 
 def _pairing_residual_reference(a, b, tol):
@@ -269,3 +323,5 @@ class TestRandomGenerators:
         for _ in range(50):
             s = random_self_conjugate(rng, int(rng.integers(1, 10)))
             assert multiset_equal(s, s.conjugate(), 1e-12)
+            reals, ups = conjugate_split(s)
+            assert len(reals) + 2 * len(ups) == len(s)
