@@ -27,8 +27,9 @@ from .harness import (
     HuntConfig,
     VerifyConfig,
     _MATCH_TOL,
+    _ROUTES,
+    _certificate,
     _certify,
-    _dft_circulant,
     _require_decided,
     _RouteFailure,
     antiderivative_chain,
@@ -37,15 +38,8 @@ from .harness import (
 )
 from .moments import check_necessary_conditions, critical_moments, power_sums
 from .differentiator import compression_critical_points
-from .polynomial import derivative_monic, from_roots
-from .realizers import (
-    MatrixSignClass,
-    companion,
-    d_companion,
-    matrix_sign_class,
-    principal_submatrix,
-    real_d_companion,
-)
+from .polynomial import from_roots
+from .realizers import d_companion, matrix_sign_class, real_d_companion
 from .spectra import SpectrumList, as_spectrum
 
 __all__ = ["parse_complex", "parse_spectrum", "run", "main"]
@@ -315,16 +309,17 @@ def _cmd_critical(args, out) -> int:
 
 
 def _build_realizer(args, spec: SpectrumList):
-    """Returns (matrix or None, failure reason or None)."""
-    route = args.route
-    if route == "companion":
-        return companion(derivative_monic(from_roots(spec))), None
-    if route == "dcomp":
+    """Returns (matrix or None, failure reason or None).
+
+    companion, dft and circulant are verify's route builds.
+    """
+    if args.route == "dcomp":
         return d_companion(spec, pivot=args.pivot), None
-    if route == "real-dcomp":
+    if args.route == "real-dcomp":
         return real_d_companion(spec), None
+    build = dict(_ROUTES)["companion" if args.route == "companion" else "dft-circulant"]
     try:
-        return principal_submatrix(_dft_circulant(spec, args.tol), 1), None
+        return build(spec, VerifyConfig(tol=args.tol)), None
     except _RouteFailure as exc:
         return None, str(exc)
 
@@ -333,36 +328,37 @@ def _cmd_realize(args, out) -> int:
     """Build one route's matrix and report on it.
 
     The critical points are verify's, the eigenvalues of the
-    differentiator compression, and the matrix is certified by the same
-    backward-error test (harness._certify), so realize and verify agree.
-    Unlike verify, which stops at a route's first failed check to skip
-    the eigenvalue solve, realize always shows the matrix, its sign class
-    and the backward error of its spectrum, so a failed route can be
-    inspected.  A matrix with non-finite entries is a NumericError.
+    differentiator compression, and the matrix is certified by verify's
+    one test (harness._certificate), so realize and verify agree.  Unlike
+    verify, which stops at a route's failed sign test to skip the
+    eigenvalue solve, realize always shows the matrix as built, its sign
+    class and the backward error of its spectrum, so a failed route can
+    be inspected; a certified route shows the certificate.  A matrix with
+    non-finite entries is a NumericError.
     """
+    if args.pivot is not None and args.route != "dcomp":
+        raise ParseError("--pivot applies only to --route dcomp")
     spec = parse_spectrum(args.spectrum)
     crit = compression_critical_points(spec)
     M, reason = _build_realizer(args, spec)
     sign = None
     residual = None
-    certified = False
+    cert = None
     if M is not None:
         try:
             sign = matrix_sign_class(M, args.tol)
         except ValueError:
-            sign = None
+            pass
         residual, mismatch = _certify(M, spec, crit)
-        matched = mismatch is None
-        if not matched:
-            reason = mismatch
         # real-dcomp promises a real matrix with the right spectrum, not
-        # a nonnegative one; the other routes certify only when nonnegative.
+        # a nonnegative one.
         if args.route == "real-dcomp":
-            certified = matched
+            cert = M if mismatch is None else None
         else:
-            certified = matched and sign is MatrixSignClass.NONNEGATIVE
-            if matched and not certified:
-                reason = "matrix is not entrywise nonnegative"
+            cert, _, reason = _certificate(M, spec, crit, args.tol)
+        reason = mismatch or reason
+        M = M if cert is None else cert
+    certified = cert is not None
     if args.fmt == "machine":
         doc = {
             "command": "realize",

@@ -3,10 +3,11 @@
 ``verify_critical_realizability`` takes a list, computes its critical
 points as the eigenvalues of the differentiator compression, runs the
 necessary-condition battery on them, and then tries every certificate
-construction that applies, certifying a candidate by the backward error
-of its spectrum.  ``hunt`` repeats that over
-seeded random realizable spectra, escalating any condition failure
-before reporting it as an alarm, since a genuine alarm would be a
+construction that applies: a certificate is a real matrix with no
+negative entry whose spectrum has a small backward error as the critical
+points.  ``hunt`` repeats that over seeded random realizable spectra,
+escalating any condition failure on a sample no route certified before
+reporting it as an alarm, since a genuine alarm would be a
 counterexample to the conjecture that critical points of realizable
 lists are realizable.
 """
@@ -102,7 +103,11 @@ _EPS = float(np.finfo(float).eps)
 class VerifyConfig:
     """Tolerances and optional extras for a verification run.
 
-    tol        tolerance for condition checks and sign tests
+    tol        tolerance for the condition checks.  In the routes it only
+               decides which candidates are worth an eigenvalue solve: the
+               sign test at -tol * (1 + max|M|), the DFT route's equal real
+               entries and the Hadamard image's imaginary dust.  Whether a
+               candidate certifies does not depend on it (_certificate).
     kmax       moment depth (None means 4 * list size)
     jll_depth  grid depth for the power-sum inequality
     hadamard   optional complex Hadamard matrix enabling the fourth route
@@ -175,25 +180,7 @@ class HuntReport:
 
 
 class _RouteFailure(Exception):
-    """A route's candidate did not certify; the message is the reason."""
-
-
-def _require_nonnegative(
-    M: np.ndarray, tol: float, what: str, detail: str | None = None
-) -> None:
-    """Raise _RouteFailure unless M is entrywise nonnegative.
-
-    The reason reads "<what> is not entrywise nonnegative (<detail>)",
-    with the sign class as the default detail; a matrix with non-real
-    entries fails with matrix_sign_class's own message.
-    """
-    try:
-        sign = matrix_sign_class(M, tol)
-    except ValueError as exc:
-        raise _RouteFailure(str(exc)) from None
-    if sign is not MatrixSignClass.NONNEGATIVE:
-        detail = detail or f"sign class: {sign.value}"
-        raise _RouteFailure(f"{what} is not entrywise nonnegative ({detail})")
+    """A route's build found no candidate; the message is the reason."""
 
 
 def _backward_error(nu: SpectrumList, mu: SpectrumList, scale: float) -> float:
@@ -237,15 +224,29 @@ def _certify(
     return beta, f"spectrum mismatch: backward error {beta:.3e}"
 
 
-def _finish_route(
-    name: str, M: np.ndarray, spec: SpectrumList, crit: SpectrumList
-) -> RouteResult:
-    """Certify a sign-checked candidate against crit."""
+def _certificate(
+    M: np.ndarray, spec: SpectrumList, crit: SpectrumList, tol: float
+) -> tuple[np.ndarray | None, float | None, str | None]:
+    """The certificate candidate M gives for crit, its backward error, and
+    why there is none.
+
+    A certificate is a real matrix with no negative entry whose spectrum
+    is crit (_certify).  A complex M fails, and so does one with an entry
+    below -tol * (1 + max|M|), which spares the eigenvalue solve.  The
+    negative entries left are set to +0.0 and the backward error of that
+    exact matrix decides, so tol never lets a wrong certificate through.
+    The backward error is None when no eigenvalue solve ran.  Raises
+    NumericError when M is not finite.
+    """
     try:
-        beta, reason = _certify(M, spec, crit)
-    except NumericError as exc:
-        return RouteResult(name, True, False, None, str(exc), None)
-    return RouteResult(name, True, reason is None, None if reason else M, reason, beta)
+        sign = matrix_sign_class(M, tol)
+    except ValueError as exc:
+        return None, None, str(exc)
+    if sign is not MatrixSignClass.NONNEGATIVE:
+        return None, None, f"matrix is not entrywise nonnegative (sign class: {sign.value})"
+    M = np.where(M < 0, 0.0, M)
+    beta, reason = _certify(M, spec, crit)
+    return (M if reason is None else None), beta, reason
 
 
 def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
@@ -283,63 +284,55 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
     return circulant(c)
 
 
-def _dft_candidate(
-    spec: SpectrumList, dp: MonicPolynomial, cfg: VerifyConfig
-) -> np.ndarray:
-    C = _dft_circulant(spec, cfg.tol)
-    # Every principal submatrix of a circulant realizer carries the
-    # critical points; use the first.  For n >= 3 it holds every entry
-    # of C, so this check only gives the verdict of _build_route's sign
-    # check early, with its own reason.
-    _require_nonnegative(
-        C, cfg.tol, "circulant", f"min entry {float(C[0].min()):.3e}"
-    )
-    return principal_submatrix(C, 1)
-
-
-def _hadamard_candidate(
-    spec: SpectrumList, dp: MonicPolynomial, cfg: VerifyConfig
-) -> np.ndarray | None:
+def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | None:
     if cfg.hadamard is None:
         return None
     try:
-        A = hadamard_similarity(spec, cfg.hadamard)
+        A = principal_submatrix(hadamard_similarity(spec, cfg.hadamard), 1)
     except ValueError as exc:
         raise _RouteFailure(str(exc)) from None
-    # With a general H the image can be negative outside the certified
-    # submatrix, or complex, so the whole image is checked.
-    _require_nonnegative(A, cfg.tol, "similarity image")
-    return principal_submatrix(A.real, 1)
+    # The image of a self-conjugate list can be real, as with the DFT
+    # matrix; it is computed in complex arithmetic, so its imaginary part
+    # is then rounding dust, dropped here.  Any other image stays complex.
+    if conjugate_split(spec) is not None and np.max(np.abs(A.imag)) <= cfg.tol * (
+        1.0 + np.max(np.abs(A))
+    ):
+        return A.real
+    return A
 
 
-# (name, build) in report order.  build(spec, dp, cfg) returns a candidate
+# (name, build) in report order.  build(spec, cfg) returns a candidate
 # certificate, None when the route's optional input (the Hadamard
-# similarity matrix) is absent, or raises _RouteFailure.  Constructions
-# are looked up in this module's namespace at call time.
+# similarity matrix) is absent, or raises _RouteFailure.  Every principal
+# submatrix of a circulant or Hadamard realizer carries the critical
+# points; the first is used.  Constructions are looked up in this
+# module's namespace at call time.
 _ROUTES = (
-    ("companion", lambda spec, dp, cfg: companion(dp)),
-    ("d-companion", lambda spec, dp, cfg: d_companion(spec)),
-    ("dft-circulant", _dft_candidate),
+    ("companion", lambda spec, cfg: companion(derivative_monic(from_roots(spec)))),
+    ("d-companion", lambda spec, cfg: d_companion(spec)),
+    (
+        "dft-circulant",
+        lambda spec, cfg: principal_submatrix(_dft_circulant(spec, cfg.tol), 1),
+    ),
     ("hadamard", _hadamard_candidate),
 )
 
 ROUTE_NAMES = tuple(name for name, _ in _ROUTES)
 
 
-def _build_route(name: str, build, spec, dp, cfg: VerifyConfig) -> np.ndarray | RouteResult:
-    """The route's sign-checked candidate, or its result when there is none.
-
-    A matrix of the wrong sign never reaches the eigenvalue solve.
-    """
+def _run_route(
+    name: str, build, spec: SpectrumList, crit: SpectrumList, cfg: VerifyConfig
+) -> RouteResult:
+    """Build the route's candidate and certify it (_certificate)."""
     try:
-        M = build(spec, dp, cfg)
+        M = build(spec, cfg)
         if M is None:
             reason = "no similarity matrix supplied"
             return RouteResult(name, False, False, None, reason, None)
-        _require_nonnegative(M, cfg.tol, "matrix")
-    except _RouteFailure as exc:
+        cert, beta, reason = _certificate(M, spec, crit, cfg.tol)
+    except (_RouteFailure, NumericError) as exc:
         return RouteResult(name, True, False, None, str(exc), None)
-    return M
+    return RouteResult(name, True, cert is not None, cert, reason, beta)
 
 
 def _require_decided(conditions: ConditionReport, of: str = "the critical points") -> None:
@@ -367,18 +360,18 @@ def verify_critical_realizability(
 
     The verdict is "condition-violation" when a necessary condition
     fails on the critical points, "certified" when some construction
-    produced a nonnegative matrix whose spectrum matches them, and
-    "conditions-hold-uncertified" otherwise.
+    produced a real matrix with no negative entry whose spectrum matches
+    them, and "conditions-hold-uncertified" otherwise.
 
     The critical points are the eigenvalues of the differentiator
     compression B of diag(lam) (critical_compression), whose
     characteristic polynomial is p'/n; nothing is expanded and re-solved,
-    so there is no order limit.  Every route's candidate is built and
-    sign-checked first; a candidate that passes is certified when the
-    LAPACK eigenvalues of the candidate, as a polynomial, are within
+    so there is no order limit.  Every route's candidate goes through
+    _certificate: it must be real and pass the sign test, and then the
+    LAPACK eigenvalues of the candidate, as a polynomial, must be within
     _MATCH_TOL backward error of the critical points (_certify).  Raises
     NumericError when B is not finite, or when a check fails on a moment
-    outside the double range (_require_decided).
+    outside the double range (_require_decided); no route runs then.
     """
     cfg = config if config is not None else VerifyConfig()
     spec = as_spectrum(lam)
@@ -386,16 +379,11 @@ def verify_critical_realizability(
         raise ValueError("verification needs a list of at least two entries")
     B = critical_compression(spec)
     crit = compression_critical_points(spec, B)
-    dp = derivative_monic(from_roots(spec))
-    built = [_build_route(name, build, spec, dp, cfg) for name, build in _ROUTES]
     conditions = check_necessary_conditions(
         crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=cfg.tol
     )
     _require_decided(conditions)
-    routes = tuple(
-        _finish_route(name, M, spec, crit) if isinstance(M, np.ndarray) else M
-        for (name, _), M in zip(_ROUTES, built)
-    )
+    routes = tuple(_run_route(name, build, spec, crit, cfg) for name, build in _ROUTES)
     if not conditions.overall:
         verdict = "condition-violation"
     elif any(r.succeeded for r in routes):
@@ -530,14 +518,16 @@ def hunt(config: HuntConfig) -> HuntReport:
         for r in report.routes:
             if r.succeeded:
                 successes[r.name] += 1
-        # A condition failure is an alarm only if the recheck confirms it;
-        # otherwise the sample counts by what the routes say.
-        if report.verdict == "condition-violation" and _confirm_alarm(
+        # A certificate is a nonnegative matrix with the critical points as
+        # its spectrum, so a condition failing beside one is the battery's
+        # rounding and the sample counts as certified.  Any other condition
+        # failure is an alarm only if the recheck confirms it.
+        if any(r.succeeded for r in report.routes):
+            certified += 1
+        elif report.verdict == "condition-violation" and _confirm_alarm(
             lam, report.critical, vcfg
         ):
             alarms.append(AlarmRecord(sample_index=i, order=n, report=report))
-        elif any(r.succeeded for r in report.routes):
-            certified += 1
         else:
             uncertified += 1
     return HuntReport(

@@ -234,25 +234,20 @@ def spectrum(M: np.ndarray) -> SpectrumList:
 
 
 def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
-    """Entrywise sign classification at a scaled tolerance.
+    """Entrywise sign classification of a real matrix at a scaled tolerance.
 
-    A complex-typed matrix is accepted only when its imaginary part is
-    rounding dust; genuinely complex matrices have no sign class.
+    A complex-typed matrix has no sign class and raises ValueError, even
+    when its imaginary part is zero.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("a square matrix is required")
-    scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
     if np.iscomplexobj(M):
-        if float(np.max(np.abs(M.imag))) > tol * scale:
-            raise ValueError("matrix has non-real entries beyond tolerance")
-        R = M.real
-    else:
-        R = M
-    thresh = -tol * scale
-    if np.all(R >= thresh):
+        raise ValueError("matrix is complex; only a real matrix has a sign class")
+    thresh = -tol * (1.0 + float(np.max(np.abs(M))) if M.size else 1.0)
+    if np.all(M >= thresh):
         return MatrixSignClass.NONNEGATIVE
-    off = R[~np.eye(R.shape[0], dtype=bool)]
+    off = M[~np.eye(M.shape[0], dtype=bool)]
     if np.all(off >= thresh):
         return MatrixSignClass.METZLER
     return MatrixSignClass.NEITHER

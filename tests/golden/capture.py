@@ -68,6 +68,14 @@ REALIZE_ROUTES = ("companion", "dcomp", "real-dcomp", "dft", "circulant")
 # refuse it, and verify shows the battery's measured pairing residual.
 NEARLY_PAIRED = "2,1+1i,1-1.0000000001i,-1"
 
+# No exact conjugate for either critical point: no real matrix has them
+# as its spectrum, so nothing certifies them.
+NOT_SELF_CONJUGATE = "3,-1+0.00000000001i,-1-0.000000000011i"
+
+# At this scale the sign test's threshold -tol*(1 + max|M|) is about -tol,
+# below the candidates' negative entries; the backward error rejects them.
+SMALL_SCALE = "2e-10,1e-10+1e-10i,1e-10-1e-10i,-2.5e-10"
+
 README_EXAMPLES = (
     ("check", "--", "-1,-1,3"),
     ("critical", "1,1,-2/3,-2/3,-2/3"),
@@ -126,6 +134,12 @@ def _cli_cases() -> list[dict]:
             {"argv": ["realize", NEARLY_PAIRED, "--route", route, "--format", "machine"]}
         )
     cases.append({"argv": ["verify", NEARLY_PAIRED, "--format", "machine"]})
+    cases.append({"argv": ["verify", NOT_SELF_CONJUGATE]})
+    cases.append({"argv": ["verify", NOT_SELF_CONJUGATE, "--format", "machine"]})
+    cases.append(
+        {"argv": ["realize", NOT_SELF_CONJUGATE, "--route", "companion", "--format", "machine"]}
+    )
+    cases.append({"argv": ["verify", SMALL_SCALE, "--format", "machine"]})
     # The antiderivative's coefficients overflow: exit 3.
     cases.append({"argv": ["chain", "1e200,-1e200", "--constants=-1"]})
     for case in cases:

@@ -18,6 +18,10 @@ from critspec.serialize import canonical_json
 GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
 
 
+# Neither critical point has an exact conjugate: no real matrix certifies.
+NOT_SELF_CONJUGATE = "3,-1+0.00000000001i,-1-0.000000000011i"
+
+
 def run_capture(argv):
     buf = io.StringIO()
     code = run(argv, out=buf)
@@ -237,6 +241,33 @@ class TestRealizeCommand:
         assert doc["report"]["certified"] is False
         assert "arrangement" in doc["report"]["reason"]
 
+    def test_pivot_only_with_dcomp(self, capsys):
+        code, out = run_capture(["realize", "3,-1,-1", "--route", "companion", "--pivot", "2"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: --pivot applies only to --route dcomp\n"
+
+    def test_complex_companion_not_certified(self):
+        # p'/n of a list that is not self-conjugate has complex coefficients.
+        code, out = run_capture(
+            ["realize", NOT_SELF_CONJUGATE, "--route", "companion", "--format", "machine"]
+        )
+        assert code == 1
+        report = json.loads(out)["report"]
+        assert report["certified"] is False
+        assert report["sign_class"] is None
+        assert "complex" in report["reason"]
+
+    def test_certificate_shown_with_rounding_negatives_set_to_zero(self):
+        # p'/n of this list has a constant term of -3.7e-17, the companion's
+        # one negative entry; the certificate has 0.0 in its place.
+        argv = ["realize", "0.1441462938961887,0,-0.14414629389618874", "--route", "companion"]
+        code, out = run_capture([*argv, "--format", "machine"])
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["sign_class"] == "nonnegative"
+        rows = report["matrix"]["rows"]
+        assert all(cell["re"] >= 0 and cell["im"] == 0 for row in rows for cell in row)
+
     def test_dft_route_succeeds_on_symmetric_list(self):
         code, out = run_capture(["realize", "3,-1,-1", "--route", "dft", "--format", "machine"])
         assert code == 0
@@ -249,6 +280,11 @@ class TestVerifyCommand:
         code, out = run_capture(["verify", "3,-1,-1"])
         assert code == 0
         assert "verdict: certified" in out
+
+    def test_not_self_conjugate_list_uncertified(self):
+        code, out = run_capture(["verify", NOT_SELF_CONJUGATE])
+        assert code == 1
+        assert "verdict: conditions-hold-uncertified" in out
 
     def test_uncertified_exit_one(self):
         code, out = run_capture(["verify", "1,1,-2/3,-2/3,-2/3"])
@@ -343,6 +379,7 @@ class TestRealizeAgreesWithVerify:
         "4,1+i,1-i,-1",
         "5,-1,-1,-1,-1,1/2",
         "1,1,1,1,1,1,1,1",
+        NOT_SELF_CONJUGATE,
     )
     ROUTES = {"companion": "companion", "dcomp": "d-companion", "dft": "dft-circulant"}
 

@@ -29,6 +29,7 @@ from critspec import (
     spectrum,
     verify_critical_realizability,
 )
+from critspec import harness
 from critspec.cli import run
 from critspec.harness import _confirm_alarm, _moment_cross_check
 from critspec.moments import JllCheck, MomentCheck
@@ -114,6 +115,86 @@ class TestVerify:
             verify_critical_realizability([1.0])
 
 
+# 1e-11i has no exact conjugate here, so neither has either critical point:
+# no real matrix has them as its spectrum.
+NOT_SELF_CONJUGATE = [3, -1 + 1e-11j, -1 - 1.1e-11j]
+
+SCALES = (1e-3, 1e-6, 1e-9, 1e-12)
+
+
+def _hunt_reports(monkeypatch, config):
+    """Every verify report that hunt(config) makes."""
+    reports = []
+    real_verify = harness.verify_critical_realizability
+
+    def recording(lam, cfg=None):
+        reports.append(real_verify(lam, cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "verify_critical_realizability", recording)
+    hunt(config)
+    monkeypatch.undo()
+    return reports
+
+
+class TestCertificateRule:
+    """A certificate is a real float64 matrix with no negative entry."""
+
+    def test_not_self_conjugate_list_uncertified(self):
+        report = verify_critical_realizability(NOT_SELF_CONJUGATE)
+        assert report.verdict == "conditions-hold-uncertified"
+        for name in ("companion", "d-companion"):
+            r = next(r for r in report.routes if r.name == name)
+            assert not r.succeeded and "complex" in r.reason
+
+    def test_not_self_conjugate_list_uncertified_by_hadamard(self):
+        # The image is real up to dust, but no real matrix has the spectrum.
+        cfg = VerifyConfig(hadamard=dft_matrix(3))
+        report = verify_critical_realizability(NOT_SELF_CONJUGATE, cfg)
+        had = next(r for r in report.routes if r.name == "hadamard")
+        assert had.attempted and not had.succeeded
+        assert report.verdict == "conditions-hold-uncertified"
+
+    def test_small_scale_negative_entries_do_not_certify(self):
+        # The sign test's threshold -tol*(1 + max|M|) is near -tol at this
+        # scale, above every negative entry of the candidates.
+        report = verify_critical_realizability(
+            [2e-10, 1e-10 + 1e-10j, 1e-10 - 1e-10j, -2.5e-10]
+        )
+        assert report.verdict != "certified"
+
+    def test_rounding_negatives_set_to_zero(self):
+        # The DFT similarity image of 1^8 has entries of -2.8e-17.
+        cfg = VerifyConfig(hadamard=dft_matrix(8))
+        report = verify_critical_realizability([1] * 8, cfg)
+        had = next(r for r in report.routes if r.name == "hadamard")
+        assert had.succeeded
+        assert had.certificate.dtype == np.float64
+        assert (had.certificate >= 0).all()
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_verdict_scale_invariant(self, ensemble):
+        for i in range(150):
+            rng = np.random.default_rng(np.random.SeedSequence([7, i]))
+            lam = random_realizable(5, rng, ensemble)[0].as_array()
+            want = verify_critical_realizability(lam).verdict
+            for c in SCALES:
+                assert verify_critical_realizability(c * lam).verdict == want, (i, c)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hunt_certificates_real_and_nonnegative(self, monkeypatch, seed):
+        certified = 0
+        for ensemble in ENSEMBLES:
+            config = HuntConfig(3, 16, 150, seed, ensemble)
+            for report in _hunt_reports(monkeypatch, config):
+                for r in report.routes:
+                    if r.succeeded:
+                        certified += 1
+                        assert r.certificate.dtype == np.float64, (ensemble, r.name)
+                        assert not (r.certificate < 0).any(), (ensemble, r.name)
+        assert certified > 100
+
+
 class TestRandomRealizable:
     def test_all_ensembles_nonnegative_and_consistent(self):
         for ensemble in ENSEMBLES:
@@ -184,6 +265,18 @@ class TestHunt:
             )
         )
         assert report.certified >= 25
+
+    def test_certified_sample_is_no_alarm(self, monkeypatch):
+        # Sample 148 of seed 1: Λ = c·{1, ω, ω̄}, so Λ′ = {0, 0}; the
+        # compression splits the double root to ±8.3e-9i, which fails the
+        # spectral-radius check, but the companion and DFT routes certify.
+        config = HuntConfig(3, 16, 149, 1, "sparse-bernoulli")
+        sample = _hunt_reports(monkeypatch, config)[148]
+        assert not sample.conditions.spectral_radius_in_list
+        assert any(r.succeeded for r in sample.routes)
+        report = hunt(config)
+        assert not report.alarms
+        assert report.certified + report.uncertified == 149
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -351,11 +351,10 @@ def _verify_polynomials():
     """The polynomials verify solved on seeded order-8 lists before it took
     the critical points from the compression and certified by backward error.
 
-    For each list: p'/n and the characteristic polynomials of the route
-    candidates that pass their sign checks, built here the same way.
+    For each list: p'/n and the characteristic polynomials of the
+    certificates verify returns.
     """
     polys = []
-    cfg = harness.VerifyConfig()
     rng = np.random.default_rng(8)
     for i in range(240):
         if i % 3 == 0:
@@ -363,9 +362,9 @@ def _verify_polynomials():
         else:
             ensemble = "circulant-nonnegative" if i % 3 == 1 else ENSEMBLES[i % 4]
             lam = random_realizable(8, rng, ensemble)[0]
-        dp = derivative_monic(from_roots(lam))
-        built = [harness._build_route(name, build, lam, dp, cfg) for name, build in harness._ROUTES]
-        polys += [dp] + [charpoly(M) for M in built if isinstance(M, np.ndarray)]
+        routes = harness.verify_critical_realizability(lam).routes
+        polys.append(derivative_monic(from_roots(lam)))
+        polys += [charpoly(r.certificate) for r in routes if r.succeeded]
     return polys
 
 

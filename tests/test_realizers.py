@@ -182,7 +182,8 @@ class TestDftAndHadamard:
         )
         A = hadamard_similarity([3, 1, 1, 1], H)
         assert float(np.max(np.abs(A.imag))) < 1e-12
-        assert matrix_sign_class(A) is MatrixSignClass.NONNEGATIVE
+        # The image is complex-typed; only its real part has a sign class.
+        assert matrix_sign_class(A.real) is MatrixSignClass.NONNEGATIVE
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError, match="unimodular"):
@@ -323,9 +324,13 @@ class TestSignClass:
         M = np.array([[1e6, -1e-4], [1.0, 1.0]])
         assert matrix_sign_class(M, tol=1e-9) is MatrixSignClass.NONNEGATIVE
 
-    def test_complex_dust_accepted(self):
-        M = np.array([[1.0 + 1e-15j, 0.0], [0.0, 1.0]])
-        assert matrix_sign_class(M) is MatrixSignClass.NONNEGATIVE
+    def test_complex_input_rejected(self):
+        # Even with rounding-size or zero imaginary parts: only a real
+        # matrix certifies, so a complex one has no sign class.
+        for imag in (1e-15, 0.0):
+            M = np.array([[1.0 + imag * 1j, 0.0], [0.0, 1.0]])
+            with pytest.raises(ValueError, match="complex"):
+                matrix_sign_class(M)
 
     def test_genuinely_complex_rejected(self):
         with pytest.raises(ValueError):
