@@ -14,7 +14,6 @@ lists are realizable.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,11 +27,13 @@ from .differentiator import (
     trace_moments,
 )
 from .errors import NumericError
-# Uncalled here, critical_moment and power_sums stay bound: bench/tracing.py
-# wraps them.
+# Uncalled here, critical_moment stays bound: bench/tracing.py wraps it.
 from .moments import (
     ConditionReport,
     _grade_moments,
+    _growth,
+    _ldexp,
+    _scaled,
     check_necessary_conditions,
     critical_moment,
     power_sums,
@@ -103,7 +104,10 @@ _EPS = float(np.finfo(float).eps)
 class VerifyConfig:
     """Tolerances and optional extras for a verification run.
 
-    tol        tolerance for the condition checks.  In the routes it only
+    tol        tolerance for the condition checks: tol * (2*rho)**k on a
+               term of degree k in the critical points, rho their spectral
+               radius, so the verdict does not change with the scale of the
+               list (check_necessary_conditions).  In the routes it only
                decides which candidates are worth an eigenvalue solve: the
                sign test at -tol * (1 + max|M|), the DFT route's equal real
                entries and the Hadamard image's imaginary dust.  Whether a
@@ -335,24 +339,6 @@ def _run_route(
     return RouteResult(name, True, cert is not None, cert, reason, beta)
 
 
-def _require_decided(conditions: ConditionReport, of: str = "the critical points") -> None:
-    """Raise NumericError when a check fails on a NaN.
-
-    A moment past the double range comes out with a NaN part (a complex
-    power that overflows does), and a check on it fails whatever the
-    exact moment is, so it must not read as a condition violation.  ``of``
-    names the list whose moments were checked.
-    """
-    for k, value, ok in conditions.moment_cells():
-        if not ok and cmath.isnan(value):
-            raise NumericError(f"moment k={k} of {of} overflows double precision")
-    for k, m, lhs, rhs, ok in conditions.jll_cells():
-        if not ok and (math.isnan(lhs) or math.isnan(rhs)):
-            raise NumericError(
-                f"power-sum inequality (k={k}, m={m}) overflows double precision"
-            )
-
-
 def verify_critical_realizability(
     lam: SpectrumLike, config: VerifyConfig | None = None
 ) -> RealizabilityReport:
@@ -370,8 +356,7 @@ def verify_critical_realizability(
     _certificate: it must be real and pass the sign test, and then the
     LAPACK eigenvalues of the candidate, as a polynomial, must be within
     _MATCH_TOL backward error of the critical points (_certify).  Raises
-    NumericError when B is not finite, or when a check fails on a moment
-    outside the double range (_require_decided); no route runs then.
+    NumericError when B is not finite.
     """
     cfg = config if config is not None else VerifyConfig()
     spec = as_spectrum(lam)
@@ -382,7 +367,6 @@ def verify_critical_realizability(
     conditions = check_necessary_conditions(
         crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=cfg.tol
     )
-    _require_decided(conditions)
     routes = tuple(_run_route(name, build, spec, crit, cfg) for name, build in _ROUTES)
     if not conditions.overall:
         verdict = "condition-violation"
@@ -436,30 +420,33 @@ _CROSS_CHECK_SAFETY = 16.0
 
 
 def _moment_cross_check(
-    lam: SpectrumList, B: np.ndarray, conditions: ConditionReport
+    lam: SpectrumList, B: np.ndarray, crit: SpectrumList, depth: int
 ) -> None:
-    """Moments of the computed critical points must match tr(B**k).
+    """Moments 1..depth of crit, the computed critical points, must match tr(B**k).
 
-    B = critical_compression(lam).  The direct moments are the ones the
-    condition battery graded, at its depth (kmax, or 4 times the number
-    of critical points).  Both the traces and the power sums of B's
-    computed eigenvalues carry an error of about k * n * eps * ||B||**k,
-    and ||B|| is at most the spectral radius rho of lam, so moment k
-    must agree to _CROSS_CHECK_SAFETY * k * n * eps * (1 + rho)**k.
+    B = critical_compression(lam).  Both sides are taken in the unit of
+    lam: lam, crit and B divided by 2**e, e = frexp(rho)[1] for rho the
+    spectral radius of lam.  By Gauss-Lucas no critical point is
+    larger than rho, and ||B|| <= rho, so neither side leaves the double
+    range; the unit of crit would not do, as its radius can be 1e-8 of
+    rho.  Both carry an error of about k * n * eps * ||B||**k, so moment
+    k must agree to _CROSS_CHECK_SAFETY * k * n * eps * (2*rho)**k, the
+    condition battery's tolerance law.
     """
-    direct = np.array(conditions.moment_values)
-    traces = power_traces(B, conditions.moment_depth)
-    k = np.arange(1, direct.size + 1)
-    with np.errstate(over="ignore"):
-        bound = (
-            _CROSS_CHECK_SAFETY * k * len(lam) * _EPS * (1.0 + lam.spectral_radius) ** k
-        )
+    rho = lam.spectral_radius
+    e = math.frexp(rho)[1]
+    direct = power_sums(_scaled(crit, -e), depth)
+    traces = power_traces(_ldexp(B, -e), depth)
+    k = np.arange(1, depth + 1)
+    growth = _growth(math.ldexp(rho, -e), depth)[1:]
+    bound = _CROSS_CHECK_SAFETY * k * len(lam) * _EPS * growth
     bad = np.flatnonzero(np.abs(direct - traces) > bound)
     if bad.size:
         i = int(bad[0])
         raise NumericError(
             f"critical-moment cross-check failed at k={i + 1}: "
-            f"direct {direct[i]}, compression trace {traces[i]}"
+            f"direct {direct[i]}, compression trace {traces[i]} "
+            f"(both divided by 2**{(i + 1) * e})"
         )
 
 
@@ -469,7 +456,8 @@ def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> 
     The recheck drops the tolerance a hundredfold, and any moment or
     power-sum failure must reproduce through the moments tr(B**k) of the
     compression of diag(lam), which never touch the computed critical
-    points.  Only failures that survive both are alarms.
+    points.  Those are graded in the unit of lam, as in
+    _moment_cross_check.  Only failures that survive both are alarms.
     """
     tight_tol = cfg.tol / 100.0
     tight = check_necessary_conditions(
@@ -480,11 +468,13 @@ def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> 
     if not tight.self_conjugate or not tight.spectral_radius_in_list:
         return True
     depth, jll_depth = tight.moment_depth, tight.jll_depth
-    traces = trace_moments(lam, max(depth, jll_depth * jll_depth))
+    e = math.frexp(lam.spectral_radius)[1]
+    traces = trace_moments(_scaled(lam, -e), max(depth, jll_depth * jll_depth))
     _, moment_ok, _, _, jll_ok = _grade_moments(
-        traces, len(crit), crit.spectral_radius, depth, jll_depth, tight_tol
+        traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, tight_tol
     )
-    pairs = zip(tight.moment_passed + tight.jll_passed, moment_ok + jll_ok)
+    traced_ok = moment_ok.tolist() + jll_ok.ravel().tolist()
+    pairs = zip(tight.moment_passed + tight.jll_passed, traced_ok)
     return any(not (d or f) for d, f in pairs)
 
 
@@ -514,7 +504,9 @@ def hunt(config: HuntConfig) -> HuntReport:
         n = int(rng.integers(config.n_min, config.n_max + 1))
         lam, _ = random_realizable(n, rng, config.ensemble)
         report = verify_critical_realizability(lam, vcfg)
-        _moment_cross_check(lam, report.compression, report.conditions)
+        _moment_cross_check(
+            lam, report.compression, report.critical, report.conditions.moment_depth
+        )
         for r in report.routes:
             if r.succeeded:
                 successes[r.name] += 1

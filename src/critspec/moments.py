@@ -13,6 +13,12 @@ unit scale, from k ~ 23 at n >= 8), so hunt's independent route is
 tr(B**k) of the differentiator compression B instead
 (differentiator.trace_moments), which never touches the computed
 critical points either.
+
+The necessary conditions are homogeneous in the list, and so is their
+one tolerance law: tol * (2*rho)**k on s_k for rho the spectral radius.
+check_necessary_conditions grades them on the list divided by the power
+of two just above rho, an exact rescaling under which no moment leaves
+the double range, so the verdict of c * lam is the verdict of lam.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectrumLike, as_spectrum, pairing_residual
+from .spectra import SpectrumLike, SpectrumList, as_spectrum, pairing_residual
 
 __all__ = [
     "MomentCheck",
@@ -55,8 +61,8 @@ def power_sums(lam: SpectrumLike, kmax: int) -> np.ndarray:
         raise ValueError("power sums of an empty list are undefined")
     factors = np.ones((kmax + 1, arr.size), dtype=complex)
     factors[1:] = arr
-    # Overflow to inf/nan is tolerated; condition checks compare such
-    # moments in log-magnitude space instead of crashing.
+    # Overflow to inf/nan is tolerated; the condition battery never meets
+    # it, since it takes the power sums of the list at unit scale.
     with np.errstate(over="ignore", invalid="ignore"):
         return np.cumprod(factors, axis=0)[1:].sum(axis=1)
 
@@ -136,6 +142,11 @@ class ConditionReport:
     jll_lhs, _rhs, _passed   s_k**m, n**(m-1) * s_{km} and whether lhs <= rhs,
                              over the depth grid, row-major in (k, m)
 
+    Each comparison allows tol * (2*rho)**k for a term of degree k in the
+    list (check_necessary_conditions).  The values are at the list's own
+    scale; one past the double range is +-inf, and its check was still
+    decided, at unit scale.
+
     moment_cells() and jll_cells() yield each check's fields as a tuple;
     moment_checks and jll_checks build the check objects on first access.
     """
@@ -174,90 +185,60 @@ def _jll_grid(depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(zip(*itertools.product(range(1, depth + 1), repeat=2)))
 
 
-def _jll_compare(
-    a: float, b: float, n: int, m: int, slack: float
-) -> tuple[float, float, bool]:
-    """Decide a**m <= n**(m-1)*b + slack without overflowing.
+@functools.lru_cache(maxsize=16)
+def _degrees(depth: int, jll_depth: int) -> np.ndarray:
+    # The degree in the list of each value check_necessary_conditions packs.
+    km = np.multiply(*_jll_grid(jll_depth))
+    return np.concatenate([[1, 1], np.arange(1, depth + 1).repeat(2), km, km])
 
-    Returns the two sides as floats (inf when unrepresentable) together
-    with the verdict.  Once either side leaves double range the slack is
-    negligible relative to the values, so the verdict falls back to a
-    signed comparison of log-magnitudes.
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """x * 2**e for a real or complex array: exact wherever the result is
+    a normal double, +-inf (with an overflow warning) past the range."""
+    return np.ldexp(x.view(float), e).view(x.dtype)
+
+
+def _scaled(spec: SpectrumList, e: int) -> SpectrumList:
+    """spec times 2**e, exactly (_ldexp)."""
+    return SpectrumList(_ldexp(spec.as_array(), e).tolist())
+
+
+def _growth(rho: float, kmax: int) -> np.ndarray:
+    """(2*rho)**0 .. (2*rho)**kmax, the growth of every moment tolerance.
+
+    With rho < 1 the powers leave the double range only past k = 1023,
+    where tol * (2*rho)**k exceeds n * rho**k, and so every moment, for
+    any tol above 1e-290; inf then passes what the finite value would.
     """
-    log_a = m * math.log10(abs(a)) if a != 0 else -math.inf
-    log_b = (m - 1) * math.log10(n) + (math.log10(abs(b)) if b != 0 else -math.inf)
-    if log_a < 150.0 and log_b < 150.0:
-        lhs = a**m
-        rhs = float(n) ** (m - 1) * b
-        return lhs, rhs, bool(lhs <= rhs + slack)
     with np.errstate(over="ignore"):
-        lhs = float(np.power(np.float64(a), m))
-        rhs = float(np.float64(n) ** (m - 1) * np.float64(b))
-    sign_l = -1 if (a < 0 and m % 2 == 1) else (0 if a == 0 else 1)
-    sign_r = -1 if b < 0 else (0 if b == 0 else 1)
-    if sign_l != sign_r:
-        holds = sign_l < sign_r
-    elif sign_l >= 0:
-        holds = log_a <= log_b + 1e-12
-    else:
-        holds = log_a >= log_b - 1e-12
-    return lhs, rhs, bool(holds)
-
-
-def _powers(base: float, count: int) -> list[float]:
-    """base**0 .. base**count by Python's float power.
-
-    A power that overflows is inf, as is every later one.
-    """
-    out = [1.0]
-    try:
-        for k in range(1, count + 1):
-            out.append(base**k)
-    except OverflowError:
-        out += [math.inf] * (count + 1 - len(out))
-    return out
+        return np.power(2.0 * rho, np.arange(kmax + 1))
 
 
 def _grade_moments(
     s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int, tol: float
-) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+) -> tuple[np.ndarray, ...]:
     """Moment and power-sum checks on s_1.. of n entries of spectral radius rho.
 
-    Returns ConditionReport's five tuples, moment_values to jll_passed.
-    s needs max(depth, jll_depth**2) entries.  Tolerances scale with
-    (1 + rho)**k, as the moments grow, and are inf where that power
-    overflows; a NaN moment fails its check.  Both sets of checks are
-    graded with array comparisons, but every power is Python's float
-    power, which np.power does not always match, so each field is what
-    a scalar loop over the checks gives.  Grid cells whose log-magnitude
-    reaches 150 are decided by _jll_compare alone.
+    s and rho are in one unit, in which rho < 1: then |s_k| <= n and
+    both sides of a power-sum cell are at most n**m.  The tolerance on
+    s_k is tol * (2*rho)**k, and the (k, m) cell's is n**(m-1) times
+    that of s_km; the checks are homogeneous, so scaling s_k by c**k and
+    rho by c changes no verdict.  s needs max(depth, jll_depth**2)
+    entries; a NaN moment fails its check.  Returns s_1..s_depth with
+    their pass flags, then the jll_depth x jll_depth grids s_k**m,
+    n**(m-1) * s_km and their pass flags, row k, column m.  Every power
+    of a moment is Python's float power, which np.power does not always
+    match, so each entry is what a scalar loop over the checks gives.
     """
-    growth = np.array(_powers(1.0 + rho, max(depth, jll_depth * jll_depth)))
-    moments = s[:depth]
-    # Row k, column m of the grid is the check s_k**m <= n**(m-1) * s_km.
-    j = np.arange(1, jll_depth + 1)
-    k, m = j[:, None], j[None, :]
-    km = k * m
-    real = s.real[: jll_depth * jll_depth]
-    a, b = real[:jll_depth].tolist(), real[km - 1]
-    logs = np.array([math.log10(abs(x)) if x != 0 else -math.inf for x in real.tolist()])
-    in_range = (m * logs[k - 1] < 150.0) & ((m - 1) * math.log10(n) + logs[km - 1] < 150.0)
-    lhs = np.array([_powers(x, jll_depth) for x in a])[:, 1:]
-    n_pow = np.array(_powers(float(n), jll_depth - 1))[m - 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tk = np.where(np.isinf(growth), math.inf, tol * growth)[1 : depth + 1]
-        moment_ok = (moments.real >= -tk) & (np.abs(moments.imag) <= tk)
-        rhs = n_pow * b
-        overflow = np.isinf(n_pow) | np.isinf(growth[km])
-        slack = np.where(overflow, math.inf, tol * n_pow * growth[km])
-        passed = lhs <= rhs + slack
-    cells = [lhs.ravel().tolist(), rhs.ravel().tolist(), passed.ravel().tolist()]
-    for row, col in zip(*np.nonzero(~in_range)):
-        i = row * jll_depth + col
-        cells[0][i], cells[1][i], cells[2][i] = _jll_compare(
-            a[row], float(b[row, col]), n, int(col) + 1, float(slack[row, col])
-        )
-    return (tuple(moments.tolist()), tuple(moment_ok.tolist()), *map(tuple, cells))
+    tk = tol * _growth(rho, max(depth, jll_depth * jll_depth))
+    moments, t = s[:depth], tk[1 : depth + 1]
+    moment_ok = (moments.real >= -t) & (np.abs(moments.imag) <= t)
+    ms = range(1, jll_depth + 1)
+    km = np.outer(ms, ms)
+    lhs = np.array([[x**m for m in ms] for x in s.real[:jll_depth].tolist()])
+    n_pow = np.array([float(n) ** (m - 1) for m in ms])
+    rhs = n_pow * s.real[km - 1]
+    return moments, moment_ok, lhs, rhs, lhs <= rhs + n_pow * tk[km]
 
 
 def check_necessary_conditions(
@@ -269,8 +250,15 @@ def check_necessary_conditions(
     """Run the four necessary conditions on a list at the given depths.
 
     Moment checks run for k = 1..kmax (default 4n); the power-sum
-    inequality runs over the full (k, m) grid up to jll_depth.  Both are
-    graded by _grade_moments.
+    inequality runs over the full (k, m) grid up to jll_depth.  Every
+    check is graded on the list divided by 2**e, e = frexp(rho)[1], whose
+    spectral radius is in [1/2, 1) (or 0) and whose moments are the
+    list's times 2**(-k*e) bit for bit, so none leaves the double range.
+    The tolerance is tol * (2*rho)**k on s_k (_grade_moments) and
+    tol * 2*rho on the pairing residual and the spectral-radius margin,
+    so c * lam gets the verdict of lam.  The report's values are at the
+    list's own scale, rescaled exactly; one past the double range is
+    +-inf.
     """
     spec = as_spectrum(lam)
     if len(spec) == 0:
@@ -279,29 +267,35 @@ def check_necessary_conditions(
     depth = 4 * n if kmax is None else kmax
     if depth < 1 or jll_depth < 1:
         raise ValueError("depths must be at least 1")
-    arr = spec.as_array()
     rho = spec.spectral_radius
-    base = tol * (1.0 + rho)
+    e = math.frexp(rho)[1]
+    unit, rho = _scaled(spec, -e), math.ldexp(rho, -e)
+    base = tol * 2.0 * rho
 
-    residual = pairing_residual(spec, spec.conjugate(), base)
-    self_conjugate = residual <= base
+    residual = pairing_residual(unit, unit.conjugate(), base)
+    margin = float(np.min(np.abs(unit.as_array() - rho)))
+    self_conjugate, radius_in_list = bool(residual <= base), bool(margin <= base)
 
-    margin = float(np.min(np.abs(arr - rho)))
-    radius_in_list = margin <= base
-
-    s = power_sums(spec, max(depth, jll_depth * jll_depth))
-    values, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
-    overall = self_conjugate and radius_in_list and all(moment_ok) and all(jll_ok)
+    s = power_sums(unit, max(depth, jll_depth * jll_depth))
+    moments, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    overall = self_conjugate and radius_in_list and moment_ok.all() and jll_ok.all()
+    # Back at the list's scale, every value times 2**(d*e) for d its degree
+    # in the list; one past the double range is +-inf.
+    values = np.concatenate([[residual, margin], moments.view(float), lhs.ravel(), rhs.ravel()])
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, e * _degrees(depth, jll_depth))
+    cut, grid = 2 + 2 * depth, jll_depth * jll_depth
+    residual, margin = values[:2].tolist()
     return ConditionReport(
-        self_conjugate=bool(self_conjugate),
-        pairing_residual=float(residual),
-        spectral_radius_in_list=bool(radius_in_list),
+        self_conjugate=self_conjugate,
+        pairing_residual=residual,
+        spectral_radius_in_list=radius_in_list,
         spectral_radius_margin=margin,
-        moment_values=values,
-        moment_passed=moment_ok,
-        jll_lhs=lhs,
-        jll_rhs=rhs,
-        jll_passed=jll_ok,
+        moment_values=tuple(values[2:cut].view(complex).tolist()),
+        moment_passed=tuple(moment_ok.tolist()),
+        jll_lhs=tuple(values[cut : cut + grid].tolist()),
+        jll_rhs=tuple(values[cut + grid :].tolist()),
+        jll_passed=tuple(jll_ok.ravel().tolist()),
         moment_depth=depth,
         jll_depth=jll_depth,
         overall=bool(overall),
@@ -329,7 +323,7 @@ def jll_pair_equivalence(lam: SpectrumLike) -> tuple[bool, bool]:
     s2c = (n - 2) / n * s2 + (s1 * s1) / (n * n)
     rhs_margin = ((n - 1) * s2c - s1c * s1c).real
     factor = (n - 1) * (n - 2) / (n * n)
-    thresh = 1e-12 * n * (1.0 + spec.spectral_radius) ** 2
+    thresh = 1e-12 * n * (2.0 * spec.spectral_radius) ** 2
     original = lhs_margin >= -thresh
     critical = rhs_margin >= -thresh * factor if factor > 0 else rhs_margin >= 0.0
     return bool(original), bool(critical)

@@ -9,10 +9,13 @@ downstream relies on.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
+
+from .errors import NumericError
 
 __all__ = [
     "SpectrumList",
@@ -161,6 +164,8 @@ class Classification:
 
 
 def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
+    """The list's structured classes and its trace; NumericError if that
+    is not finite."""
     spec = as_spectrum(lam)
     if len(spec) == 0:
         raise ValueError("cannot classify an empty list")
@@ -168,7 +173,10 @@ def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
     n = len(arr)
     # Realness is decided once; the real-only families below reuse it.
     real = bool(np.all(np.abs(arr.imag) <= tol))
-    s1 = complex(arr.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = complex(arr.sum())
+    if not cmath.isfinite(s1):
+        raise NumericError("the trace of the list is not finite in double precision")
     nonneg = int(np.count_nonzero(arr.real >= -tol))
     generalized = s1.real >= -tol and nonneg == 1
     suleimanova = real and generalized

@@ -74,7 +74,14 @@ NOT_SELF_CONJUGATE = "3,-1+0.00000000001i,-1-0.000000000011i"
 
 # At this scale the sign test's threshold -tol*(1 + max|M|) is about -tol,
 # below the candidates' negative entries; the backward error rejects them.
+# The battery's tolerance scales with the list, so the verdict is that of
+# the same list at scale 1, a condition violation.
 SMALL_SCALE = "2e-10,1e-10+1e-10i,1e-10-1e-10i,-2.5e-10"
+
+# A Suleimanova list whose power sums leave the double range from s_40 on:
+# every check holds, decided at unit scale; the sides past the range are
+# null.  The list of zeros has spectral radius 0 and tolerance 0.
+SCALE_EDGES = ("3e8,-1e8,-1e8", "0,0,0")
 
 README_EXAMPLES = (
     ("check", "--", "-1,-1,3"),
@@ -139,7 +146,9 @@ def _cli_cases() -> list[dict]:
     cases.append(
         {"argv": ["realize", NOT_SELF_CONJUGATE, "--route", "companion", "--format", "machine"]}
     )
-    cases.append({"argv": ["verify", SMALL_SCALE, "--format", "machine"]})
+    for spec in (SMALL_SCALE, *SCALE_EDGES):
+        for cmd in ("check", "verify"):
+            cases.append({"argv": [cmd, spec, "--format", "machine"]})
     # The antiderivative's coefficients overflow: exit 3.
     cases.append({"argv": ["chain", "1e200,-1e200", "--constants=-1"]})
     for case in cases:

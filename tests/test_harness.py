@@ -1,6 +1,8 @@
 """Verification pipeline, random ensembles, hunt, antiderivative chains."""
 
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from critspec import (
     antiderivative_chain,
     as_spectrum,
     check_necessary_conditions,
+    compression_critical_points,
     critical_compression,
     critical_points,
     dft_matrix,
@@ -30,7 +33,7 @@ from critspec import (
     verify_critical_realizability,
 )
 from critspec import harness
-from critspec.cli import run
+from critspec.cli import parse_spectrum, run
 from critspec.harness import _confirm_alarm, _moment_cross_check
 from critspec.moments import JllCheck, MomentCheck
 
@@ -195,6 +198,69 @@ class TestCertificateRule:
         assert certified > 100
 
 
+def _golden_lists():
+    """Every list the golden corpus runs check or verify on."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_capture", Path(__file__).parent / "golden" / "capture.py"
+    )
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    extra = (capture.NEARLY_PAIRED, capture.NOT_SELF_CONJUGATE, capture.SMALL_SCALE)
+    return [parse_spectrum(text) for text in capture.LISTS + extra + capture.SCALE_EDGES]
+
+
+def _condition_flags(r):
+    return (
+        r.self_conjugate,
+        r.spectral_radius_in_list,
+        r.moment_passed,
+        r.jll_passed,
+        r.overall,
+    )
+
+
+class TestScaleInvariance:
+    """The checks are homogeneous and so is their tolerance: every pass
+    flag of check and verify, and verify's verdict, is the same for
+    c * lam as for lam."""
+
+    SCALES = (1e-8, 1e-4, 0.3, 7.0, 1e4, 1e8)
+
+    def _assert_invariant(self, lam, key):
+        check = _condition_flags(check_necessary_conditions(lam))
+        report = verify_critical_realizability(lam)
+        for c in self.SCALES:
+            scaled = as_spectrum(lam.as_array() * c)
+            assert _condition_flags(check_necessary_conditions(scaled)) == check, (key, c)
+            got = verify_critical_realizability(scaled)
+            assert got.verdict == report.verdict, (key, c)
+            assert _condition_flags(got.conditions) == _condition_flags(report.conditions), (
+                key,
+                c,
+            )
+
+    def test_small_scale_list_fails_as_at_scale_one(self):
+        # The corpus' small-scale list is 1e-10 times this one, whose
+        # critical points fail three conditions.  An absolute tolerance
+        # passed them all at 1e-10.
+        small = verify_critical_realizability(
+            [2e-10, 1e-10 + 1e-10j, 1e-10 - 1e-10j, -2.5e-10]
+        )
+        unit = verify_critical_realizability([2, 1 + 1j, 1 - 1j, -2.5])
+        assert small.verdict == unit.verdict == "condition-violation"
+        assert _condition_flags(small.conditions) == _condition_flags(unit.conditions)
+
+    def test_golden_lists(self):
+        for lam in _golden_lists():
+            self._assert_invariant(lam, str(lam))
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_hunt_samples(self, ensemble):
+        for n in range(3, 17):
+            rng = np.random.default_rng(np.random.SeedSequence([11, n]))
+            self._assert_invariant(random_realizable(n, rng, ensemble)[0], n)
+
+
 class TestRandomRealizable:
     def test_all_ensembles_nonnegative_and_consistent(self):
         for ensemble in ENSEMBLES:
@@ -340,27 +406,35 @@ class TestMomentCrossCheck:
 
     def test_computed_critical_points_pass(self):
         lam, _ = random_realizable(5, 63, "dense-uniform")
-        conditions = check_necessary_conditions(critical_points(lam))
-        _moment_cross_check(lam, critical_compression(lam), conditions)
+        _moment_cross_check(lam, critical_compression(lam), critical_points(lam), 16)
 
     @staticmethod
     def _nudged(nudge):
         lam, _ = random_realizable(5, 63, "dense-uniform")
         crit = critical_points(lam).as_array()
         crit[np.argmax(crit.real)] += nudge
-        return lam, check_necessary_conditions(list(crit))
+        return lam, as_spectrum(crit)
 
     def test_nudged_critical_points_fail(self):
-        lam, conditions = self._nudged(1e-4)
+        lam, crit = self._nudged(1e-4)
         with pytest.raises(NumericError, match="cross-check failed at k=1: "):
-            _moment_cross_check(lam, critical_compression(lam), conditions)
+            _moment_cross_check(lam, critical_compression(lam), crit, 16)
 
     def test_nudge_of_1e_9_fails(self):
-        # The bound is k * n * eps * (1 + rho)**k times a safety factor,
-        # 6e-14 at k = 1 here; the fixed 1e-6 it replaced let this pass.
-        lam, conditions = self._nudged(1e-9)
+        # The bound is k * n * eps * (2 * rho)**k times a safety factor,
+        # 8e-14 at k = 1 here; the fixed 1e-6 it replaced let this pass.
+        lam, crit = self._nudged(1e-9)
         with pytest.raises(NumericError, match="cross-check failed at k=1: "):
-            _moment_cross_check(lam, critical_compression(lam), conditions)
+            _moment_cross_check(lam, critical_compression(lam), crit, 16)
+
+    def test_scaled_lists_pass_in_the_unit_of_the_list(self):
+        # At 1e150 the moments past k = 2 leave the double range and at
+        # 1e-150 they underflow; in the unit of the list they are bounded.
+        lam, _ = random_realizable(5, 63, "dense-uniform")
+        for c in (1e-150, 1e150):
+            scaled = as_spectrum(lam.as_array() * c)
+            crit = compression_critical_points(scaled)
+            _moment_cross_check(scaled, critical_compression(scaled), crit, 16)
 
     def test_hunts_at_orders_6_to_10_pass(self):
         # Monov's determinant lost enough digits by k = 23..32 to stop 7

@@ -22,7 +22,6 @@ from critspec.moments import (
     JllCheck,
     MomentCheck,
     _grade_moments,
-    _jll_compare,
     _monov_matrix,
 )
 
@@ -198,12 +197,6 @@ class TestNecessaryConditions:
         report = check_necessary_conditions([1, -0.5, -0.5])
         assert report.moment_depth == 12
 
-    def test_overflow_safe_jll(self):
-        # Entries large enough that s_k**m overflows double range; the
-        # verdicts must still be computed (via logs), not crash.
-        report = check_necessary_conditions([1e40, -1e39], kmax=4, jll_depth=8)
-        assert isinstance(report.overall, bool)
-
     def test_bad_depths_rejected(self):
         with pytest.raises(ValueError):
             check_necessary_conditions([1, 2], kmax=0)
@@ -267,13 +260,13 @@ def _power_sums_loop(lam, kmax):
 
 
 def _grade_moments_loop(s, n, rho, depth, jll_depth, tol):
-    """The battery's grader as a scalar loop over the checks: the reference."""
+    """The battery's grader as a scalar loop over the checks: the reference.
+
+    s and rho are at unit scale (rho < 1), as the grader takes them.
+    """
     moment_checks = []
     for k in range(1, depth + 1):
-        try:
-            tk = tol * (1.0 + rho) ** k
-        except OverflowError:
-            tk = math.inf
+        tk = tol * (2.0 * rho) ** k
         v = complex(s[k - 1])
         ok = v.real >= -tk and abs(v.imag) <= tk
         moment_checks.append(MomentCheck(k=k, value=v, passed=bool(ok)))
@@ -283,22 +276,34 @@ def _grade_moments_loop(s, n, rho, depth, jll_depth, tol):
         for m in range(1, jll_depth + 1):
             a = float(s[k - 1].real)
             b = float(s[k * m - 1].real)
-            try:
-                slack = tol * float(n) ** (m - 1) * (1.0 + rho) ** (k * m)
-            except OverflowError:
-                slack = math.inf
-            lhs, rhs, ok = _jll_compare(a, b, n, m, slack)
-            jll_checks.append(JllCheck(k=k, m=m, lhs=lhs, rhs=rhs, passed=ok))
+            n_pow = float(n) ** (m - 1)
+            lhs, rhs = a**m, n_pow * b
+            ok = lhs <= rhs + n_pow * (tol * (2.0 * rho) ** (k * m))
+            jll_checks.append(JllCheck(k=k, m=m, lhs=lhs, rhs=rhs, passed=bool(ok)))
     return tuple(moment_checks), tuple(jll_checks)
+
+
+def _to_unit(lam):
+    """lam divided by 2**e, e the exponent of its spectral radius, and e."""
+    e = math.frexp(as_spectrum(lam).spectral_radius)[1]
+    return np.ldexp(np.asarray(lam, dtype=complex).view(float), -e).view(complex), e
+
+
+def _at_scale(x, e):
+    """x * 2**e, +-inf past the double range, for a real or complex x."""
+    with np.errstate(over="ignore"):
+        if isinstance(x, complex):
+            return complex(np.ldexp(x.real, e), np.ldexp(x.imag, e))
+        return float(np.ldexp(x, e))
 
 
 def _battery_corpus():
     """Seeded lists with the depths to grade them at.
 
     Real, self-conjugate and structureless complex lists; mixed-scale
-    lists (entries times 10**U(-4, 4)) whose high moments reach the
-    log-magnitude branch; lists whose moments overflow to inf or NaN;
-    and depths other than the default 4n.
+    lists (entries times 10**U(-4, 4)); lists with an entry near the top
+    of the double range, whose moments leave it; lists with a NaN or inf
+    entry, for the power sums alone; and depths other than the default 4n.
     """
     rng = np.random.default_rng(909)
     for i in range(300):
@@ -320,6 +325,10 @@ def _battery_corpus():
         depth = 4 * n if i % 4 == 0 else int(rng.integers(1, 80))
         jll_depth = 8 if i % 3 == 0 else int(rng.integers(1, 11))
         yield np.asarray(lam, dtype=complex), depth, jll_depth
+
+
+def _finite_battery_corpus():
+    return ((lam, d, j) for lam, d, j in _battery_corpus() if np.all(np.isfinite(lam)))
 
 
 class TestBatteryReference:
@@ -346,16 +355,17 @@ class TestBatteryReference:
 
     def test_grader_matches_scalar_loop_field_for_field(self):
         tol = 1e-9
-        ranged = 0
-        for lam, depth, jll_depth in _battery_corpus():
-            s = _power_sums_loop(lam, max(depth, jll_depth * jll_depth))
+        out_of_range = 0
+        for lam, depth, jll_depth in _finite_battery_corpus():
+            K = max(depth, jll_depth * jll_depth)
+            unit, _ = _to_unit(lam)
+            s = _power_sums_loop(unit, K)
             n = len(lam)
-            with np.errstate(invalid="ignore"):
-                rho = float(np.max(np.abs(lam)))
+            rho = as_spectrum(unit).spectral_radius
             got = _grade_moments(s, n, rho, depth, jll_depth, tol)
             moment_checks, jll_checks = _grade_moments_loop(s, n, rho, depth, jll_depth, tol)
-            # The grader's tuples are positional: moments by k, the grid
-            # row-major in (k, m).
+            # The grader's arrays are positional: moments by k, the grids
+            # by row k and column m.
             assert [c.k for c in moment_checks] == list(range(1, depth + 1))
             grid = [(k, m) for k in range(1, jll_depth + 1) for m in range(1, jll_depth + 1)]
             assert [(c.k, c.m) for c in jll_checks] == grid
@@ -366,19 +376,51 @@ class TestBatteryReference:
                 tuple(c.rhs for c in jll_checks),
                 tuple(c.passed for c in jll_checks),
             )
-            # repr tells signed zeros apart and prints NaN, which == cannot.
+            got = tuple(tuple(x.ravel().tolist()) for x in got)
+            # repr tells signed zeros apart, which == cannot.
             assert repr(got) == repr(want), lam
-            ranged += any(math.isinf(x) for x in got[2] + got[3])
-        # The corpus reaches the log-magnitude branch, not just once.
-        assert ranged > 20
+            out_of_range += not np.all(np.isfinite(_power_sums_loop(lam, K)))
+        # The corpus has lists whose moments leave the double range at
+        # their own scale, not just once.
+        assert out_of_range > 20
 
     def test_battery_matches_scalar_reference(self):
-        # Through check_necessary_conditions, on the reference's moments.
-        for lam, depth, jll_depth in _battery_corpus():
-            if not np.all(np.isfinite(lam)):
-                continue
+        # Through check_necessary_conditions: the reference grades the list
+        # at unit scale, and its values come back rescaled by 2**(k*e).
+        for lam, depth, jll_depth in _finite_battery_corpus():
             report = check_necessary_conditions(lam, kmax=depth, jll_depth=jll_depth)
-            rho = as_spectrum(lam).spectral_radius
-            s = power_sums(lam, max(depth, jll_depth * jll_depth))
-            want = _grade_moments_loop(s, len(lam), rho, depth, jll_depth, 1e-9)
+            unit, e = _to_unit(lam)
+            rho = as_spectrum(unit).spectral_radius
+            s = power_sums(unit, max(depth, jll_depth * jll_depth))
+            moment_checks, jll_checks = _grade_moments_loop(
+                s, len(lam), rho, depth, jll_depth, 1e-9
+            )
+            want = (
+                tuple(
+                    MomentCheck(c.k, _at_scale(c.value, c.k * e), c.passed)
+                    for c in moment_checks
+                ),
+                tuple(
+                    JllCheck(
+                        c.k,
+                        c.m,
+                        _at_scale(c.lhs, c.k * c.m * e),
+                        _at_scale(c.rhs, c.k * c.m * e),
+                        c.passed,
+                    )
+                    for c in jll_checks
+                ),
+            )
             assert repr((report.moment_checks, report.jll_checks)) == repr(want), lam
+
+    def test_moment_values_are_the_power_sums_of_the_list(self):
+        # The exact rescaling gives the list's own power sums bit for bit
+        # wherever those are finite; the others are +-inf, never NaN.
+        for lam, depth, _ in _finite_battery_corpus():
+            report = check_necessary_conditions(lam, kmax=depth)
+            got = np.array(report.moment_values)
+            want = power_sums(lam, depth)
+            finite = np.isfinite(want)
+            same_bits = np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+            assert same_bits, lam
+            assert not np.any(np.isnan(got.view(float))), lam

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import random_self_conjugate, run_fresh
 from critspec import (
+    NumericError,
     SpectrumList,
     as_spectrum,
     classify,
@@ -284,6 +285,10 @@ class TestClassify:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             classify([])
+
+    def test_trace_past_the_double_range_raises(self):
+        with pytest.raises(NumericError, match="trace of the list"):
+            classify([1e308, 1e308])
 
 
 class TestInterlaces:
