@@ -14,6 +14,7 @@ lists are realizable.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -288,6 +289,17 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
     return circulant(c)
 
 
+def _companion_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray:
+    """The companion matrix of p'/n; raises NumericError when p, the
+    polynomial with roots spec, leaves the double range."""
+    p = from_roots(spec)
+    if not all(map(cmath.isfinite, p.coeffs)):
+        raise NumericError(
+            "characteristic polynomial of the list is not finite in double precision"
+        )
+    return companion(derivative_monic(p))
+
+
 def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | None:
     if cfg.hadamard is None:
         return None
@@ -312,7 +324,7 @@ def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | N
 # points; the first is used.  Constructions are looked up in this
 # module's namespace at call time.
 _ROUTES = (
-    ("companion", lambda spec, cfg: companion(derivative_monic(from_roots(spec)))),
+    ("companion", _companion_candidate),
     ("d-companion", lambda spec, cfg: d_companion(spec)),
     (
         "dft-circulant",

@@ -147,7 +147,6 @@ class ConditionReport:
     scale; one past the double range is +-inf, and its check was still
     decided, at unit scale.
 
-    moment_cells() and jll_cells() yield each check's fields as a tuple;
     moment_checks and jll_checks build the check objects on first access.
     """
 
@@ -166,18 +165,14 @@ class ConditionReport:
 
     @functools.cached_property
     def moment_checks(self) -> tuple[MomentCheck, ...]:
-        return tuple(itertools.starmap(MomentCheck, self.moment_cells()))
+        cells = zip(itertools.count(1), self.moment_values, self.moment_passed)
+        return tuple(itertools.starmap(MomentCheck, cells))
 
     @functools.cached_property
     def jll_checks(self) -> tuple[JllCheck, ...]:
-        return tuple(itertools.starmap(JllCheck, self.jll_cells()))
-
-    def moment_cells(self):
-        return zip(itertools.count(1), self.moment_values, self.moment_passed)
-
-    def jll_cells(self):
         ks, ms = _jll_grid(self.jll_depth)
-        return zip(ks, ms, self.jll_lhs, self.jll_rhs, self.jll_passed)
+        cells = zip(ks, ms, self.jll_lhs, self.jll_rhs, self.jll_passed)
+        return tuple(itertools.starmap(JllCheck, cells))
 
 
 @functools.lru_cache(maxsize=16)

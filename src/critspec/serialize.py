@@ -5,11 +5,22 @@ field order, floats rendered with 17 significant digits (enough to
 round-trip a double exactly), and no volatile fields such as wall-clock
 time.  Serializing, parsing, and serializing again yields identical
 bytes.
+
+The bulk of a verify document (spectra, certificate matrices and the
+condition battery's cells) is not built as dicts: spectrum_record,
+matrix_record and condition_report_record's two check lists are blocks,
+rendered straight from the report's arrays with one batch float format
+per block (_fmt_floats) into one template cached by indentation.  A
+block is a render node that only canonical_json reads;
+json.loads(canonical_json(record)) gives the same data as the plain
+dict and list records did: lists of {"re", "im"} cells, {"order",
+"rows"}, and one dict per check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -23,7 +34,7 @@ from .harness import (
     RealizabilityReport,
     RouteResult,
 )
-from .moments import ConditionReport
+from .moments import ConditionReport, _jll_grid
 from .polynomial import MonicPolynomial
 from .spectra import Classification, SpectrumList
 
@@ -54,9 +65,70 @@ def _fmt_float(x: float) -> str:
     return s
 
 
+def _fmt_floats(a, null: bool = False) -> list[str]:
+    """[_fmt_float(x) for x in a] over a float array, flattened.
+
+    One finiteness check and one format pass, which zeros skip; only the
+    whole numbers below 1e17, which .17g writes without a point, are
+    fixed up afterwards.  With null, a non-finite entry renders as null
+    (a value past the double range) instead of raising ValueError.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    finite = np.isfinite(a)
+    if not null and not finite.all():
+        raise ValueError("non-finite values have no canonical rendering")
+    out = ["0.0" if x == 0.0 else format(x, ".17g") for x in a.tolist()]
+    for i in np.flatnonzero(~finite).tolist():
+        out[i] = "null"
+    for i in np.flatnonzero((a == np.trunc(a)) & (np.abs(a) < 1e17) & (a != 0.0)).tolist():
+        out[i] += ".0"
+    return out
+
+
+def _re_im(values) -> np.ndarray:
+    """The real and imaginary parts of complex values, interleaved: the
+    order of their {"re", "im"} cells."""
+    return np.ascontiguousarray(values, dtype=complex).view(float)
+
+
+class _Slot:
+    """Where a block's template takes its next value."""
+
+
+_SLOT = _Slot()
+_CELL = {"re": _SLOT, "im": _SLOT}
+_BOOLS = ("false", "true")
+
+
+class _Block:
+    """Part of a document rendered from one %-template: what _write gives
+    for prototype(*args) at the block's indentation, with each _SLOT
+    filled by the next of values (rendered strings)."""
+
+    __slots__ = ("prototype", "args", "values")
+
+    def __init__(self, prototype, args: tuple, values: tuple[str, ...]):
+        self.prototype = prototype
+        self.args = args
+        self.values = values
+
+
+@functools.lru_cache(maxsize=256)
+def _template(prototype, args: tuple, nl: str) -> str:
+    # A prototype holds only keys, ints and slots, so no % of its own.
+    parts: list[str] = []
+    _write(prototype(*args), parts, nl)
+    return "".join(parts)
+
+
+def _cells(*columns) -> tuple[str, ...]:
+    """A block's values cell by cell; column j holds field j of every cell."""
+    return tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
 # Each value renders as its type here; a subclass (np.float64, an IntEnum)
 # renders as the first of these it is an instance of.
-_KINDS = (type(None), bool, int, float, str, dict, list, tuple)
+_KINDS = (type(None), bool, int, float, str, dict, list, tuple, _Block, _Slot)
 _EXACT_KINDS = frozenset(_KINDS)
 
 
@@ -114,6 +186,10 @@ def _write(obj: Any, parts: list[str], nl: str) -> None:
         parts.append("true" if obj else "false")
     elif kind is int:
         parts.append(str(obj))
+    elif kind is _Block:
+        parts.append(_template(obj.prototype, obj.args, nl) % obj.values)
+    elif kind is _Slot:
+        parts.append("%s")
     else:
         parts.append("null")
 
@@ -123,16 +199,23 @@ def complex_record(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def spectrum_record(spec: SpectrumList) -> list:
-    return [complex_record(z) for z in spec]
+def _spectrum_prototype(n: int) -> list:
+    return [_CELL] * n
 
 
-def matrix_record(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=complex)
-    return {
-        "order": int(M.shape[0]),
-        "rows": [[complex_record(z) for z in row] for row in M],
-    }
+def spectrum_record(spec: SpectrumList) -> _Block:
+    """The entries as {"re", "im"} records, in the list's order."""
+    values = _fmt_floats(_re_im(tuple(spec)))
+    return _Block(_spectrum_prototype, (len(values) // 2,), tuple(values))
+
+
+def _matrix_prototype(rows: int, cols: int) -> dict:
+    return {"order": rows, "rows": [[_CELL] * cols] * rows}
+
+
+def matrix_record(M: np.ndarray) -> _Block:
+    """{"order", "rows"}: the order and every entry as a {"re", "im"} record."""
+    return _Block(_matrix_prototype, np.shape(M), tuple(_fmt_floats(_re_im(M))))
 
 
 def polynomial_record(p: MonicPolynomial) -> dict:
@@ -152,14 +235,21 @@ def classification_record(c: Classification) -> dict:
     }
 
 
-def _finite_or_none(x: float) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _moment_prototype(depth: int) -> list:
+    return [{"k": k, "value": _CELL, "passed": _SLOT} for k in range(1, depth + 1)]
+
+
+def _jll_prototype(depth: int) -> list:
+    cell = {"lhs": _SLOT, "rhs": _SLOT, "passed": _SLOT}
+    return [{"k": k, "m": m, **cell} for k, m in zip(*_jll_grid(depth))]
 
 
 def condition_report_record(r: ConditionReport) -> dict:
-    # Moments and JLL sides may overflow double range for extreme
-    # inputs; those fields degrade to null rather than failing the dump.
+    # Moments and power sums past the double range are +-inf in the
+    # report; those fields render as null rather than failing the dump.
+    moments = _fmt_floats(_re_im(r.moment_values), null=True)
+    sides = _fmt_floats(r.jll_lhs + r.jll_rhs, null=True)
+    grid = len(r.jll_lhs)
     return {
         "self_conjugate": r.self_conjugate,
         "pairing_residual": float(r.pairing_residual),
@@ -167,24 +257,16 @@ def condition_report_record(r: ConditionReport) -> dict:
         "spectral_radius_margin": float(r.spectral_radius_margin),
         "moment_depth": r.moment_depth,
         "jll_depth": r.jll_depth,
-        "moment_checks": [
-            {
-                "k": k,
-                "value": {"re": _finite_or_none(v.real), "im": _finite_or_none(v.imag)},
-                "passed": ok,
-            }
-            for k, v, ok in r.moment_cells()
-        ],
-        "jll_checks": [
-            {
-                "k": k,
-                "m": m,
-                "lhs": _finite_or_none(lhs),
-                "rhs": _finite_or_none(rhs),
-                "passed": ok,
-            }
-            for k, m, lhs, rhs, ok in r.jll_cells()
-        ],
+        "moment_checks": _Block(
+            _moment_prototype,
+            (len(r.moment_passed),),
+            _cells(moments[0::2], moments[1::2], [_BOOLS[ok] for ok in r.moment_passed]),
+        ),
+        "jll_checks": _Block(
+            _jll_prototype,
+            (r.jll_depth,),
+            _cells(sides[:grid], sides[grid:], [_BOOLS[ok] for ok in r.jll_passed]),
+        ),
         "overall": r.overall,
     }
 

@@ -165,26 +165,32 @@ class Classification:
 
 def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
     """The list's structured classes and its trace; NumericError if that
-    is not finite."""
+    is not finite.
+
+    Every test allows tol * 2*rho, rho the spectral radius: the k = 1
+    case of the condition battery's law (moments), so c * lam is in the
+    classes of lam.
+    """
     spec = as_spectrum(lam)
     if len(spec) == 0:
         raise ValueError("cannot classify an empty list")
     arr = spec.as_array()
     n = len(arr)
+    t = tol * 2.0 * spec.spectral_radius
     # Realness is decided once; the real-only families below reuse it.
-    real = bool(np.all(np.abs(arr.imag) <= tol))
+    real = bool(np.all(np.abs(arr.imag) <= t))
     with np.errstate(over="ignore", invalid="ignore"):
         s1 = complex(arr.sum())
     if not cmath.isfinite(s1):
         raise NumericError("the trace of the list is not finite in double precision")
-    nonneg = int(np.count_nonzero(arr.real >= -tol))
-    generalized = s1.real >= -tol and nonneg == 1
+    nonneg = int(np.count_nonzero(arr.real >= -t))
+    generalized = s1.real >= -t and nonneg == 1
     suleimanova = real and generalized
     if real:
         re = arr.real
         lo, hi = float(re.min()), float(re.max())
-        ciarlet = n * lo + hi >= -tol
-        dcomp = (n - 1) * lo + hi >= -tol
+        ciarlet = n * lo + hi >= -t
+        dcomp = (n - 1) * lo + hi >= -t
     else:
         ciarlet = False
         dcomp = False

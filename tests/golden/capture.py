@@ -75,7 +75,8 @@ NOT_SELF_CONJUGATE = "3,-1+0.00000000001i,-1-0.000000000011i"
 # At this scale the sign test's threshold -tol*(1 + max|M|) is about -tol,
 # below the candidates' negative entries; the backward error rejects them.
 # The battery's tolerance scales with the list, so the verdict is that of
-# the same list at scale 1, a condition violation.
+# the same list at scale 1, a condition violation; so does classify's, so
+# the complex list is in no real class.
 SMALL_SCALE = "2e-10,1e-10+1e-10i,1e-10-1e-10i,-2.5e-10"
 
 # A Suleimanova list whose power sums leave the double range from s_40 on:

@@ -117,6 +117,19 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_critical_realizability([1.0])
 
+    def test_companion_names_a_polynomial_past_the_double_range(self, capsys):
+        # p = (t - 1e300)(t + 1e300)(t - 1) has infinite coefficients; the
+        # list itself is real, so the reason is not the matrix's dtype.
+        reason = "characteristic polynomial of the list is not finite in double precision"
+        report = verify_critical_realizability([1e300, -1e300, 1])
+        companion = next(r for r in report.routes if r.name == "companion")
+        assert (companion.attempted, companion.succeeded) == (True, False)
+        assert companion.reason == reason
+        assert report.verdict == "conditions-hold-uncertified"
+        argv = ["realize", "1e300,-1e300,1", "--route", "companion"]
+        assert run(argv, out=io.StringIO()) == 3
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
 
 # 1e-11i has no exact conjugate here, so neither has either critical point:
 # no real matrix has them as its spectrum.
@@ -219,12 +232,21 @@ def _condition_flags(r):
     )
 
 
+def _class_flags(report):
+    return tuple(
+        (c.suleimanova, c.generalized_suleimanova, c.ciarlet, c.dcomp_inequality)
+        for c in (report.input_class, report.critical_class)
+    )
+
+
 class TestScaleInvariance:
     """The checks are homogeneous and so is their tolerance: every pass
     flag of check and verify, and verify's verdict, is the same for
-    c * lam as for lam."""
+    c * lam as for lam; so are verify's class flags, whose tolerance
+    follows the same law, for c = 10**-8 and 10**8."""
 
     SCALES = (1e-8, 1e-4, 0.3, 7.0, 1e4, 1e8)
+    CLASS_SCALES = (1e-8, 1e8)
 
     def _assert_invariant(self, lam, key):
         check = _condition_flags(check_necessary_conditions(lam))
@@ -238,6 +260,16 @@ class TestScaleInvariance:
                 key,
                 c,
             )
+            if c in self.CLASS_SCALES:
+                assert _class_flags(got) == _class_flags(report), (key, c)
+
+    def test_small_scale_classes_as_at_scale_one(self):
+        # An absolute tolerance put the small list in the Ciarlet and
+        # d-companion classes.
+        small = verify_critical_realizability([1e-10, -0.6e-10, -0.6e-10])
+        unit = verify_critical_realizability([1, -0.6, -0.6])
+        assert _class_flags(small) == _class_flags(unit)
+        assert not small.input_class.ciarlet and not small.input_class.dcomp_inequality
 
     def test_small_scale_list_fails_as_at_scale_one(self):
         # The corpus' small-scale list is 1e-10 times this one, whose

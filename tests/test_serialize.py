@@ -1,15 +1,23 @@
-"""Canonical JSON: the single-pass writer renders what the recursive one did."""
+"""Canonical JSON: the single-pass writer renders what the recursive one did,
+and the block records render what the dict records did."""
 
 import enum
 import gc
+import io
 import json
+import math
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from critspec.serialize import _fmt_float, canonical_json
+from conftest import load_bench
+from critspec import check_necessary_conditions, cli, serialize, verify_critical_realizability
+from critspec.cli import parse_spectrum
+from critspec.serialize import _fmt_float, _fmt_floats, canonical_json
 
 CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text("utf-8"))
 
@@ -123,10 +131,196 @@ class TestCanonicalJson:
         # A cycle would keep each document's parts alive until the collector
         # runs, which shows up as resident memory in long loops.
         doc = max(_machine_documents(), key=len)
+        argv = ["verify", "--format", "machine", "--", "4,1+i,1-i,-1"]
+        cli.run(argv, out=io.StringIO())  # fill the template caches first
         gc.collect()
         gc.disable()
         try:
             canonical_json(doc)
             assert gc.collect() == 0
+            cli.run(argv, out=io.StringIO())
+            assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# The float rule at its edges: zeros of both signs, whole numbers on both
+# sides of 1e17 (where .17g switches to an exponent), a whole number past
+# 2**53, the smallest subnormal and the largest double.
+FLOAT_EDGES = [
+    0.0,
+    -0.0,
+    3.0,
+    -3.0,
+    1e16,
+    1e17,
+    99999999999999984.0,
+    -(2.0**53 + 2),
+    5e-324,
+    -5e-324,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1e-5,
+    123456.5,
+]
+
+
+class TestBatchFloats:
+    """_fmt_floats is _fmt_float over an array."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rule(self, xs):
+        assert _fmt_floats(np.array(xs, dtype=float)) == [_fmt_float(x) for x in xs]
+
+    def test_edges_match_scalar_rule(self):
+        assert _fmt_floats(FLOAT_EDGES) == [_fmt_float(x) for x in FLOAT_EDGES]
+        for x in FLOAT_EDGES:
+            assert _fmt_floats([x]) == [_fmt_float(x)]
+        assert _fmt_floats(np.array(FLOAT_EDGES).reshape(3, 5)) == _fmt_floats(FLOAT_EDGES)
+        assert _fmt_floats([]) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_raises_unless_null_allowed(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            _fmt_floats([1.0, bad])
+        assert _fmt_floats([1.0, bad, -0.0], null=True) == ["1.0", "null", "0.0"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_spectrum_and_matrix_raise(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(serialize.spectrum_record([1.0, complex(0.0, bad)]))
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(serialize.matrix_record(np.array([[1.0, bad], [0.0, 1.0]])))
+
+    def test_moments_past_the_double_range_render_null(self):
+        report = check_necessary_conditions([3e8, -1e8, -1e8], kmax=60)
+        assert math.isinf(report.moment_values[-1].real)
+        text = canonical_json(serialize.condition_report_record(report))
+        assert text == _recursive_json(_ref_condition_report(report))
+        assert '"re": null' in text and '"rhs": null' in text
+
+
+# The dict record builders as they were before the block records: the
+# reference the blocks must render byte for byte.
+def _ref_complex(z):
+    z = complex(z)
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _ref_spectrum(spec):
+    return [_ref_complex(z) for z in spec]
+
+
+def _ref_matrix(M):
+    M = np.asarray(M, dtype=complex)
+    return {"order": int(M.shape[0]), "rows": [[_ref_complex(z) for z in row] for row in M]}
+
+
+def _ref_classification(c):
+    return {
+        "suleimanova": c.suleimanova,
+        "generalized_suleimanova": c.generalized_suleimanova,
+        "ciarlet": c.ciarlet,
+        "dcomp_inequality": c.dcomp_inequality,
+        "trace": float(c.trace),
+    }
+
+
+def _finite_or_none(x):
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def _ref_condition_report(r):
+    return {
+        "self_conjugate": r.self_conjugate,
+        "pairing_residual": float(r.pairing_residual),
+        "spectral_radius_in_list": r.spectral_radius_in_list,
+        "spectral_radius_margin": float(r.spectral_radius_margin),
+        "moment_depth": r.moment_depth,
+        "jll_depth": r.jll_depth,
+        "moment_checks": [
+            {
+                "k": c.k,
+                "value": {
+                    "re": _finite_or_none(c.value.real),
+                    "im": _finite_or_none(c.value.imag),
+                },
+                "passed": c.passed,
+            }
+            for c in r.moment_checks
+        ],
+        "jll_checks": [
+            {
+                "k": c.k,
+                "m": c.m,
+                "lhs": _finite_or_none(c.lhs),
+                "rhs": _finite_or_none(c.rhs),
+                "passed": c.passed,
+            }
+            for c in r.jll_checks
+        ],
+        "overall": r.overall,
+    }
+
+
+def _ref_route(r):
+    return {
+        "name": r.name,
+        "attempted": r.attempted,
+        "succeeded": r.succeeded,
+        "certificate": None if r.certificate is None else _ref_matrix(r.certificate),
+        "reason": r.reason,
+        "residual": None if r.residual is None else float(r.residual),
+    }
+
+
+def _ref_verify_document(spec):
+    """What verify --format machine printed for spec with the dict records."""
+    rep = verify_critical_realizability(spec)
+    doc = {
+        "command": "verify",
+        "input": {"spectrum": _ref_spectrum(spec)},
+        "config": {"tol": 1e-9, "match_tol": cli._MATCH_TOL, "kmax": None, "jll": 8},
+        "report": {
+            "input": _ref_spectrum(rep.input),
+            "critical": _ref_spectrum(rep.critical),
+            "conditions": _ref_condition_report(rep.conditions),
+            "input_class": _ref_classification(rep.input_class),
+            "critical_class": _ref_classification(rep.critical_class),
+            "routes": [_ref_route(r) for r in rep.routes],
+            "verdict": rep.verdict,
+        },
+    }
+    return _recursive_json(doc) + "\n"
+
+
+class TestBlockRecords:
+    @pytest.mark.parametrize("workload", ["verify-n8", "verify-n8-clusters"])
+    def test_benchmark_corpus_matches_dict_records(self, workload):
+        wl = load_bench("workloads").WORKLOADS[workload]
+        corpus = wl.corpus(1)
+        assert len(corpus) == 510
+        for item in corpus:
+            want = _ref_verify_document(parse_spectrum(item.literal))
+            assert wl.op(item) == want, item.literal
+
+    def test_json_data_matches_dict_records(self):
+        spec = parse_spectrum("4,1+i,1-i,-1")
+        rep = verify_critical_realizability(spec)
+        cert = next(r.certificate for r in rep.routes if r.certificate is not None)
+        skew = np.asfortranarray(cert[:, :2] * (1 - 2j))  # complex, not square, column-major
+        conditions = rep.conditions
+        pairs = [
+            (serialize.spectrum_record(spec), _ref_spectrum(spec)),
+            (serialize.matrix_record(cert), _ref_matrix(cert)),
+            (serialize.matrix_record(skew), _ref_matrix(skew)),
+            (serialize.condition_report_record(conditions), _ref_condition_report(conditions)),
+            (serialize.spectrum_record([]), []),
+        ]
+        for record, ref in pairs:
+            assert json.loads(canonical_json(record)) == ref
+            for wrapped, ref_wrapped in ((record, ref), ([{"x": record}], [{"x": ref}])):
+                assert canonical_json(wrapped) == _recursive_json(ref_wrapped)

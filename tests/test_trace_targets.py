@@ -5,7 +5,7 @@ that call them.  A refactor that drops one of those names breaks
 ``bench/run.py --trace 1`` with an AttributeError, so the names are
 checked here, where the tier-1 suite sees them.  A layer whose calls
 move out of the wrapped names reads 0, which is checked for the route
-certification layer.
+certification and serialize layers.
 """
 
 import importlib.util
@@ -43,8 +43,7 @@ def _ops():
     }
 
 
-@pytest.mark.parametrize("workload", ["verify-n8", "hunt-n5"])
-def test_certify_layer_reads_nonzero(workload):
+def _layer_metrics(workload):
     # One operation under its root span, as bench/run.py --trace 1 runs it.
     root_span, op = _ops()[workload]
     tracer = tracing.Tracer()
@@ -54,4 +53,15 @@ def test_certify_layer_reads_nonzero(workload):
         tracer.call(root_span, op)
     finally:
         tracer.uninstall()
-    assert tracing.layer_metrics(tracer, [1.0])["harness.certify.total_ms"] > 0
+    return tracing.layer_metrics(tracer, [1.0])
+
+
+@pytest.mark.parametrize("workload", ["verify-n8", "hunt-n5"])
+def test_certify_layer_reads_nonzero(workload):
+    assert _layer_metrics(workload)["harness.certify.total_ms"] > 0
+
+
+def test_serialize_layer_reads_nonzero():
+    # The tracer sees only the serialize functions that cli calls as
+    # cli.serialize.<name>; a writer reached another way would read 0.
+    assert _layer_metrics("verify-n8")["serialize.self_ms"] > 0
