@@ -15,6 +15,7 @@ lists are realizable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -139,16 +140,24 @@ class RouteResult:
 @dataclass(frozen=True)
 class RealizabilityReport:
     """What verify found; compression is B = critical_compression(input),
-    whose eigenvalues are critical."""
+    whose eigenvalues are critical.  input_class and critical_class are
+    classify(input, tol) and classify(critical, tol), made on first read."""
 
     input: SpectrumList
     critical: SpectrumList
     compression: np.ndarray
     conditions: ConditionReport
-    input_class: Classification
-    critical_class: Classification
     routes: tuple[RouteResult, ...]
     verdict: str
+    tol: float
+
+    @functools.cached_property
+    def input_class(self) -> Classification:
+        return classify(self.input, self.tol)
+
+    @functools.cached_property
+    def critical_class(self) -> Classification:
+        return classify(self.critical, self.tol)
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,7 @@ def _certify(
     point is larger), or 1 for a list of zeros.  Raises NumericError
     when M is not finite.
     """
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericError("candidate matrix has non-finite entries")
     beta = _backward_error(spectrum(M), crit, spec.spectral_radius or 1.0)
     if beta <= _MATCH_TOL:
@@ -368,7 +377,8 @@ def verify_critical_realizability(
     _certificate: it must be real and pass the sign test, and then the
     LAPACK eigenvalues of the candidate, as a polynomial, must be within
     _MATCH_TOL backward error of the critical points (_certify).  Raises
-    NumericError when B is not finite.
+    NumericError when B, or the spectral radius or the trace of lam or of
+    its critical points, is not finite.
     """
     cfg = config if config is not None else VerifyConfig()
     spec = as_spectrum(lam)
@@ -380,6 +390,11 @@ def verify_critical_realizability(
         crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=cfg.tol
     )
     routes = tuple(_run_route(name, build, spec, crit, cfg) for name, build in _ROUTES)
+    # The report's classes need finite radii and traces; each raises
+    # NumericError if not.  Below n * rho = 1e307 no sum can overflow.
+    for s in (spec, crit):
+        if len(s) * s.spectral_radius > 1e307:
+            s.trace
     if not conditions.overall:
         verdict = "condition-violation"
     elif any(r.succeeded for r in routes):
@@ -391,10 +406,9 @@ def verify_critical_realizability(
         critical=crit,
         compression=B,
         conditions=conditions,
-        input_class=classify(spec, cfg.tol),
-        critical_class=classify(crit, cfg.tol),
         routes=routes,
         verdict=verdict,
+        tol=cfg.tol,
     )
 
 
@@ -485,9 +499,8 @@ def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> 
     _, moment_ok, _, _, jll_ok = _grade_moments(
         traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, tight_tol
     )
-    traced_ok = moment_ok.tolist() + jll_ok.ravel().tolist()
-    pairs = zip(tight.moment_passed + tight.jll_passed, traced_ok)
-    return any(not (d or f) for d, f in pairs)
+    traced_ok = np.concatenate([moment_ok, jll_ok.ravel()])
+    return bool((~tight.passed & ~traced_ok).any())
 
 
 def hunt(config: HuntConfig) -> HuntReport:

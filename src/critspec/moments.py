@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectrumLike, SpectrumList, as_spectrum, pairing_residual
+from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split, pairing_residual
 
 __all__ = [
     "MomentCheck",
@@ -132,36 +132,48 @@ class JllCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+def _cached_tuple(part) -> functools.cached_property:
+    """A property computed on first access: the tuple of part(report)."""
+    return functools.cached_property(lambda report: tuple(part(report).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of the four standard necessary conditions for realizability.
 
     self_conjugate           the list equals its conjugate as a multiset
     spectral_radius_in_list  some entry attains the spectral radius
-    moment_values, _passed   s_k and whether s_k >= 0, for k = 1..moment_depth
-    jll_lhs, _rhs, _passed   s_k**m, n**(m-1) * s_{km} and whether lhs <= rhs,
-                             over the depth grid, row-major in (k, m)
+    values                   s_k for k = 1..moment_depth as (re, im) pairs,
+                             then s_k**m, then n**(m-1) * s_{km}, over the
+                             depth grid, row-major in (k, m): one float array
+    passed                   whether s_k >= 0, then whether s_k**m <=
+                             n**(m-1) * s_{km}: one bool array
 
     Each comparison allows tol * (2*rho)**k for a term of degree k in the
     list (check_necessary_conditions).  The values are at the list's own
     scale; one past the double range is +-inf, and its check was still
     decided, at unit scale.
 
-    moment_checks and jll_checks build the check objects on first access.
+    The arrays are read-only; the tuples moment_values, moment_passed,
+    jll_lhs, jll_rhs, jll_passed and the check objects moment_checks and
+    jll_checks are built from them on first access.
     """
 
     self_conjugate: bool
     pairing_residual: float
     spectral_radius_in_list: bool
     spectral_radius_margin: float
-    moment_values: tuple[complex, ...]
-    moment_passed: tuple[bool, ...]
-    jll_lhs: tuple[float, ...]
-    jll_rhs: tuple[float, ...]
-    jll_passed: tuple[bool, ...]
+    values: np.ndarray
+    passed: np.ndarray
     moment_depth: int
     jll_depth: int
     overall: bool
+
+    moment_values = _cached_tuple(lambda r: r.values[: 2 * r.moment_depth].view(complex))
+    moment_passed = _cached_tuple(lambda r: r.passed[: r.moment_depth])
+    jll_lhs = _cached_tuple(lambda r: r.values[2 * r.moment_depth :][: r.jll_depth**2])
+    jll_rhs = _cached_tuple(lambda r: r.values[2 * r.moment_depth + r.jll_depth**2 :])
+    jll_passed = _cached_tuple(lambda r: r.passed[r.moment_depth :])
 
     @functools.cached_property
     def moment_checks(self) -> tuple[MomentCheck, ...]:
@@ -185,6 +197,15 @@ def _degrees(depth: int, jll_depth: int) -> np.ndarray:
     # The degree in the list of each value check_necessary_conditions packs.
     km = np.multiply(*_jll_grid(jll_depth))
     return np.concatenate([[1, 1], np.arange(1, depth + 1).repeat(2), km, km])
+
+
+@functools.lru_cache(maxsize=64)
+def _jll_factors(n: int, jll_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    # k*m on the (k, m) grid and n**(m-1) by column m, read-only.
+    ms = range(1, jll_depth + 1)
+    km, n_pow = np.outer(ms, ms), np.array([float(n) ** (m - 1) for m in ms])
+    km.flags.writeable = n_pow.flags.writeable = False
+    return km, n_pow
 
 
 def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
@@ -229,9 +250,8 @@ def _grade_moments(
     moments, t = s[:depth], tk[1 : depth + 1]
     moment_ok = (moments.real >= -t) & (np.abs(moments.imag) <= t)
     ms = range(1, jll_depth + 1)
-    km = np.outer(ms, ms)
-    lhs = np.array([[x**m for m in ms] for x in s.real[:jll_depth].tolist()])
-    n_pow = np.array([float(n) ** (m - 1) for m in ms])
+    km, n_pow = _jll_factors(n, jll_depth)
+    lhs = np.array([x**m for x in s.real[:jll_depth].tolist() for m in ms]).reshape(km.shape)
     rhs = n_pow * s.real[km - 1]
     return moments, moment_ok, lhs, rhs, lhs <= rhs + n_pow * tk[km]
 
@@ -267,8 +287,10 @@ def check_necessary_conditions(
     unit, rho = _scaled(spec, -e), math.ldexp(rho, -e)
     base = tol * 2.0 * rho
 
-    residual = pairing_residual(unit, unit.conjugate(), base)
-    margin = float(np.min(np.abs(unit.as_array() - rho)))
+    # An exact conjugate split survives the rescale; its residual is 0.0.
+    exact = conjugate_split(spec) is not None
+    residual = 0.0 if exact else pairing_residual(unit, unit.conjugate(), base)
+    margin = float(np.abs(unit.as_array() - rho).min())
     self_conjugate, radius_in_list = bool(residual <= base), bool(margin <= base)
 
     s = power_sums(unit, max(depth, jll_depth * jll_depth))
@@ -279,18 +301,16 @@ def check_necessary_conditions(
     values = np.concatenate([[residual, margin], moments.view(float), lhs.ravel(), rhs.ravel()])
     with np.errstate(over="ignore"):
         values = np.ldexp(values, e * _degrees(depth, jll_depth))
-    cut, grid = 2 + 2 * depth, jll_depth * jll_depth
+    passed = np.concatenate([moment_ok, jll_ok.ravel()])
+    values.flags.writeable = passed.flags.writeable = False
     residual, margin = values[:2].tolist()
     return ConditionReport(
         self_conjugate=self_conjugate,
         pairing_residual=residual,
         spectral_radius_in_list=radius_in_list,
         spectral_radius_margin=margin,
-        moment_values=tuple(values[2:cut].view(complex).tolist()),
-        moment_passed=tuple(moment_ok.tolist()),
-        jll_lhs=tuple(values[cut : cut + grid].tolist()),
-        jll_rhs=tuple(values[cut + grid :].tolist()),
-        jll_passed=tuple(jll_ok.ravel().tolist()),
+        values=values[2:],
+        passed=passed,
         moment_depth=depth,
         jll_depth=jll_depth,
         overall=bool(overall),

@@ -69,7 +69,9 @@ def d_companion(lam: SpectrumLike, pivot: int | None = None) -> np.ndarray:
         raise ValueError("the construction needs a list of at least two entries")
     entries = list(spec)
     if pivot is None:
-        idx = max(range(n), key=lambda i: (entries[i].real, abs(entries[i]), -i))
+        # math.hypot, unlike abs, gives inf for a modulus past the double range.
+        keys = [(z.real, math.hypot(z.real, z.imag), -i) for i, z in enumerate(entries)]
+        idx = keys.index(max(keys))
     else:
         if not 1 <= pivot <= n:
             raise ValueError(f"pivot must be in 1..{n}, got {pivot}")
@@ -228,9 +230,9 @@ def spectrum(M: np.ndarray) -> SpectrumList:
         raise ValueError("a square matrix is required")
     if M.shape[0] < 1:
         raise ValueError("the matrix must have order at least 1")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
-    return SpectrumList(tuple(np.linalg.eigvals(M)))
+    return SpectrumList(np.linalg.eigvals(M).tolist())
 
 
 def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
@@ -244,10 +246,12 @@ def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
         raise ValueError("a square matrix is required")
     if np.iscomplexobj(M):
         raise ValueError("matrix is complex; only a real matrix has a sign class")
-    thresh = -tol * (1.0 + float(np.max(np.abs(M))) if M.size else 1.0)
-    if np.all(M >= thresh):
+    if not M.size:
+        return MatrixSignClass.NONNEGATIVE
+    thresh = -tol * (1.0 + abs(M).max())
+    if M.min() >= thresh:
         return MatrixSignClass.NONNEGATIVE
     off = M[~np.eye(M.shape[0], dtype=bool)]
-    if np.all(off >= thresh):
+    if (off >= thresh).all():
         return MatrixSignClass.METZLER
     return MatrixSignClass.NEITHER

@@ -247,25 +247,25 @@ def _jll_prototype(depth: int) -> list:
 def condition_report_record(r: ConditionReport) -> dict:
     # Moments and power sums past the double range are +-inf in the
     # report; those fields render as null rather than failing the dump.
-    moments = _fmt_floats(_re_im(r.moment_values), null=True)
-    sides = _fmt_floats(r.jll_lhs + r.jll_rhs, null=True)
-    grid = len(r.jll_lhs)
+    depth, cut, grid = r.moment_depth, 2 * r.moment_depth, r.jll_depth**2
+    values = _fmt_floats(r.values, null=True)
+    passed = [_BOOLS[ok] for ok in r.passed.tolist()]
     return {
         "self_conjugate": r.self_conjugate,
         "pairing_residual": float(r.pairing_residual),
         "spectral_radius_in_list": r.spectral_radius_in_list,
         "spectral_radius_margin": float(r.spectral_radius_margin),
-        "moment_depth": r.moment_depth,
+        "moment_depth": depth,
         "jll_depth": r.jll_depth,
         "moment_checks": _Block(
             _moment_prototype,
-            (len(r.moment_passed),),
-            _cells(moments[0::2], moments[1::2], [_BOOLS[ok] for ok in r.moment_passed]),
+            (depth,),
+            _cells(values[0:cut:2], values[1:cut:2], passed[:depth]),
         ),
         "jll_checks": _Block(
             _jll_prototype,
             (r.jll_depth,),
-            _cells(sides[:grid], sides[grid:], [_BOOLS[ok] for ok in r.jll_passed]),
+            _cells(values[cut : cut + grid], values[cut + grid :], passed[depth:]),
         ),
         "overall": r.overall,
     }

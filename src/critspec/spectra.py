@@ -10,6 +10,7 @@ downstream relies on.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -36,7 +37,8 @@ def _canonical_key(z: complex) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SpectrumList:
-    """Finite multiset of complex scalars, stored in canonical order."""
+    """Finite multiset of complex scalars, stored in canonical order, with
+    its array, spectral radius, trace and conjugate split cached."""
 
     entries: tuple[complex, ...]
 
@@ -53,17 +55,46 @@ class SpectrumList:
     def __getitem__(self, index: int) -> complex:
         return self.entries[index]
 
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.array(self.entries, dtype=complex)
+        arr.flags.writeable = False
+        return arr
+
     def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
+        """The entries as a read-only complex array, built once."""
+        return self._array
 
     def conjugate(self) -> "SpectrumList":
         return SpectrumList(tuple(z.conjugate() for z in self.entries))
 
-    @property
+    @functools.cached_property
     def spectral_radius(self) -> float:
+        """max |z| by Python's abs (np.abs can differ in the last bit);
+        NumericError when it is not finite in double precision."""
         if not self.entries:
             raise ValueError("spectral radius of an empty list is undefined")
-        return max(abs(z) for z in self.entries)
+        try:
+            if all(map(cmath.isfinite, self.entries)):
+                return max(map(abs, self.entries))
+        except OverflowError:
+            pass
+        raise NumericError("the spectral radius of the list is not finite in double precision")
+
+    @functools.cached_property
+    def trace(self) -> complex:
+        """The sum of the entries; NumericError when it is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1 = complex(self.as_array().sum())
+        if not cmath.isfinite(s1):
+            raise NumericError("the trace of the list is not finite in double precision")
+        return s1
+
+    @functools.cached_property
+    def _split(self) -> tuple[tuple[float, ...], tuple[complex, ...]] | None:
+        if any(a != b for a, b in zip(self, self.conjugate())):
+            return None
+        return tuple(z.real for z in self if not z.imag), tuple(z for z in self if z.imag > 0)
 
     def is_real(self, tol: float = 1e-9) -> bool:
         return all(abs(z.imag) <= tol for z in self.entries)
@@ -90,13 +121,11 @@ def conjugate_split(lam: SpectrumLike) -> tuple[list[float], list[complex]] | No
     equals its conjugate exactly, as a multiset: every entry with a
     positive imaginary part has its exact conjugate in the list, and no
     entry is NaN.  An imaginary part of -0.0 is real.  Every real
-    construction reads conjugate structure here; pairing_residual
-    measures it on computed data.
+    construction reads conjugate structure here, computed once per list;
+    pairing_residual measures it on computed data.
     """
-    spec = as_spectrum(lam)
-    if any(a != b for a, b in zip(spec, spec.conjugate())):
-        return None
-    return [z.real for z in spec if not z.imag], [z for z in spec if z.imag > 0]
+    split = as_spectrum(lam)._split
+    return None if split is None else (list(split[0]), list(split[1]))
 
 
 def pairing_residual(a: SpectrumLike, b: SpectrumLike, tol: float) -> float:
@@ -164,8 +193,8 @@ class Classification:
 
 
 def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
-    """The list's structured classes and its trace; NumericError if that
-    is not finite.
+    """The list's structured classes and its trace; NumericError if the
+    spectral radius or the trace is not finite.
 
     Every test allows tol * 2*rho, rho the spectral radius: the k = 1
     case of the condition battery's law (moments), so c * lam is in the
@@ -179,10 +208,7 @@ def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
     t = tol * 2.0 * spec.spectral_radius
     # Realness is decided once; the real-only families below reuse it.
     real = bool(np.all(np.abs(arr.imag) <= t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1 = complex(arr.sum())
-    if not cmath.isfinite(s1):
-        raise NumericError("the trace of the list is not finite in double precision")
+    s1 = spec.trace
     nonneg = int(np.count_nonzero(arr.real >= -t))
     generalized = s1.real >= -t and nonneg == 1
     suleimanova = real and generalized

@@ -84,6 +84,10 @@ SMALL_SCALE = "2e-10,1e-10+1e-10i,1e-10-1e-10i,-2.5e-10"
 # null.  The list of zeros has spectral radius 0 and tolerance 0.
 SCALE_EDGES = ("3e8,-1e8,-1e8", "0,0,0")
 
+# Every part is finite, but the moduli of the pair pass the double range:
+# the spectral radius is not finite, exit 3.
+PAST_THE_RANGE = "1.3e308+1.3e308i,1.3e308-1.3e308i,-1.3e308"
+
 README_EXAMPLES = (
     ("check", "--", "-1,-1,3"),
     ("critical", "1,1,-2/3,-2/3,-2/3"),
@@ -152,6 +156,8 @@ def _cli_cases() -> list[dict]:
             cases.append({"argv": [cmd, spec, "--format", "machine"]})
     # The antiderivative's coefficients overflow: exit 3.
     cases.append({"argv": ["chain", "1e200,-1e200", "--constants=-1"]})
+    for cmd in ("check", "verify"):
+        cases.append({"argv": [cmd, PAST_THE_RANGE]})
     for case in cases:
         case["id"] = " ".join(case["argv"])
     return cases

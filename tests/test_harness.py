@@ -1,7 +1,9 @@
 """Verification pipeline, random ensembles, hunt, antiderivative chains."""
 
+import functools
 import importlib.util
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,15 @@ from critspec import (
 from critspec import harness
 from critspec.cli import parse_spectrum, run
 from critspec.harness import _confirm_alarm, _moment_cross_check
-from critspec.moments import JllCheck, MomentCheck
+from critspec.moments import (
+    ConditionReport,
+    JllCheck,
+    MomentCheck,
+    _degrees,
+    _grade_moments,
+    _scaled,
+    power_sums,
+)
 
 
 class TestVerify:
@@ -129,6 +139,19 @@ class TestVerify:
         argv = ["realize", "1e300,-1e300,1", "--route", "companion"]
         assert run(argv, out=io.StringIO()) == 3
         assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "values,what",
+        [
+            ([1e308, 1e308], "trace"),
+            ([1.3e308 + 1.3e308j, 1.3e308 - 1.3e308j, -1.3e308], "spectral radius"),
+        ],
+    )
+    def test_classes_past_the_double_range_raise_in_verify(self, values, what):
+        # The report's classes are computed on first read, but verify
+        # raises where classify would, so reading them never raises.
+        with pytest.raises(NumericError, match=f"the {what} of the list is not finite"):
+            verify_critical_realizability(values)
 
 
 # 1e-11i has no exact conjugate here, so neither has either critical point:
@@ -404,8 +427,77 @@ def check_objects(monkeypatch):
     return built
 
 
+_BATTERY_TUPLES = ("moment_values", "moment_passed", "jll_lhs", "jll_rhs", "jll_passed")
+
+
+@pytest.fixture
+def battery_tuples(monkeypatch):
+    """Names of the ConditionReport tuples built while the test runs."""
+    built = []
+    for name in _BATTERY_TUPLES:
+        build = ConditionReport.__dict__[name].func
+
+        def counting(report, name=name, build=build):
+            built.append(name)
+            return build(report)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(ConditionReport, name)
+        monkeypatch.setattr(ConditionReport, name, prop)
+    return built
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """The lists harness.classify is called on while the test runs."""
+    calls = []
+    classify = harness.classify
+
+    def counting(lam, tol):
+        calls.append(lam)
+        return classify(lam, tol)
+
+    monkeypatch.setattr(harness, "classify", counting)
+    return calls
+
+
+def _eager_tuples(crit, tol=1e-9, jll_depth=8):
+    """The battery's five tuples as check_necessary_conditions built them
+    eagerly, from the values at the list's scale: the reference."""
+    n, depth = len(crit), 4 * len(crit)
+    e = math.frexp(crit.spectral_radius)[1]
+    s = power_sums(_scaled(crit, -e), max(depth, jll_depth * jll_depth))
+    rho = math.ldexp(crit.spectral_radius, -e)
+    moments, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    values = np.concatenate([[0.0, 0.0], moments.view(float), lhs.ravel(), rhs.ravel()])
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, e * _degrees(depth, jll_depth))
+    cut, grid = 2 + 2 * depth, jll_depth * jll_depth
+    return (
+        tuple(values[2:cut].view(complex).tolist()),
+        tuple(moment_ok.tolist()),
+        tuple(values[cut : cut + grid].tolist()),
+        tuple(values[cut + grid :].tolist()),
+        tuple(jll_ok.ravel().tolist()),
+    )
+
+
+def _benchmark_critical_points(workload):
+    """The critical points of every seed-1 list of a benchmark workload."""
+    wl = load_bench("workloads").WORKLOADS[workload]
+    if workload.startswith("verify"):
+        return [compression_critical_points(parse_spectrum(it.literal)) for it in wl.corpus(1)]
+    crits = []
+    for item in wl.corpus(1):
+        rng = np.random.default_rng(np.random.SeedSequence([item.seed, 0]))
+        lam, _ = random_realizable(int(rng.integers(wl.order, wl.order + 1)), rng, item.ensemble)
+        crits.append(compression_critical_points(lam))
+    return crits
+
+
 class TestCheckObjectsOnDemand:
-    """The battery's results travel as tuples; check objects are built
+    """The battery's results travel as arrays, and a verify report's classes
+    are computed on first read; tuples, check objects and classes are built
     only where something reads them."""
 
     def test_built_once_on_first_access(self, check_objects):
@@ -421,16 +513,36 @@ class TestCheckObjectsOnDemand:
         report.moment_checks, report.jll_checks
         assert len(check_objects) == 12 + 64
 
-    def test_hunt_builds_none(self, check_objects):
+    def test_hunt_builds_none(self, check_objects, battery_tuples, classify_calls):
         report = hunt(HuntConfig(5, 5, samples=40, seed=1))
         assert report.certified + report.uncertified + len(report.alarms) == 40
-        assert check_objects == []
+        assert check_objects == battery_tuples == classify_calls == []
 
     @pytest.mark.parametrize("lam", ["3,-1,-1", "2,i,-i", "1,1,1,1,1,1,1,1", "1,-1,-1"])
-    def test_machine_verify_builds_none(self, check_objects, lam):
+    def test_machine_verify_builds_none(self, check_objects, battery_tuples, classify_calls, lam):
         code = run(["verify", lam, "--format", "machine"], out=io.StringIO())
         assert code in (0, 1)
-        assert check_objects == []
+        assert check_objects == battery_tuples == []
+        assert len(classify_calls) == 2  # the report's two classes, once each
+
+    def test_tuples_and_classes_built_once_on_first_access(self, battery_tuples, classify_calls):
+        report = verify_critical_realizability(parse_spectrum("4,1+i,1-i,-1"))
+        assert battery_tuples == classify_calls == []
+        assert report.conditions.jll_checks is report.conditions.jll_checks
+        assert sorted(battery_tuples) == ["jll_lhs", "jll_passed", "jll_rhs"]
+        assert report.input_class is report.input_class
+        assert report.critical_class is report.critical_class
+        assert classify_calls == [report.input, report.critical]
+
+    @pytest.mark.parametrize("workload", ["verify-n8", "hunt-n5"])
+    def test_lazy_tuples_equal_the_eager_ones(self, workload):
+        crits = _benchmark_critical_points(workload)
+        assert len(crits) == {"verify-n8": 510, "hunt-n5": 1024}[workload]
+        for crit in crits:
+            report = check_necessary_conditions(crit)
+            lazy = tuple(getattr(report, name) for name in _BATTERY_TUPLES)
+            # repr tells NaN and signed zeros apart, which == cannot.
+            assert repr(lazy) == repr(_eager_tuples(crit)), crit
 
 
 class TestMomentCrossCheck:
@@ -443,7 +555,7 @@ class TestMomentCrossCheck:
     @staticmethod
     def _nudged(nudge):
         lam, _ = random_realizable(5, 63, "dense-uniform")
-        crit = critical_points(lam).as_array()
+        crit = critical_points(lam).as_array().copy()  # as_array() is read-only
         crit[np.argmax(crit.real)] += nudge
         return lam, as_spectrum(crit)
 

@@ -1,6 +1,8 @@
 """Canonical ordering, conjugate splitting, multiset matching, classification,
 interlacing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import random_self_conjugate, run_fresh
+from critspec.moments import _scaled
 from critspec import (
     NumericError,
     SpectrumList,
@@ -52,6 +55,91 @@ class TestCanonicalOrder:
     def test_empty_radius_rejected(self):
         with pytest.raises(ValueError):
             SpectrumList(()).spectral_radius
+
+
+def _conjugate_split_reference(lam):
+    """conjugate_split as a rule on the sorted list and its sorted
+    conjugate, computed afresh on every call: the reference."""
+    spec = as_spectrum(lam)
+    conj = SpectrumList(tuple(z.conjugate() for z in spec))
+    if any(a != b for a, b in zip(spec, conj)):
+        return None
+    return [z.real for z in spec if not z.imag], [z for z in spec if z.imag > 0]
+
+
+@st.composite
+def _paired_lists(draw):
+    """Lists with exact conjugate pairs, real entries with imaginary part
+    +0.0 or -0.0, repeated entries and unpaired complex entries, shuffled."""
+    out = []
+    for z in draw(st.lists(finite_complex, min_size=1, max_size=6)):
+        kind = draw(st.sampled_from(["pair", "+0", "-0", "repeat", "single"]))
+        if kind == "pair":
+            out += [z, z.conjugate()]
+        elif kind in ("+0", "-0"):
+            out.append(complex(z.real, 0.0 if kind == "+0" else -0.0))
+        elif kind == "repeat":
+            out += [z, z]
+        else:
+            out.append(z)
+    return draw(st.permutations(out))
+
+
+class TestCachedQuantities:
+    """A list's array, spectral radius and conjugate split are computed
+    once and kept."""
+
+    @given(_paired_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_cached_values_match_the_direct_rules(self, values):
+        spec = SpectrumList(tuple(values))
+        arr = spec.as_array()
+        assert arr is spec.as_array()
+        assert np.array_equal(arr, np.array(spec.entries), equal_nan=True)
+        assert arr.dtype == complex and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        assert spec.spectral_radius == max(abs(z) for z in values)
+        assert repr(conjugate_split(spec)) == repr(_conjugate_split_reference(values))
+
+    def test_power_of_two_rescale_is_canonical(self):
+        # Scaling by 2**-1030 rounds the real part of the pair to 0.0, which
+        # ties it with the zeros: the scaled entries must be sorted again.
+        tiny = 7.693915883528328e-88
+        spec = SpectrumList((0j, -0j, complex(tiny, 1), complex(tiny, -1)))
+        scaled = _scaled(spec, -1030)
+        assert scaled.entries == SpectrumList(scaled.entries).entries
+        assert [z.imag for z in scaled][::3] == [math.ldexp(1, -1030), -math.ldexp(1, -1030)]
+
+    def test_split_computed_once_per_list(self, monkeypatch):
+        calls = []
+        conjugate = SpectrumList.conjugate
+        monkeypatch.setattr(
+            SpectrumList, "conjugate", lambda self: calls.append(self) or conjugate(self)
+        )
+        spec = as_spectrum([3, 1 + 2j, 1 - 2j, -1, -2])
+        splits = [conjugate_split(spec) for _ in range(3)]
+        critical_compression(spec)
+        from_roots(spec)
+        real_d_companion(spec)
+        assert calls == [spec]
+        assert splits[0] == splits[2] == ([3.0, -1.0, -2.0], [1 + 2j])
+        splits[0][0].clear()  # each call gets its own lists
+        assert conjugate_split(spec) == splits[2]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.3e308 + 1.3e308j, 1.3e308 - 1.3e308j, -1.3e308],
+            [1.0, complex(np.nan, 0.0)],
+            [complex(0.0, np.inf), 1.0],
+        ],
+    )
+    def test_radius_past_the_double_range_raises(self, values):
+        with pytest.raises(NumericError, match="spectral radius of the list"):
+            as_spectrum(values).spectral_radius
+        with pytest.raises(NumericError, match="spectral radius of the list"):
+            classify(values)
 
 
 class TestMultisetEqual:

@@ -5,7 +5,7 @@ that call them.  A refactor that drops one of those names breaks
 ``bench/run.py --trace 1`` with an AttributeError, so the names are
 checked here, where the tier-1 suite sees them.  A layer whose calls
 move out of the wrapped names reads 0, which is checked for the route
-certification and serialize layers.
+certification and serialize layers, and hunt reads no class.
 """
 
 import importlib.util
@@ -43,7 +43,7 @@ def _ops():
     }
 
 
-def _layer_metrics(workload):
+def _traced(workload):
     # One operation under its root span, as bench/run.py --trace 1 runs it.
     root_span, op = _ops()[workload]
     tracer = tracing.Tracer()
@@ -53,7 +53,11 @@ def _layer_metrics(workload):
         tracer.call(root_span, op)
     finally:
         tracer.uninstall()
-    return tracing.layer_metrics(tracer, [1.0])
+    return tracer
+
+
+def _layer_metrics(workload):
+    return tracing.layer_metrics(_traced(workload), [1.0])
 
 
 @pytest.mark.parametrize("workload", ["verify-n8", "hunt-n5"])
@@ -65,3 +69,14 @@ def test_serialize_layer_reads_nonzero():
     # The tracer sees only the serialize functions that cli calls as
     # cli.serialize.<name>; a writer reached another way would read 0.
     assert _layer_metrics("verify-n8")["serialize.self_ms"] > 0
+
+
+def test_classify_spans_only_where_a_class_is_read():
+    # A verify report computes its classes on first read: hunt reads none,
+    # and verify --format machine reads both while serializing.
+    hunt = _traced("hunt-n5")
+    assert "spectra.classify" not in {span[3] for span in hunt.spans}
+    assert tracing.layer_metrics(hunt, [1.0])["harness.certify.total_ms"] > 0
+    verify = _traced("verify-n8").spans
+    parents = [verify[span[2]][3] for span in verify if span[3] == "spectra.classify"]
+    assert parents == ["serialize.realizability_record"] * 2
