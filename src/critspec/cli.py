@@ -230,8 +230,8 @@ def _print_condition_summary(r, out) -> None:
     def mark(ok: bool) -> str:
         return "pass" if ok else "FAIL"
 
-    failing_k = [c.k for c in r.moment_checks if not c.passed]
-    failing_jll = [(c.k, c.m) for c in r.jll_checks if not c.passed]
+    failing_k = (np.flatnonzero(~r.moment_passed) + 1).tolist()
+    failing_jll = [tuple(km) for km in (np.argwhere(~r.jll_passed) + 1).tolist()]
     print(f"self-conjugate:          {mark(r.self_conjugate)} "
           f"(pairing residual {r.pairing_residual:.3e})", file=out)
     print(f"spectral radius in list: {mark(r.spectral_radius_in_list)} "

@@ -26,7 +26,6 @@ from .differentiator import (
     compression_critical_points,
     critical_compression,
     power_traces,
-    trace_moments,
 )
 from .errors import NumericError
 # Uncalled here, critical_moment stays bound: bench/tracing.py wraps it.
@@ -211,7 +210,10 @@ def _backward_error(nu: SpectrumList, mu: SpectrumList, scale: float) -> float:
     if len(nu) != len(mu):
         return math.inf
     mu_arr = mu.as_array()
-    zeros = np.array([nu.as_array(), mu_arr, -np.abs(mu_arr)]) / scale
+    # numpy divides complex by scale as times 1/scale, which overflows for
+    # a subnormal scale; 2**e divides exactly, then the mantissa unit.
+    unit, e = math.frexp(scale)
+    zeros = _ldexp(np.array([nu.as_array(), mu_arr, -np.abs(mu_arr)]), -e) / unit
     coeffs = np.zeros((3, len(mu) + 1), dtype=complex)
     coeffs[:, 0] = 1.0
     for j in range(len(mu)):
@@ -476,31 +478,30 @@ def _moment_cross_check(
         )
 
 
-def _confirm_alarm(lam: SpectrumList, crit: SpectrumList, cfg: VerifyConfig) -> bool:
+def _confirm_alarm(
+    lam: SpectrumList, B: np.ndarray, crit: SpectrumList, cfg: VerifyConfig
+) -> bool:
     """Re-run a failed condition battery tighter before believing it.
 
     The recheck drops the tolerance a hundredfold, and any moment or
-    power-sum failure must reproduce through the moments tr(B**k) of the
-    compression of diag(lam), which never touch the computed critical
-    points.  Those are graded in the unit of lam, as in
+    power-sum failure must reproduce through the moments tr(B**k) of
+    B = critical_compression(lam), which never touch the computed
+    critical points.  Those are graded in the unit of lam, as in
     _moment_cross_check.  Only failures that survive both are alarms.
     """
     tight_tol = cfg.tol / 100.0
     tight = check_necessary_conditions(
         crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=tight_tol
     )
-    if tight.overall:
-        return False
     if not tight.self_conjugate or not tight.spectral_radius_in_list:
         return True
     depth, jll_depth = tight.moment_depth, tight.jll_depth
     e = math.frexp(lam.spectral_radius)[1]
-    traces = trace_moments(_scaled(lam, -e), max(depth, jll_depth * jll_depth))
+    traces = power_traces(_ldexp(B, -e), max(depth, jll_depth * jll_depth))
     _, moment_ok, _, _, jll_ok = _grade_moments(
         traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, tight_tol
     )
-    traced_ok = np.concatenate([moment_ok, jll_ok.ravel()])
-    return bool((~tight.passed & ~traced_ok).any())
+    return bool((~tight.moment_passed & ~moment_ok).any() or (~tight.jll_passed & ~jll_ok).any())
 
 
 def hunt(config: HuntConfig) -> HuntReport:
@@ -542,7 +543,7 @@ def hunt(config: HuntConfig) -> HuntReport:
         if any(r.succeeded for r in report.routes):
             certified += 1
         elif report.verdict == "condition-violation" and _confirm_alarm(
-            lam, report.critical, vcfg
+            lam, report.compression, report.critical, vcfg
         ):
             alarms.append(AlarmRecord(sample_index=i, order=n, report=report))
         else:

@@ -132,71 +132,54 @@ class JllCheck:
     passed: bool
 
 
-def _cached_tuple(part) -> functools.cached_property:
-    """A property computed on first access: the tuple of part(report)."""
-    return functools.cached_property(lambda report: tuple(part(report).tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of the four standard necessary conditions for realizability.
 
     self_conjugate           the list equals its conjugate as a multiset
     spectral_radius_in_list  some entry attains the spectral radius
-    values                   s_k for k = 1..moment_depth as (re, im) pairs,
-                             then s_k**m, then n**(m-1) * s_{km}, over the
-                             depth grid, row-major in (k, m): one float array
-    passed                   whether s_k >= 0, then whether s_k**m <=
-                             n**(m-1) * s_{km}: one bool array
+    moment_values            s_k for k = 1..moment_depth, complex
+    moment_passed            whether s_k >= 0, by k
+    jll_lhs, jll_rhs         s_k**m and n**(m-1) * s_{km}, row k, column m
+    jll_passed               whether s_k**m <= n**(m-1) * s_{km}, likewise
 
-    Each comparison allows tol * (2*rho)**k for a term of degree k in the
-    list (check_necessary_conditions).  The values are at the list's own
+    The grids are jll_depth x jll_depth.  Each comparison allows
+    tol * (2*rho)**k for a term of degree k in the list
+    (check_necessary_conditions).  The values are at the list's own
     scale; one past the double range is +-inf, and its check was still
-    decided, at unit scale.
-
-    The arrays are read-only; the tuples moment_values, moment_passed,
-    jll_lhs, jll_rhs, jll_passed and the check objects moment_checks and
-    jll_checks are built from them on first access.
+    decided, at unit scale.  The five arrays are read-only; the check
+    objects moment_checks and jll_checks are built from them on first
+    access.
     """
 
     self_conjugate: bool
     pairing_residual: float
     spectral_radius_in_list: bool
     spectral_radius_margin: float
-    values: np.ndarray
-    passed: np.ndarray
+    moment_values: np.ndarray
+    moment_passed: np.ndarray
+    jll_lhs: np.ndarray
+    jll_rhs: np.ndarray
+    jll_passed: np.ndarray
     moment_depth: int
     jll_depth: int
     overall: bool
 
-    moment_values = _cached_tuple(lambda r: r.values[: 2 * r.moment_depth].view(complex))
-    moment_passed = _cached_tuple(lambda r: r.passed[: r.moment_depth])
-    jll_lhs = _cached_tuple(lambda r: r.values[2 * r.moment_depth :][: r.jll_depth**2])
-    jll_rhs = _cached_tuple(lambda r: r.values[2 * r.moment_depth + r.jll_depth**2 :])
-    jll_passed = _cached_tuple(lambda r: r.passed[r.moment_depth :])
-
     @functools.cached_property
     def moment_checks(self) -> tuple[MomentCheck, ...]:
-        cells = zip(itertools.count(1), self.moment_values, self.moment_passed)
+        cells = zip(itertools.count(1), self.moment_values.tolist(), self.moment_passed.tolist())
         return tuple(itertools.starmap(MomentCheck, cells))
 
     @functools.cached_property
     def jll_checks(self) -> tuple[JllCheck, ...]:
-        ks, ms = _jll_grid(self.jll_depth)
-        cells = zip(ks, ms, self.jll_lhs, self.jll_rhs, self.jll_passed)
+        grids = (self.jll_lhs, self.jll_rhs, self.jll_passed)
+        cells = zip(*_jll_grid(self.jll_depth), *(g.ravel().tolist() for g in grids))
         return tuple(itertools.starmap(JllCheck, cells))
 
 
 @functools.lru_cache(maxsize=16)
 def _jll_grid(depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(zip(*itertools.product(range(1, depth + 1), repeat=2)))
-
-
-@functools.lru_cache(maxsize=16)
-def _degrees(depth: int, jll_depth: int) -> np.ndarray:
-    # The degree in the list of each value check_necessary_conditions packs.
-    km = np.multiply(*_jll_grid(jll_depth))
-    return np.concatenate([[1, 1], np.arange(1, depth + 1).repeat(2), km, km])
 
 
 @functools.lru_cache(maxsize=64)
@@ -298,19 +281,23 @@ def check_necessary_conditions(
     overall = self_conjugate and radius_in_list and moment_ok.all() and jll_ok.all()
     # Back at the list's scale, every value times 2**(d*e) for d its degree
     # in the list; one past the double range is +-inf.
-    values = np.concatenate([[residual, margin], moments.view(float), lhs.ravel(), rhs.ravel()])
     with np.errstate(over="ignore"):
-        values = np.ldexp(values, e * _degrees(depth, jll_depth))
-    passed = np.concatenate([moment_ok, jll_ok.ravel()])
-    values.flags.writeable = passed.flags.writeable = False
-    residual, margin = values[:2].tolist()
+        residual, margin = np.ldexp([residual, margin], e).tolist()
+        k = np.arange(1, depth + 1).repeat(2)  # s_k's real and imaginary parts
+        moments = np.ldexp(moments.view(float), e * k).view(complex)
+        lhs, rhs = np.ldexp([lhs, rhs], e * _jll_factors(n, jll_depth)[0])
+    for a in (moments, moment_ok, lhs, rhs, jll_ok):
+        a.flags.writeable = False
     return ConditionReport(
         self_conjugate=self_conjugate,
         pairing_residual=residual,
         spectral_radius_in_list=radius_in_list,
         spectral_radius_margin=margin,
-        values=values[2:],
-        passed=passed,
+        moment_values=moments,
+        moment_passed=moment_ok,
+        jll_lhs=lhs,
+        jll_rhs=rhs,
+        jll_passed=jll_ok,
         moment_depth=depth,
         jll_depth=jll_depth,
         overall=bool(overall),

@@ -135,34 +135,19 @@ def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(x: np.ndarray, cdesc: np.ndarray, iters: int = 24) -> np.ndarray:
-    """Up to iters Newton steps on every point; each keeps its least-residual state.
-
-    The steps stop early once every point's next state equals one of
-    its earlier states exactly, which one comparison against the
-    history of states decides per step.  A point's next state depends
-    only on that point, so from then on it only cycles through states
-    whose residuals were already compared, and ``best`` moves only on a
-    strict improvement.  The result is the one all iters steps give,
-    bit for bit.  NaN never equals itself, so a NaN point runs every
-    step.
-    """
+    """iters Newton steps on every point; each keeps its least-residual state."""
     dcdesc = _deriv_desc(cdesc)
     best = x.copy()
     fv, dfv = np.polyval(cdesc, best), np.polyval(dcdesc, best)
     best_res = np.abs(fv)
-    states = np.empty((iters + 1,) + x.shape, dtype=x.dtype)
-    states[0] = x
-    for step in range(1, iters + 1):
+    for _ in range(iters):
         flat = dfv == 0
-        nxt = states[step - 1] - np.where(flat, 0.0, fv / np.where(flat, 1.0, dfv))
-        if (states[:step] == nxt).any(axis=0).all():
-            break
-        states[step] = nxt
-        # p(nxt) is both this step's residual and the next step's value.
-        fv, dfv = np.polyval(cdesc, nxt), np.polyval(dcdesc, nxt)
+        x = x - np.where(flat, 0.0, fv / np.where(flat, 1.0, dfv))
+        # p(x) is both this step's residual and the next step's value.
+        fv, dfv = np.polyval(cdesc, x), np.polyval(dcdesc, x)
         res = np.abs(fv)
         better = res < best_res
-        np.copyto(best, nxt, where=better)
+        np.copyto(best, x, where=better)
         np.copyto(best_res, res, where=better)
     return best
 

@@ -247,25 +247,27 @@ def _jll_prototype(depth: int) -> list:
 def condition_report_record(r: ConditionReport) -> dict:
     # Moments and power sums past the double range are +-inf in the
     # report; those fields render as null rather than failing the dump.
-    depth, cut, grid = r.moment_depth, 2 * r.moment_depth, r.jll_depth**2
-    values = _fmt_floats(r.values, null=True)
-    passed = [_BOOLS[ok] for ok in r.passed.tolist()]
+    s, lhs, rhs = r.moment_values, r.jll_lhs.ravel(), r.jll_rhs.ravel()
+    values = _fmt_floats(np.concatenate([s.real, s.imag, lhs, rhs]), null=True)
+    moment_ok = [_BOOLS[ok] for ok in r.moment_passed.tolist()]
+    jll_ok = [_BOOLS[ok] for ok in r.jll_passed.ravel().tolist()]
+    d, g = s.size, lhs.size
     return {
         "self_conjugate": r.self_conjugate,
         "pairing_residual": float(r.pairing_residual),
         "spectral_radius_in_list": r.spectral_radius_in_list,
         "spectral_radius_margin": float(r.spectral_radius_margin),
-        "moment_depth": depth,
+        "moment_depth": r.moment_depth,
         "jll_depth": r.jll_depth,
         "moment_checks": _Block(
             _moment_prototype,
-            (depth,),
-            _cells(values[0:cut:2], values[1:cut:2], passed[:depth]),
+            (r.moment_depth,),
+            _cells(values[:d], values[d : 2 * d], moment_ok),
         ),
         "jll_checks": _Block(
             _jll_prototype,
             (r.jll_depth,),
-            _cells(values[cut : cut + grid], values[cut + grid :], passed[depth:]),
+            _cells(values[2 * d : 2 * d + g], values[2 * d + g :], jll_ok),
         ),
         "overall": r.overall,
     }

@@ -84,6 +84,11 @@ SMALL_SCALE = "2e-10,1e-10+1e-10i,1e-10-1e-10i,-2.5e-10"
 # null.  The list of zeros has spectral radius 0 and tolerance 0.
 SCALE_EDGES = ("3e8,-1e8,-1e8", "0,0,0")
 
+# The spectral radius is subnormal.  The backward error is taken in the
+# unit of the list, so the d-companion and the DFT circulant certify, as
+# they do for the same list at 1e-300.
+SUBNORMAL = "1e-310,-4e-311,-4e-311"
+
 # Every part is finite, but the moduli of the pair pass the double range:
 # the spectral radius is not finite, exit 3.
 PAST_THE_RANGE = "1.3e308+1.3e308i,1.3e308-1.3e308i,-1.3e308"
@@ -154,6 +159,8 @@ def _cli_cases() -> list[dict]:
     for spec in (SMALL_SCALE, *SCALE_EDGES):
         for cmd in ("check", "verify"):
             cases.append({"argv": [cmd, spec, "--format", "machine"]})
+    cases.append({"argv": ["verify", SUBNORMAL]})
+    cases.append({"argv": ["verify", SUBNORMAL, "--format", "machine"]})
     # The antiderivative's coefficients overflow: exit 3.
     cases.append({"argv": ["chain", "1e200,-1e200", "--constants=-1"]})
     for cmd in ("check", "verify"):

@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import re
 import textwrap
 import warnings
 from pathlib import Path
@@ -10,7 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import load_bench, run_fresh
-from critspec import NumericError, ParseError, verify_critical_realizability
+from critspec import (
+    NumericError,
+    ParseError,
+    check_necessary_conditions,
+    verify_critical_realizability,
+)
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
 
@@ -94,6 +101,16 @@ class TestCheckCommand:
         code, out = run_capture(["check", "1,i"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_human_summary_names_the_failing_checks(self):
+        # s_1 = s_3 = -1 of 1,-1,-1 fail, and so does s_1**3 <= 9 * s_3.
+        code, out = run_capture(["check", "1,-1,-1"])
+        report = check_necessary_conditions(parse_spectrum("1,-1,-1"))
+        ks = [c.k for c in report.moment_checks if not c.passed]
+        kms = [(c.k, c.m) for c in report.jll_checks if not c.passed]
+        assert code == 1 and 1 in ks and (1, 3) in kms
+        assert f"FAIL at k={ks}\n" in out
+        assert f"FAIL at (k,m)={kms}\n" in out
 
     def test_machine_format(self):
         code, out = run_capture(["check", "3,-1,-1", "--format", "machine"])
@@ -390,6 +407,45 @@ class TestNearTheDoubleRange:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert "overall:                 pass\n" in proc.stdout
         assert proc.stdout.endswith("verdict: conditions-hold-uncertified\n")
+
+
+class TestSubnormalScale:
+    """A list whose spectral radius is subnormal is certified, as the same
+    list at 1e-300 is, with every printed number finite and no warning."""
+
+    LIST = "1e-310,-4e-311,-4e-311"
+
+    @staticmethod
+    def _run(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_capture(argv)
+        assert (code, capsys.readouterr().err) == (0, "")
+        return out
+
+    def test_verify_human(self, capsys):
+        out = self._run(["verify", self.LIST], capsys)
+        assert "\nverdict: certified\n" in out
+        assert "d-companion    succeeded (backward error 0.000e+00)" in out
+        assert not re.search(r"\b(nan|inf)\b", out)
+
+    def test_verify_machine(self, capsys):
+        doc = json.loads(self._run(["verify", self.LIST, "--format", "machine"], capsys))
+        assert doc["report"]["verdict"] == "certified"
+
+        def numbers(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [x for child in node for x in numbers(child)]
+            return [node] if isinstance(node, float) else []
+
+        assert numbers(doc) and all(math.isfinite(x) for x in numbers(doc))
+
+    @pytest.mark.parametrize("route", ["dcomp", "dft"])
+    def test_realize_certifies(self, route, capsys):
+        out = self._run(["realize", self.LIST, "--route", route], capsys)
+        assert "spectrum backward error: 0.000e+00\ncertified: yes\n" in out
 
 
 class TestRealizeAgreesWithVerify:

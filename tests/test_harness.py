@@ -1,6 +1,5 @@
 """Verification pipeline, random ensembles, hunt, antiderivative chains."""
 
-import functools
 import importlib.util
 import io
 import math
@@ -37,15 +36,7 @@ from critspec import (
 from critspec import harness
 from critspec.cli import parse_spectrum, run
 from critspec.harness import _confirm_alarm, _moment_cross_check
-from critspec.moments import (
-    ConditionReport,
-    JllCheck,
-    MomentCheck,
-    _degrees,
-    _grade_moments,
-    _scaled,
-    power_sums,
-)
+from critspec.moments import JllCheck, MomentCheck, _grade_moments, _scaled, power_sums
 
 
 class TestVerify:
@@ -249,8 +240,8 @@ def _condition_flags(r):
     return (
         r.self_conjugate,
         r.spectral_radius_in_list,
-        r.moment_passed,
-        r.jll_passed,
+        r.moment_passed.tolist(),
+        r.jll_passed.tolist(),
         r.overall,
     )
 
@@ -427,26 +418,6 @@ def check_objects(monkeypatch):
     return built
 
 
-_BATTERY_TUPLES = ("moment_values", "moment_passed", "jll_lhs", "jll_rhs", "jll_passed")
-
-
-@pytest.fixture
-def battery_tuples(monkeypatch):
-    """Names of the ConditionReport tuples built while the test runs."""
-    built = []
-    for name in _BATTERY_TUPLES:
-        build = ConditionReport.__dict__[name].func
-
-        def counting(report, name=name, build=build):
-            built.append(name)
-            return build(report)
-
-        prop = functools.cached_property(counting)
-        prop.__set_name__(ConditionReport, name)
-        monkeypatch.setattr(ConditionReport, name, prop)
-    return built
-
-
 @pytest.fixture
 def classify_calls(monkeypatch):
     """The lists harness.classify is called on while the test runs."""
@@ -462,19 +433,23 @@ def classify_calls(monkeypatch):
 
 
 def _eager_tuples(crit, tol=1e-9, jll_depth=8):
-    """The battery's five tuples as check_necessary_conditions built them
-    eagerly, from the values at the list's scale: the reference."""
+    """The battery's five results as tuples, from one flat array of the
+    values at the list's scale, each rescaled by its degree in the list:
+    k for s_k, k*m for both grid cells.  The reference."""
     n, depth = len(crit), 4 * len(crit)
     e = math.frexp(crit.spectral_radius)[1]
     s = power_sums(_scaled(crit, -e), max(depth, jll_depth * jll_depth))
     rho = math.ldexp(crit.spectral_radius, -e)
     moments, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
-    values = np.concatenate([[0.0, 0.0], moments.view(float), lhs.ravel(), rhs.ravel()])
+    values = np.concatenate([moments.view(float), lhs.ravel(), rhs.ravel()])
+    ms = np.arange(1, jll_depth + 1)
+    km = np.outer(ms, ms).ravel()
+    degrees = np.concatenate([np.arange(1, depth + 1).repeat(2), km, km])
     with np.errstate(over="ignore"):
-        values = np.ldexp(values, e * _degrees(depth, jll_depth))
-    cut, grid = 2 + 2 * depth, jll_depth * jll_depth
+        values = np.ldexp(values, e * degrees)
+    cut, grid = 2 * depth, jll_depth * jll_depth
     return (
-        tuple(values[2:cut].view(complex).tolist()),
+        tuple(values[:cut].view(complex).tolist()),
         tuple(moment_ok.tolist()),
         tuple(values[cut : cut + grid].tolist()),
         tuple(values[cut + grid :].tolist()),
@@ -495,10 +470,13 @@ def _benchmark_critical_points(workload):
     return crits
 
 
+_BATTERY_ARRAYS = ("moment_values", "moment_passed", "jll_lhs", "jll_rhs", "jll_passed")
+
+
 class TestCheckObjectsOnDemand:
-    """The battery's results travel as arrays, and a verify report's classes
-    are computed on first read; tuples, check objects and classes are built
-    only where something reads them."""
+    """The battery's results travel as named read-only arrays, and a verify
+    report's classes are computed on first read; check objects and classes
+    are built only where something reads them."""
 
     def test_built_once_on_first_access(self, check_objects):
         report = check_necessary_conditions([3, -1, -1])
@@ -507,42 +485,56 @@ class TestCheckObjectsOnDemand:
         assert [(c.k, c.m) for c in report.jll_checks][:3] == [(1, 1), (1, 2), (1, 3)]
         last = report.jll_checks[-1]
         assert (last.k, last.m, last.lhs, last.rhs, last.passed) == (
-            8, 8, report.jll_lhs[-1], report.jll_rhs[-1], report.jll_passed[-1]
+            8, 8, report.jll_lhs[-1, -1], report.jll_rhs[-1, -1], report.jll_passed[-1, -1]
         )
         assert len(check_objects) == 12 + 64
         report.moment_checks, report.jll_checks
         assert len(check_objects) == 12 + 64
 
-    def test_hunt_builds_none(self, check_objects, battery_tuples, classify_calls):
+    def test_hunt_builds_none(self, check_objects, classify_calls):
         report = hunt(HuntConfig(5, 5, samples=40, seed=1))
         assert report.certified + report.uncertified + len(report.alarms) == 40
-        assert check_objects == battery_tuples == classify_calls == []
+        assert check_objects == classify_calls == []
 
     @pytest.mark.parametrize("lam", ["3,-1,-1", "2,i,-i", "1,1,1,1,1,1,1,1", "1,-1,-1"])
-    def test_machine_verify_builds_none(self, check_objects, battery_tuples, classify_calls, lam):
+    def test_machine_verify_builds_none(self, check_objects, classify_calls, lam):
         code = run(["verify", lam, "--format", "machine"], out=io.StringIO())
         assert code in (0, 1)
-        assert check_objects == battery_tuples == []
+        assert check_objects == []
         assert len(classify_calls) == 2  # the report's two classes, once each
+        # Nor do the human summaries, which name the failing checks.
+        for command in ("check", "verify"):
+            assert run([command, lam], out=io.StringIO()) in (0, 1)
+        assert check_objects == []
 
-    def test_tuples_and_classes_built_once_on_first_access(self, battery_tuples, classify_calls):
+    def test_tuples_and_classes_built_once_on_first_access(self, check_objects, classify_calls):
         report = verify_critical_realizability(parse_spectrum("4,1+i,1-i,-1"))
-        assert battery_tuples == classify_calls == []
+        assert check_objects == classify_calls == []
         assert report.conditions.jll_checks is report.conditions.jll_checks
-        assert sorted(battery_tuples) == ["jll_lhs", "jll_passed", "jll_rhs"]
+        assert check_objects == ["JllCheck"] * 64
         assert report.input_class is report.input_class
         assert report.critical_class is report.critical_class
         assert classify_calls == [report.input, report.critical]
 
+    def test_arrays_are_read_only_with_the_stated_shapes(self):
+        report = check_necessary_conditions([4, 1 + 1j, 1 - 1j, -1], kmax=10, jll_depth=5)
+        arrays = [getattr(report, name) for name in _BATTERY_ARRAYS]
+        assert [(a.dtype.kind, a.shape) for a in arrays] == [
+            ("c", (10,)), ("b", (10,)), ("f", (5, 5)), ("f", (5, 5)), ("b", (5, 5))
+        ]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
     @pytest.mark.parametrize("workload", ["verify-n8", "hunt-n5"])
-    def test_lazy_tuples_equal_the_eager_ones(self, workload):
+    def test_arrays_equal_the_reference(self, workload):
         crits = _benchmark_critical_points(workload)
         assert len(crits) == {"verify-n8": 510, "hunt-n5": 1024}[workload]
         for crit in crits:
             report = check_necessary_conditions(crit)
-            lazy = tuple(getattr(report, name) for name in _BATTERY_TUPLES)
+            got = tuple(tuple(getattr(report, name).ravel().tolist()) for name in _BATTERY_ARRAYS)
             # repr tells NaN and signed zeros apart, which == cannot.
-            assert repr(lazy) == repr(_eager_tuples(crit)), crit
+            assert repr(got) == repr(_eager_tuples(crit)), crit
 
 
 class TestMomentCrossCheck:
@@ -607,16 +599,16 @@ class TestConfirmAlarm:
         # The critical points {1/3, -1} of 1,-1,-1 have negative trace, and
         # the determinant formula from the list reproduces it.
         lam = as_spectrum([1, -1, -1])
-        assert _confirm_alarm(lam, critical_points(lam), self.cfg)
+        assert _confirm_alarm(lam, critical_compression(lam), critical_points(lam), self.cfg)
 
     def test_non_self_conjugate_crit_confirmed(self):
         lam = as_spectrum([3, -1, -1])
         crit = as_spectrum([5 / 3, -1 + 0.5j])
-        assert _confirm_alarm(lam, crit, self.cfg)
+        assert _confirm_alarm(lam, critical_compression(lam), crit, self.cfg)
 
     def test_passing_crit_not_an_alarm(self):
         lam = as_spectrum([3, -1, -1])
-        assert not _confirm_alarm(lam, critical_points(lam), self.cfg)
+        assert not _confirm_alarm(lam, critical_compression(lam), critical_points(lam), self.cfg)
 
     def test_direct_failure_the_formula_clears_is_not_an_alarm(self):
         # 3,-1,-1,-1 has critical points {2, -1, -1} with trace exactly 0.
@@ -627,7 +619,7 @@ class TestConfirmAlarm:
         tight = check_necessary_conditions(nudged, tol=self.cfg.tol / 100.0)
         assert tight.self_conjugate and tight.spectral_radius_in_list
         assert [c.k for c in tight.moment_checks if not c.passed] == [1]
-        assert not _confirm_alarm(lam, nudged, self.cfg)
+        assert not _confirm_alarm(lam, critical_compression(lam), nudged, self.cfg)
 
 
 class TestAntiderivativeChain:

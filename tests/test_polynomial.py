@@ -286,7 +286,7 @@ def _bit_corpus():
 
 
 def _polish_every_step(x, cdesc, iters=24):
-    """The Newton polish as it ran before its exact-cycle exit: all iters steps."""
+    """The Newton polish as a plain loop over all iters steps: the reference."""
     dcdesc = polynomial._deriv_desc(cdesc)
     best = x.copy()
     fv, dfv = np.polyval(cdesc, best), np.polyval(dcdesc, best)
@@ -369,7 +369,11 @@ def _verify_polynomials():
 
 
 class TestPolishExit:
-    """The polish stops at the first repeated state and returns what 24 steps return."""
+    """The polish returns, bit for bit, what the reference loop's 24 steps return.
+
+    It once stopped at the first repeated state; these tests pinned that
+    exit as bit-identical, and now pin the plain loop that replaced it.
+    """
 
     @staticmethod
     def _assert_polish_unchanged(ps):
@@ -395,31 +399,10 @@ class TestPolishExit:
         assert set(range(3, 18)) | {19, 20, 21} <= longest
         self._assert_polish_unchanged(ps)
 
-    def test_exit_fires_once_every_point_repeats(self, monkeypatch):
-        settled = [p for p in _verify_polynomials() if _longest_cycle(p) >= 3]
-        assert len(settled) > 100
-        calls = _polyval_calls(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for p in settled:
-                cdesc = p.descending()
-                start = polynomial._companion_eigenvalues(cdesc)
-                calls.clear()
-                polynomial._newton_polish(start, cdesc)
-                # Two evaluations to start and two per step taken.
-                assert len(calls) < 50
-
-    def test_exit_fires_on_simple_roots(self, monkeypatch):
-        cdesc = from_roots([3.0, -1.0, 0.5, 2.0 + 1.0j, 2.0 - 1.0j]).descending()
-        start = polynomial._companion_eigenvalues(cdesc)
-        calls = _polyval_calls(monkeypatch)
-        x = polynomial._newton_polish(start, cdesc)
-        assert len(calls) < 50
-        assert np.max(np.abs(np.polyval(cdesc, x))) < 1e-13
-
     def test_nonfinite_rows_run_every_step(self, monkeypatch):
         # LAPACK rejects the companion matrix of a coefficient row with NaN
-        # or inf, so every root starts as NaN, which never equals itself:
-        # the polish takes all 24 steps.
+        # or inf, so every root starts as NaN; the polish still takes all
+        # 24 steps, two evaluations each after the two to start.
         calls = _polyval_calls(monkeypatch)
         for bad in (np.nan, np.inf):
             cdesc = MonicPolynomial((1.0, bad, 0.0)).descending()
