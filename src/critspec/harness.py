@@ -15,7 +15,6 @@ lists are realizable.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,13 +27,12 @@ from .differentiator import (
     power_traces,
 )
 from .errors import NumericError
-# Uncalled here, critical_moment stays bound: bench/tracing.py wraps it.
+# Uncalled here, critical_moment and power_sums stay bound: bench/tracing.py wraps them.
 from .moments import (
     ConditionReport,
     _grade_moments,
     _growth,
     _ldexp,
-    _scaled,
     check_necessary_conditions,
     critical_moment,
     power_sums,
@@ -64,6 +62,7 @@ from .spectra import (
     as_spectrum,
     classify,
     conjugate_split,
+    lazy,
     pairing_residual,
 )
 
@@ -150,11 +149,11 @@ class RealizabilityReport:
     verdict: str
     tol: float
 
-    @functools.cached_property
+    @lazy
     def input_class(self) -> Classification:
         return classify(self.input, self.tol)
 
-    @functools.cached_property
+    @lazy
     def critical_class(self) -> Classification:
         return classify(self.critical, self.tol)
 
@@ -248,9 +247,9 @@ def _certificate(
 
     A certificate is a real matrix with no negative entry whose spectrum
     is crit (_certify).  A complex M fails, and so does one with an entry
-    below -tol * (1 + max|M|), which spares the eigenvalue solve.  The
-    negative entries left are set to +0.0 and the backward error of that
-    exact matrix decides, so tol never lets a wrong certificate through.
+    below -tol * (1 + max|M|), which spares the eigenvalue solve.  Entries
+    left at or below zero (-0.0 too, not NaN) become +0.0 and the backward
+    error of that exact matrix decides: tol never passes a wrong certificate.
     The backward error is None when no eigenvalue solve ran.  Raises
     NumericError when M is not finite.
     """
@@ -260,7 +259,7 @@ def _certificate(
         return None, None, str(exc)
     if sign is not MatrixSignClass.NONNEGATIVE:
         return None, None, f"matrix is not entrywise nonnegative (sign class: {sign.value})"
-    M = np.where(M < 0, 0.0, M)
+    M = np.where(M <= 0, 0.0, M)
     beta, reason = _certify(M, spec, crit)
     return (M if reason is None else None), beta, reason
 
@@ -447,25 +446,25 @@ def random_realizable(
 _CROSS_CHECK_SAFETY = 16.0
 
 
-def _moment_cross_check(
-    lam: SpectrumList, B: np.ndarray, crit: SpectrumList, depth: int
-) -> None:
-    """Moments 1..depth of crit, the computed critical points, must match tr(B**k).
+def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionReport) -> None:
+    """The battery's moments 1..depth of the critical points must match tr(B**k).
 
     B = critical_compression(lam).  Both sides are taken in the unit of
-    lam: lam, crit and B divided by 2**e, e = frexp(rho)[1] for rho the
-    spectral radius of lam.  By Gauss-Lucas no critical point is
-    larger than rho, and ||B|| <= rho, so neither side leaves the double
-    range; the unit of crit would not do, as its radius can be 1e-8 of
-    rho.  Both carry an error of about k * n * eps * ||B||**k, so moment
-    k must agree to _CROSS_CHECK_SAFETY * k * n * eps * (2*rho)**k, the
-    condition battery's tolerance law.
+    lam, 2**e, e = frexp(rho)[1] for rho its spectral radius: the battery's
+    power sums in the unit 2**c of the critical points times 2**(k*(c-e)),
+    exactly.  By Gauss-Lucas and ||B|| <= rho neither side leaves the
+    double range there, as at the list's own scale; 2**c would not do, as
+    the critical points' radius can be 1e-8 of rho.  Both carry an error of
+    about k * n * eps * ||B||**k, so moment k must agree to
+    _CROSS_CHECK_SAFETY * k * n * eps * (2*rho)**k, the condition battery's
+    tolerance law.
     """
-    rho = lam.spectral_radius
+    rho, depth = lam.spectral_radius, conditions.moment_depth
     e = math.frexp(rho)[1]
-    direct = power_sums(_scaled(crit, -e), depth)
-    traces = power_traces(_ldexp(B, -e), depth)
     k = np.arange(1, depth + 1)
+    shift = (k * (conditions.scale_exponent - e)).repeat(2)  # real and imaginary parts
+    direct = _ldexp(conditions.unit_power_sums[:depth], shift)
+    traces = power_traces(_ldexp(B, -e), depth)
     growth = _growth(math.ldexp(rho, -e), depth)[1:]
     bound = _CROSS_CHECK_SAFETY * k * len(lam) * _EPS * growth
     bad = np.flatnonzero(np.abs(direct - traces) > bound)
@@ -530,9 +529,7 @@ def hunt(config: HuntConfig) -> HuntReport:
         n = int(rng.integers(config.n_min, config.n_max + 1))
         lam, _ = random_realizable(n, rng, config.ensemble)
         report = verify_critical_realizability(lam, vcfg)
-        _moment_cross_check(
-            lam, report.compression, report.critical, report.conditions.moment_depth
-        )
+        _moment_cross_check(lam, report.compression, report.conditions)
         for r in report.routes:
             if r.succeeded:
                 successes[r.name] += 1

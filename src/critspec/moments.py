@@ -23,6 +23,7 @@ the double range, so the verdict of c * lam is the verdict of lam.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split, pairing_residual
+from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split, lazy
+from .spectra import pairing_residual
 
 __all__ = [
     "MomentCheck",
@@ -138,39 +140,58 @@ class ConditionReport:
 
     self_conjugate           the list equals its conjugate as a multiset
     spectral_radius_in_list  some entry attains the spectral radius
-    moment_values            s_k for k = 1..moment_depth, complex
-    moment_passed            whether s_k >= 0, by k
-    jll_lhs, jll_rhs         s_k**m and n**(m-1) * s_{km}, row k, column m
-    jll_passed               whether s_k**m <= n**(m-1) * s_{km}, likewise
+    moment_passed            whether s_k >= 0, k = 1..moment_depth
+    jll_passed               whether s_k**m <= n**(m-1) * s_{km}, row k, column m
 
-    The grids are jll_depth x jll_depth.  Each comparison allows
-    tol * (2*rho)**k for a term of degree k in the list
-    (check_necessary_conditions).  The values are at the list's own
-    scale; one past the double range is +-inf, and its check was still
-    decided, at unit scale.  The five arrays are read-only; the check
-    objects moment_checks and jll_checks are built from them on first
-    access.
+    Each comparison allows tol * (2*rho)**k for a term of degree k in the
+    list (check_necessary_conditions), graded on the list over
+    2**scale_exponent, and the report keeps the unit_ values read there:
+    s_1..s_K, K = max(moment_depth, jll_depth**2), the grids s_k**m and
+    n**(m-1) * s_{km}, the pairing residual and the margin.  At the list's
+    scale they are moment_values, jll_lhs, jll_rhs, pairing_residual and
+    spectral_radius_margin, rescaled exactly on first read, +-inf past the
+    double range.  Arrays are read-only; check objects built on first read.
     """
 
     self_conjugate: bool
-    pairing_residual: float
     spectral_radius_in_list: bool
-    spectral_radius_margin: float
-    moment_values: np.ndarray
     moment_passed: np.ndarray
-    jll_lhs: np.ndarray
-    jll_rhs: np.ndarray
     jll_passed: np.ndarray
     moment_depth: int
     jll_depth: int
     overall: bool
+    scale_exponent: int
+    unit_power_sums: np.ndarray
+    unit_jll_lhs: np.ndarray
+    unit_jll_rhs: np.ndarray
+    unit_residual: float
+    unit_margin: float
 
-    @functools.cached_property
+    @lazy
+    def _list_scale(self) -> tuple:
+        # Every value times 2**(d*e) for d its degree in the list.
+        e, ms = self.scale_exponent, np.arange(1, self.jll_depth + 1)
+        k = np.arange(1, self.moment_depth + 1).repeat(2)  # s_k's real and imaginary parts
+        with np.errstate(over="ignore"):
+            residual, margin = np.ldexp([self.unit_residual, self.unit_margin], e).tolist()
+            moments = _ldexp(self.unit_power_sums[: self.moment_depth], e * k)
+            lhs, rhs = np.ldexp([self.unit_jll_lhs, self.unit_jll_rhs], e * np.outer(ms, ms))
+        for a in (moments, lhs, rhs):
+            a.flags.writeable = False
+        return residual, margin, moments, lhs, rhs
+
+    pairing_residual = property(lambda self: self._list_scale[0])
+    spectral_radius_margin = property(lambda self: self._list_scale[1])
+    moment_values = property(lambda self: self._list_scale[2])
+    jll_lhs = property(lambda self: self._list_scale[3])
+    jll_rhs = property(lambda self: self._list_scale[4])
+
+    @lazy
     def moment_checks(self) -> tuple[MomentCheck, ...]:
         cells = zip(itertools.count(1), self.moment_values.tolist(), self.moment_passed.tolist())
         return tuple(itertools.starmap(MomentCheck, cells))
 
-    @functools.cached_property
+    @lazy
     def jll_checks(self) -> tuple[JllCheck, ...]:
         grids = (self.jll_lhs, self.jll_rhs, self.jll_passed)
         cells = zip(*_jll_grid(self.jll_depth), *(g.ravel().tolist() for g in grids))
@@ -209,7 +230,7 @@ def _growth(rho: float, kmax: int) -> np.ndarray:
     where tol * (2*rho)**k exceeds n * rho**k, and so every moment, for
     any tol above 1e-290; inf then passes what the finite value would.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore") if kmax > 1023 else contextlib.nullcontext():
         return np.power(2.0 * rho, np.arange(kmax + 1))
 
 
@@ -254,9 +275,9 @@ def check_necessary_conditions(
     list's times 2**(-k*e) bit for bit, so none leaves the double range.
     The tolerance is tol * (2*rho)**k on s_k (_grade_moments) and
     tol * 2*rho on the pairing residual and the spectral-radius margin,
-    so c * lam gets the verdict of lam.  The report's values are at the
-    list's own scale, rescaled exactly; one past the double range is
-    +-inf.
+    so c * lam gets the verdict of lam.  The report keeps the values it
+    graded, at unit scale, and gives them at the list's own scale on
+    first read (ConditionReport).
     """
     spec = as_spectrum(lam)
     if len(spec) == 0:
@@ -277,30 +298,24 @@ def check_necessary_conditions(
     self_conjugate, radius_in_list = bool(residual <= base), bool(margin <= base)
 
     s = power_sums(unit, max(depth, jll_depth * jll_depth))
-    moments, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    _, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
     overall = self_conjugate and radius_in_list and moment_ok.all() and jll_ok.all()
-    # Back at the list's scale, every value times 2**(d*e) for d its degree
-    # in the list; one past the double range is +-inf.
-    with np.errstate(over="ignore"):
-        residual, margin = np.ldexp([residual, margin], e).tolist()
-        k = np.arange(1, depth + 1).repeat(2)  # s_k's real and imaginary parts
-        moments = np.ldexp(moments.view(float), e * k).view(complex)
-        lhs, rhs = np.ldexp([lhs, rhs], e * _jll_factors(n, jll_depth)[0])
-    for a in (moments, moment_ok, lhs, rhs, jll_ok):
+    for a in (s, moment_ok, lhs, rhs, jll_ok):
         a.flags.writeable = False
     return ConditionReport(
         self_conjugate=self_conjugate,
-        pairing_residual=residual,
         spectral_radius_in_list=radius_in_list,
-        spectral_radius_margin=margin,
-        moment_values=moments,
         moment_passed=moment_ok,
-        jll_lhs=lhs,
-        jll_rhs=rhs,
         jll_passed=jll_ok,
         moment_depth=depth,
         jll_depth=jll_depth,
         overall=bool(overall),
+        scale_exponent=e,
+        unit_power_sums=s,
+        unit_jll_lhs=lhs,
+        unit_jll_rhs=rhs,
+        unit_residual=residual,
+        unit_margin=margin,
     )
 
 

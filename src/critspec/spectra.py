@@ -10,7 +10,8 @@ downstream relies on.
 from __future__ import annotations
 
 import cmath
-import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -35,6 +36,20 @@ def _canonical_key(z: complex) -> tuple[float, float]:
     return (-z.real, -z.imag)
 
 
+class lazy:
+    """functools.cached_property without the lock it takes on every first
+    read before Python 3.12, about half the cost of one: the method's value
+    is stored in the instance's __dict__, where later reads find it first."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 @dataclass(frozen=True)
 class SpectrumList:
     """Finite multiset of complex scalars, stored in canonical order, with
@@ -55,7 +70,7 @@ class SpectrumList:
     def __getitem__(self, index: int) -> complex:
         return self.entries[index]
 
-    @functools.cached_property
+    @lazy
     def _array(self) -> np.ndarray:
         arr = np.array(self.entries, dtype=complex)
         arr.flags.writeable = False
@@ -68,7 +83,7 @@ class SpectrumList:
     def conjugate(self) -> "SpectrumList":
         return SpectrumList(tuple(z.conjugate() for z in self.entries))
 
-    @functools.cached_property
+    @lazy
     def spectral_radius(self) -> float:
         """max |z| by Python's abs (np.abs can differ in the last bit);
         NumericError when it is not finite in double precision."""
@@ -81,7 +96,7 @@ class SpectrumList:
             pass
         raise NumericError("the spectral radius of the list is not finite in double precision")
 
-    @functools.cached_property
+    @lazy
     def trace(self) -> complex:
         """The sum of the entries; NumericError when it is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -90,10 +105,13 @@ class SpectrumList:
             raise NumericError("the trace of the list is not finite in double precision")
         return s1
 
-    @functools.cached_property
+    @lazy
     def _split(self) -> tuple[tuple[float, ...], tuple[complex, ...]] | None:
-        if any(a != b for a, b in zip(self, self.conjugate())):
-            return None
+        # A run of equal real part is in descending imaginary part, so its
+        # conjugate is the run reversed; a NaN entry equals nothing.
+        for _, run in itertools.groupby(self.entries, operator.attrgetter("real")):
+            if (run := list(run)) != [z.conjugate() for z in reversed(run)]:
+                return None
         return tuple(z.real for z in self if not z.imag), tuple(z for z in self if z.imag > 0)
 
     def is_real(self, tol: float = 1e-9) -> bool:

@@ -289,6 +289,21 @@ class TestRealizeCommand:
         rows = report["matrix"]["rows"]
         assert all(cell["re"] >= 0 and cell["im"] == 0 for row in rows for cell in row)
 
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["verify", "2,-1,-1"], "  [ 0  1 ]\n  [ 1  0 ]\n"),
+            (["verify", "0,0"], "  [ 0 ]\n"),
+            (["realize", "0,0", "--route", "companion"], "  [ 0 ]\n"),
+        ],
+    )
+    def test_certificate_zeros_print_unsigned(self, argv, rows):
+        # The companion of p'/n has -0.0 entries here; a certificate has +0.0.
+        code, out = run_capture(argv)
+        assert code == 0
+        assert out.endswith(rows)
+        assert "-0 " not in out
+
     def test_dft_route_succeeds_on_symmetric_list(self):
         code, out = run_capture(["realize", "3,-1,-1", "--route", "dft", "--format", "machine"])
         assert code == 0

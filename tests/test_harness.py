@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,17 @@ from critspec import (
     spectrum,
     verify_critical_realizability,
 )
-from critspec import harness
+from critspec import harness, moments
 from critspec.cli import parse_spectrum, run
 from critspec.harness import _confirm_alarm, _moment_cross_check
-from critspec.moments import JllCheck, MomentCheck, _grade_moments, _scaled, power_sums
+from critspec.moments import (
+    ConditionReport,
+    JllCheck,
+    MomentCheck,
+    _grade_moments,
+    _scaled,
+    power_sums,
+)
 
 
 class TestVerify:
@@ -347,6 +355,33 @@ class TestRandomRealizable:
             random_realizable(1, 0)
 
 
+class TestSampleOverhead:
+    """Fixed costs of one hunt sample, counted on one order-5 draw, so that
+    per-sample overhead cannot creep back unseen."""
+
+    def test_errstate_entries_and_power_sums_calls(self, monkeypatch):
+        entered, sums = [], []
+        enter = np.errstate.__enter__
+
+        def counting_enter(self):
+            # numpy's own entries (two in eigvals here) depend on its version.
+            if sys._getframe(1).f_globals["__name__"].startswith("critspec"):
+                entered.append(sys._getframe(1).f_code.co_name)
+            return enter(self)
+
+        monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
+        power_sums = moments.power_sums
+        for module in (moments, harness):
+            monkeypatch.setattr(
+                module, "power_sums", lambda *args: sums.append(args) or power_sums(*args)
+            )
+        report = hunt(HuntConfig(5, 5, samples=1, seed=1, ensemble="dense-uniform"))
+        assert report.uncertified == 1
+        # The battery's power sums, p'/n's coefficients and tr(B**k).
+        assert sorted(entered) == ["derivative_monic", "power_sums", "power_traces"]
+        assert len(sums) == 1
+
+
 class TestHunt:
     def test_small_hunt_clean(self):
         report = hunt(HuntConfig(n_min=3, n_max=5, samples=60, seed=1))
@@ -432,6 +467,17 @@ def classify_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def list_scale_builds(monkeypatch):
+    """The reports whose values at the list's scale are built while the
+    test runs."""
+    builds = []
+    rescale = vars(ConditionReport)["_list_scale"]
+    build = rescale.func
+    monkeypatch.setattr(rescale, "func", lambda report: builds.append(report) or build(report))
+    return builds
+
+
 def _eager_tuples(crit, tol=1e-9, jll_depth=8):
     """The battery's five results as tuples, from one flat array of the
     values at the list's scale, each rescaled by its degree in the list:
@@ -491,10 +537,27 @@ class TestCheckObjectsOnDemand:
         report.moment_checks, report.jll_checks
         assert len(check_objects) == 12 + 64
 
-    def test_hunt_builds_none(self, check_objects, classify_calls):
+    def test_hunt_builds_none(self, check_objects, classify_calls, list_scale_builds):
         report = hunt(HuntConfig(5, 5, samples=40, seed=1))
         assert report.certified + report.uncertified + len(report.alarms) == 40
-        assert check_objects == classify_calls == []
+        assert check_objects == classify_calls == list_scale_builds == []
+
+    @pytest.mark.parametrize(
+        "lam", ["3,-1,-1", "4,1+i,1-i,-1", "3e8,-1e8,-1e8", "1e-310,-4e-311,-4e-311"]
+    )
+    def test_list_scale_values_built_once_on_first_read(self, list_scale_builds, lam):
+        # 3e8,-1e8,-1e8 has power sums past the double range in its grids;
+        # the last list has a subnormal spectral radius.
+        crit = compression_critical_points(parse_spectrum(lam))
+        report = check_necessary_conditions(crit)
+        assert list_scale_builds == []
+        got = tuple(tuple(getattr(report, name).ravel().tolist()) for name in _BATTERY_ARRAYS)
+        assert list_scale_builds == [report]
+        assert repr(got) == repr(_eager_tuples(crit))
+        for name in ("moment_values", "jll_lhs", "jll_rhs"):
+            assert getattr(report, name) is getattr(report, name)
+        report.pairing_residual, report.spectral_radius_margin
+        assert list_scale_builds == [report]
 
     @pytest.mark.parametrize("lam", ["3,-1,-1", "2,i,-i", "1,1,1,1,1,1,1,1", "1,-1,-1"])
     def test_machine_verify_builds_none(self, check_objects, classify_calls, lam):
@@ -542,7 +605,8 @@ class TestMomentCrossCheck:
 
     def test_computed_critical_points_pass(self):
         lam, _ = random_realizable(5, 63, "dense-uniform")
-        _moment_cross_check(lam, critical_compression(lam), critical_points(lam), 16)
+        conditions = check_necessary_conditions(critical_points(lam), kmax=16)
+        _moment_cross_check(lam, critical_compression(lam), conditions)
 
     @staticmethod
     def _nudged(nudge):
@@ -553,15 +617,17 @@ class TestMomentCrossCheck:
 
     def test_nudged_critical_points_fail(self):
         lam, crit = self._nudged(1e-4)
+        conditions = check_necessary_conditions(crit, kmax=16)
         with pytest.raises(NumericError, match="cross-check failed at k=1: "):
-            _moment_cross_check(lam, critical_compression(lam), crit, 16)
+            _moment_cross_check(lam, critical_compression(lam), conditions)
 
     def test_nudge_of_1e_9_fails(self):
         # The bound is k * n * eps * (2 * rho)**k times a safety factor,
         # 8e-14 at k = 1 here; the fixed 1e-6 it replaced let this pass.
         lam, crit = self._nudged(1e-9)
+        conditions = check_necessary_conditions(crit, kmax=16)
         with pytest.raises(NumericError, match="cross-check failed at k=1: "):
-            _moment_cross_check(lam, critical_compression(lam), crit, 16)
+            _moment_cross_check(lam, critical_compression(lam), conditions)
 
     def test_scaled_lists_pass_in_the_unit_of_the_list(self):
         # At 1e150 the moments past k = 2 leave the double range and at
@@ -569,8 +635,30 @@ class TestMomentCrossCheck:
         lam, _ = random_realizable(5, 63, "dense-uniform")
         for c in (1e-150, 1e150):
             scaled = as_spectrum(lam.as_array() * c)
-            crit = compression_critical_points(scaled)
-            _moment_cross_check(scaled, critical_compression(scaled), crit, 16)
+            conditions = check_necessary_conditions(compression_critical_points(scaled), kmax=16)
+            _moment_cross_check(scaled, critical_compression(scaled), conditions)
+
+    def test_direct_side_is_the_battery_power_sums_rescaled(self, monkeypatch):
+        # The reference is the power sums of the critical points in the unit
+        # of the list, taken afresh.  With it in place of the traces and no
+        # allowance, a difference in any bit fails the check.
+        monkeypatch.setattr(harness, "_CROSS_CHECK_SAFETY", 0.0)
+        cases = 0
+        for ensemble in ENSEMBLES:
+            for n in range(3, 17):
+                for seed in range(40):
+                    drawn, _ = random_realizable(n, seed, ensemble)
+                    for c in (1.0, 1e-300, 1e300):
+                        lam = as_spectrum(drawn.as_array() * c)
+                        B = critical_compression(lam)
+                        crit = compression_critical_points(lam, B)
+                        conditions = check_necessary_conditions(crit)
+                        e = math.frexp(lam.spectral_radius)[1]
+                        want = power_sums(_scaled(crit, -e), conditions.moment_depth)
+                        monkeypatch.setattr(harness, "power_traces", lambda B, K: want)
+                        _moment_cross_check(lam, B, conditions)
+                        cases += 1
+        assert cases == 4 * 14 * 40 * 3
 
     def test_hunts_at_orders_6_to_10_pass(self):
         # Monov's determinant lost enough digits by k = 23..32 to stop 7

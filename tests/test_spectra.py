@@ -1,6 +1,7 @@
 """Canonical ordering, conjugate splitting, multiset matching, classification,
 interlacing."""
 
+import cmath
 import math
 
 import numpy as np
@@ -70,16 +71,27 @@ def _conjugate_split_reference(lam):
 @st.composite
 def _paired_lists(draw):
     """Lists with exact conjugate pairs, real entries with imaginary part
-    +0.0 or -0.0, repeated entries and unpaired complex entries, shuffled."""
+    +0.0 or -0.0, repeated entries, runs of entries sharing a real part,
+    unpaired complex entries and entries with a NaN or infinite part,
+    paired or not, shuffled."""
     out = []
     for z in draw(st.lists(finite_complex, min_size=1, max_size=6)):
-        kind = draw(st.sampled_from(["pair", "+0", "-0", "repeat", "single"]))
+        kind = draw(
+            st.sampled_from(["pair", "+0", "-0", "repeat", "same-real", "special", "single"])
+        )
         if kind == "pair":
             out += [z, z.conjugate()]
         elif kind in ("+0", "-0"):
             out.append(complex(z.real, 0.0 if kind == "+0" else -0.0))
         elif kind == "repeat":
             out += [z, z]
+        elif kind == "same-real":
+            ims = st.sampled_from([z.imag, -z.imag, 0.0, -0.0, 1.0])
+            out += [complex(z.real, y) for y in draw(st.lists(ims, min_size=2, max_size=5))]
+        elif kind == "special":
+            part = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            w = complex(part, z.imag) if draw(st.booleans()) else complex(z.real, part)
+            out += [w, w.conjugate()] if draw(st.booleans()) else [w]
         else:
             out.append(z)
     return draw(st.permutations(out))
@@ -99,7 +111,11 @@ class TestCachedQuantities:
         assert arr.dtype == complex and not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-        assert spec.spectral_radius == max(abs(z) for z in values)
+        if all(map(cmath.isfinite, values)):
+            assert spec.spectral_radius == max(abs(z) for z in values)
+        else:
+            with pytest.raises(NumericError):
+                spec.spectral_radius
         assert repr(conjugate_split(spec)) == repr(_conjugate_split_reference(values))
 
     def test_power_of_two_rescale_is_canonical(self):
@@ -113,10 +129,9 @@ class TestCachedQuantities:
 
     def test_split_computed_once_per_list(self, monkeypatch):
         calls = []
-        conjugate = SpectrumList.conjugate
-        monkeypatch.setattr(
-            SpectrumList, "conjugate", lambda self: calls.append(self) or conjugate(self)
-        )
+        split = vars(SpectrumList)["_split"]
+        build = split.func
+        monkeypatch.setattr(split, "func", lambda self: calls.append(self) or build(self))
         spec = as_spectrum([3, 1 + 2j, 1 - 2j, -1, -2])
         splits = [conjugate_split(spec) for _ in range(3)]
         critical_compression(spec)
