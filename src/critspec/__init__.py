@@ -30,8 +30,6 @@ from .polynomial import (
 )
 from .moments import (
     ConditionReport,
-    JllCheck,
-    MomentCheck,
     check_necessary_conditions,
     critical_moment,
     critical_moments,
@@ -99,8 +97,6 @@ __all__ = [
     "from_roots",
     "roots",
     "ConditionReport",
-    "JllCheck",
-    "MomentCheck",
     "check_necessary_conditions",
     "critical_moment",
     "critical_moments",

@@ -497,7 +497,7 @@ def _confirm_alarm(
     depth, jll_depth = tight.moment_depth, tight.jll_depth
     e = math.frexp(lam.spectral_radius)[1]
     traces = power_traces(_ldexp(B, -e), max(depth, jll_depth * jll_depth))
-    _, moment_ok, _, _, jll_ok = _grade_moments(
+    moment_ok, _, _, jll_ok = _grade_moments(
         traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, tight_tol
     )
     return bool((~tight.moment_passed & ~moment_ok).any() or (~tight.jll_passed & ~jll_ok).any())

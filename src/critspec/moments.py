@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +34,6 @@ from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split, l
 from .spectra import pairing_residual
 
 __all__ = [
-    "MomentCheck",
-    "JllCheck",
     "ConditionReport",
     "power_sums",
     "monov_det",
@@ -118,22 +115,6 @@ def critical_moment(lam: SpectrumLike, k: int) -> complex:
     return complex(critical_moments(lam, k)[k - 1])
 
 
-@dataclass(frozen=True)
-class MomentCheck:
-    k: int
-    value: complex
-    passed: bool
-
-
-@dataclass(frozen=True)
-class JllCheck:
-    k: int
-    m: int
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of the four standard necessary conditions for realizability.
@@ -150,7 +131,7 @@ class ConditionReport:
     n**(m-1) * s_{km}, the pairing residual and the margin.  At the list's
     scale they are moment_values, jll_lhs, jll_rhs, pairing_residual and
     spectral_radius_margin, rescaled exactly on first read, +-inf past the
-    double range.  Arrays are read-only; check objects built on first read.
+    double range.  Arrays are read-only.
     """
 
     self_conjugate: bool
@@ -185,22 +166,6 @@ class ConditionReport:
     moment_values = property(lambda self: self._list_scale[2])
     jll_lhs = property(lambda self: self._list_scale[3])
     jll_rhs = property(lambda self: self._list_scale[4])
-
-    @lazy
-    def moment_checks(self) -> tuple[MomentCheck, ...]:
-        cells = zip(itertools.count(1), self.moment_values.tolist(), self.moment_passed.tolist())
-        return tuple(itertools.starmap(MomentCheck, cells))
-
-    @lazy
-    def jll_checks(self) -> tuple[JllCheck, ...]:
-        grids = (self.jll_lhs, self.jll_rhs, self.jll_passed)
-        cells = zip(*_jll_grid(self.jll_depth), *(g.ravel().tolist() for g in grids))
-        return tuple(itertools.starmap(JllCheck, cells))
-
-
-@functools.lru_cache(maxsize=16)
-def _jll_grid(depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(zip(*itertools.product(range(1, depth + 1), repeat=2)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,8 +209,8 @@ def _grade_moments(
     s_k is tol * (2*rho)**k, and the (k, m) cell's is n**(m-1) times
     that of s_km; the checks are homogeneous, so scaling s_k by c**k and
     rho by c changes no verdict.  s needs max(depth, jll_depth**2)
-    entries; a NaN moment fails its check.  Returns s_1..s_depth with
-    their pass flags, then the jll_depth x jll_depth grids s_k**m,
+    entries; a NaN moment fails its check.  Returns the pass flags of
+    s_1..s_depth, then the jll_depth x jll_depth grids s_k**m,
     n**(m-1) * s_km and their pass flags, row k, column m.  Every power
     of a moment is Python's float power, which np.power does not always
     match, so each entry is what a scalar loop over the checks gives.
@@ -257,7 +222,7 @@ def _grade_moments(
     km, n_pow = _jll_factors(n, jll_depth)
     lhs = np.array([x**m for x in s.real[:jll_depth].tolist() for m in ms]).reshape(km.shape)
     rhs = n_pow * s.real[km - 1]
-    return moments, moment_ok, lhs, rhs, lhs <= rhs + n_pow * tk[km]
+    return moment_ok, lhs, rhs, lhs <= rhs + n_pow * tk[km]
 
 
 def check_necessary_conditions(
@@ -298,7 +263,7 @@ def check_necessary_conditions(
     self_conjugate, radius_in_list = bool(residual <= base), bool(margin <= base)
 
     s = power_sums(unit, max(depth, jll_depth * jll_depth))
-    _, moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
     overall = self_conjugate and radius_in_list and moment_ok.all() and jll_ok.all()
     for a in (s, moment_ok, lhs, rhs, jll_ok):
         a.flags.writeable = False

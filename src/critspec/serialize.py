@@ -34,7 +34,7 @@ from .harness import (
     RealizabilityReport,
     RouteResult,
 )
-from .moments import ConditionReport, _jll_grid
+from .moments import ConditionReport
 from .polynomial import MonicPolynomial
 from .spectra import Classification, SpectrumList
 
@@ -241,7 +241,8 @@ def _moment_prototype(depth: int) -> list:
 
 def _jll_prototype(depth: int) -> list:
     cell = {"lhs": _SLOT, "rhs": _SLOT, "passed": _SLOT}
-    return [{"k": k, "m": m, **cell} for k, m in zip(*_jll_grid(depth))]
+    grid = itertools.product(range(1, depth + 1), repeat=2)
+    return [{"k": k, "m": m, **cell} for k, m in grid]
 
 
 def condition_report_record(r: ConditionReport) -> dict:

@@ -114,13 +114,6 @@ class SpectrumList:
                 return None
         return tuple(z.real for z in self if not z.imag), tuple(z for z in self if z.imag > 0)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return all(abs(z.imag) <= tol for z in self.entries)
-
-    def real_parts(self) -> np.ndarray:
-        """Real parts in descending order."""
-        return np.sort(np.array([z.real for z in self.entries]))[::-1]
-
 
 SpectrumLike = Union[SpectrumList, Iterable[complex]]
 
@@ -250,7 +243,10 @@ def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
 def interlaces(lam: SpectrumLike, mu: SpectrumLike, tol: float = 1e-9) -> bool:
     """Whether mu interlaces lam: l1 >= m1 >= l2 >= ... >= m_{n-1} >= ln.
 
-    Both lists must be real within tol and |mu| must equal |lam| - 1.
+    Both lists must be real and |mu| must equal |lam| - 1.  Realness and
+    every comparison allow tol * 2*rho, rho the larger spectral radius of
+    the two lists, as in classify, so c * (lam, mu) gets the answer of
+    (lam, mu).
     """
     L = as_spectrum(lam)
     M = as_spectrum(mu)
@@ -258,11 +254,13 @@ def interlaces(lam: SpectrumLike, mu: SpectrumLike, tol: float = 1e-9) -> bool:
         raise ValueError(
             f"interlacing needs sizes n and n-1, got {len(L)} and {len(M)}"
         )
-    if not L.is_real(tol) or not M.is_real(tol):
+    t = tol * 2.0 * max(S.spectral_radius for S in (L, M) if len(S))
+    if any(abs(z.imag) > t for z in L.entries + M.entries):
         raise ValueError("interlacing is defined for real lists only")
-    lv = L.real_parts()
-    mv = M.real_parts()
+    # Canonical order is descending real part.
+    lv = [z.real for z in L]
+    mv = [z.real for z in M]
     for i in range(len(mv)):
-        if lv[i] < mv[i] - tol or mv[i] < lv[i + 1] - tol:
+        if lv[i] < mv[i] - t or mv[i] < lv[i + 1] - t:
             return False
     return True

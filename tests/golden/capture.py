@@ -93,6 +93,9 @@ SUBNORMAL = "1e-310,-4e-311,-4e-311"
 # the spectral radius is not finite, exit 3.
 PAST_THE_RANGE = "1.3e308+1.3e308i,1.3e308-1.3e308i,-1.3e308"
 
+# s_1 = s_3 = -1 < 0, and so is every odd moment; s_1**3 <= 9 * s_3 fails too.
+FAILS_MOMENTS = "1,-1,-1"
+
 README_EXAMPLES = (
     ("check", "--", "-1,-1,3"),
     ("critical", "1,1,-2/3,-2/3,-2/3"),
@@ -165,6 +168,9 @@ def _cli_cases() -> list[dict]:
     cases.append({"argv": ["chain", "1e200,-1e200", "--constants=-1"]})
     for cmd in ("check", "verify"):
         cases.append({"argv": [cmd, PAST_THE_RANGE]})
+    # The human summary names the failing moments and power-sum cells.
+    for cmd in ("check", "verify"):
+        cases.append({"argv": [cmd, FAILS_MOMENTS]})
     for case in cases:
         case["id"] = " ".join(case["argv"])
     return cases

@@ -106,9 +106,16 @@ class TestCheckCommand:
         # s_1 = s_3 = -1 of 1,-1,-1 fail, and so does s_1**3 <= 9 * s_3.
         code, out = run_capture(["check", "1,-1,-1"])
         report = check_necessary_conditions(parse_spectrum("1,-1,-1"))
-        ks = [c.k for c in report.moment_checks if not c.passed]
-        kms = [(c.k, c.m) for c in report.jll_checks if not c.passed]
-        assert code == 1 and 1 in ks and (1, 3) in kms
+        ks = [k for k in range(1, report.moment_depth + 1) if not report.moment_passed[k - 1]]
+        kms = [
+            (k, m)
+            for k in range(1, report.jll_depth + 1)
+            for m in range(1, report.jll_depth + 1)
+            if not report.jll_passed[k - 1, m - 1]
+        ]
+        assert ks == [1, 3, 5, 7, 9, 11]
+        assert kms == [(1, 3), (1, 5), (1, 7), (3, 3), (3, 5), (3, 7), (5, 3), (5, 5), (7, 3)]
+        assert code == 1
         assert f"FAIL at k={ks}\n" in out
         assert f"FAIL at (k,m)={kms}\n" in out
 

@@ -19,8 +19,6 @@ from critspec import (
     random_realizable,
 )
 from critspec.moments import (
-    JllCheck,
-    MomentCheck,
     _grade_moments,
     _monov_matrix,
 )
@@ -151,8 +149,8 @@ class TestNecessaryConditions:
         )
         assert report.overall
         assert report.moment_depth == 20
-        assert len(report.moment_checks) == 20
-        assert len(report.jll_checks) == 64
+        assert report.moment_values.shape == report.moment_passed.shape == (20,)
+        assert report.jll_lhs.shape == report.jll_rhs.shape == report.jll_passed.shape == (8, 8)
 
     def test_golden_critical_points_pass(self):
         report = check_necessary_conditions([1, 1 / 3, -2 / 3, -2 / 3])
@@ -172,16 +170,14 @@ class TestNecessaryConditions:
 
     def test_negative_moment_fails_eq3(self):
         report = check_necessary_conditions([-1, -1, 0.5])
-        failing = [c for c in report.moment_checks if not c.passed]
-        assert failing
+        assert not report.moment_passed.all()
         assert not report.overall
 
     def test_jll_violation_detected(self):
         # Real lists can never violate k=1, m=2 (Cauchy-Schwarz), but a
         # dominant conjugate pair can: s2 < 0 while s1 > 0.
         report = check_necessary_conditions([1 + 2j, 1 - 2j, 0.1])
-        jll_12 = next(c for c in report.jll_checks if (c.k, c.m) == (1, 2))
-        assert not jll_12.passed
+        assert not report.jll_passed[0, 1]  # k = 1, m = 2
         assert not report.overall
 
     def test_realizable_spectra_always_pass(self):
@@ -263,24 +259,26 @@ def _grade_moments_loop(s, n, rho, depth, jll_depth, tol):
     """The battery's grader as a scalar loop over the checks: the reference.
 
     s and rho are at unit scale (rho < 1), as the grader takes them.
+    Returns the values and pass flags of s_1..s_depth by k, then the
+    cells s_k**m, n**(m-1) * s_km and their pass flags, (k, m) row-major.
     """
-    moment_checks = []
+    values, moment_ok = [], []
     for k in range(1, depth + 1):
         tk = tol * (2.0 * rho) ** k
         v = complex(s[k - 1])
-        ok = v.real >= -tk and abs(v.imag) <= tk
-        moment_checks.append(MomentCheck(k=k, value=v, passed=bool(ok)))
+        values.append(v)
+        moment_ok.append(bool(v.real >= -tk and abs(v.imag) <= tk))
 
-    jll_checks = []
+    lhs, rhs, jll_ok = [], [], []
     for k in range(1, jll_depth + 1):
         for m in range(1, jll_depth + 1):
             a = float(s[k - 1].real)
             b = float(s[k * m - 1].real)
             n_pow = float(n) ** (m - 1)
-            lhs, rhs = a**m, n_pow * b
-            ok = lhs <= rhs + n_pow * (tol * (2.0 * rho) ** (k * m))
-            jll_checks.append(JllCheck(k=k, m=m, lhs=lhs, rhs=rhs, passed=bool(ok)))
-    return tuple(moment_checks), tuple(jll_checks)
+            lhs.append(a**m)
+            rhs.append(n_pow * b)
+            jll_ok.append(bool(lhs[-1] <= rhs[-1] + n_pow * (tol * (2.0 * rho) ** (k * m))))
+    return tuple(values), tuple(moment_ok), tuple(lhs), tuple(rhs), tuple(jll_ok)
 
 
 def _to_unit(lam):
@@ -363,22 +361,12 @@ class TestBatteryReference:
             n = len(lam)
             rho = as_spectrum(unit).spectral_radius
             got = _grade_moments(s, n, rho, depth, jll_depth, tol)
-            moment_checks, jll_checks = _grade_moments_loop(s, n, rho, depth, jll_depth, tol)
-            # The grader's arrays are positional: moments by k, the grids
-            # by row k and column m.
-            assert [c.k for c in moment_checks] == list(range(1, depth + 1))
-            grid = [(k, m) for k in range(1, jll_depth + 1) for m in range(1, jll_depth + 1)]
-            assert [(c.k, c.m) for c in jll_checks] == grid
-            want = (
-                tuple(c.value for c in moment_checks),
-                tuple(c.passed for c in moment_checks),
-                tuple(c.lhs for c in jll_checks),
-                tuple(c.rhs for c in jll_checks),
-                tuple(c.passed for c in jll_checks),
-            )
+            _, *want = _grade_moments_loop(s, n, rho, depth, jll_depth, tol)
+            # The grader's arrays are positional: moment flags by k, the
+            # grids by row k and column m.
             got = tuple(tuple(x.ravel().tolist()) for x in got)
             # repr tells signed zeros apart, which == cannot.
-            assert repr(got) == repr(want), lam
+            assert repr(got) == repr(tuple(want)), lam
             out_of_range += not np.all(np.isfinite(_power_sums_loop(lam, K)))
         # The corpus has lists whose moments leave the double range at
         # their own scale, not just once.
@@ -392,26 +380,20 @@ class TestBatteryReference:
             unit, e = _to_unit(lam)
             rho = as_spectrum(unit).spectral_radius
             s = power_sums(unit, max(depth, jll_depth * jll_depth))
-            moment_checks, jll_checks = _grade_moments_loop(
+            values, moment_ok, lhs, rhs, jll_ok = _grade_moments_loop(
                 s, len(lam), rho, depth, jll_depth, 1e-9
             )
+            degrees = [k * m for k in range(1, jll_depth + 1) for m in range(1, jll_depth + 1)]
             want = (
-                tuple(
-                    MomentCheck(c.k, _at_scale(c.value, c.k * e), c.passed)
-                    for c in moment_checks
-                ),
-                tuple(
-                    JllCheck(
-                        c.k,
-                        c.m,
-                        _at_scale(c.lhs, c.k * c.m * e),
-                        _at_scale(c.rhs, c.k * c.m * e),
-                        c.passed,
-                    )
-                    for c in jll_checks
-                ),
+                tuple(_at_scale(v, k * e) for k, v in enumerate(values, 1)),
+                moment_ok,
+                tuple(_at_scale(x, d * e) for x, d in zip(lhs, degrees)),
+                tuple(_at_scale(x, d * e) for x, d in zip(rhs, degrees)),
+                jll_ok,
             )
-            assert repr((report.moment_checks, report.jll_checks)) == repr(want), lam
+            names = ("moment_values", "moment_passed", "jll_lhs", "jll_rhs", "jll_passed")
+            got = tuple(tuple(getattr(report, a).ravel().tolist()) for a in names)
+            assert repr(got) == repr(want), lam
 
     def test_moment_values_are_the_power_sums_of_the_list(self):
         # The exact rescaling gives the list's own power sums bit for bit

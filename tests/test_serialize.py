@@ -234,6 +234,28 @@ def _finite_or_none(x):
 
 
 def _ref_condition_report(r):
+    moment_checks = []
+    for k in range(1, r.moment_depth + 1):
+        value = complex(r.moment_values[k - 1])
+        moment_checks.append(
+            {
+                "k": k,
+                "value": {"re": _finite_or_none(value.real), "im": _finite_or_none(value.imag)},
+                "passed": bool(r.moment_passed[k - 1]),
+            }
+        )
+    jll_checks = []
+    for k in range(1, r.jll_depth + 1):
+        for m in range(1, r.jll_depth + 1):
+            jll_checks.append(
+                {
+                    "k": k,
+                    "m": m,
+                    "lhs": _finite_or_none(r.jll_lhs[k - 1, m - 1]),
+                    "rhs": _finite_or_none(r.jll_rhs[k - 1, m - 1]),
+                    "passed": bool(r.jll_passed[k - 1, m - 1]),
+                }
+            )
     return {
         "self_conjugate": r.self_conjugate,
         "pairing_residual": float(r.pairing_residual),
@@ -241,27 +263,8 @@ def _ref_condition_report(r):
         "spectral_radius_margin": float(r.spectral_radius_margin),
         "moment_depth": r.moment_depth,
         "jll_depth": r.jll_depth,
-        "moment_checks": [
-            {
-                "k": c.k,
-                "value": {
-                    "re": _finite_or_none(c.value.real),
-                    "im": _finite_or_none(c.value.imag),
-                },
-                "passed": c.passed,
-            }
-            for c in r.moment_checks
-        ],
-        "jll_checks": [
-            {
-                "k": c.k,
-                "m": c.m,
-                "lhs": _finite_or_none(c.lhs),
-                "rhs": _finite_or_none(c.rhs),
-                "passed": c.passed,
-            }
-            for c in r.jll_checks
-        ],
+        "moment_checks": moment_checks,
+        "jll_checks": jll_checks,
         "overall": r.overall,
     }
 

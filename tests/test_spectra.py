@@ -412,6 +412,26 @@ class TestInterlaces:
     def test_boundary_ties_pass(self):
         assert interlaces([2, 1, 0], [2, 1])
 
+    def test_tolerance_scales_with_the_lists(self):
+        # m1 = 1e-10 < l2 = 2e-10; an absolute tolerance of 1e-9 hid it.
+        assert not interlaces([3e-10, 2e-10, 1e-10], [1e-10, 5e-11])
+        cases = [
+            ([3, 2, 1], [1, 0.5]),
+            ([3, 2, 1], [2.5 + 1e-9j, 1.5]),
+            ([1, 1, -2 / 3, -2 / 3, -2 / 3], [1, 1 / 3, -2 / 3, -2 / 3]),
+            ([2, 1, 0], [2, 1]),
+            ([3, 1, 0], [2, 2]),
+            ([2, 1, 0], [2 + 1e-9, 1 - 1e-9]),
+            ([2, 1, 0], [2 + 1e-8, 1]),
+        ]
+        for lam, mu in cases:
+            want = interlaces(lam, mu)
+            for c in (1e-12, 1.0, 1e12):
+                assert interlaces([c * x for x in lam], [c * x for x in mu]) == want, (lam, c)
+        for c in (1e-12, 1.0, 1e12):
+            with pytest.raises(ValueError, match="real"):
+                interlaces([c * 3, c * 2, c * 1], [c * (2.5 + 1e-7j), c * 1.5])
+
     def test_random_eigen_interlacing(self):
         # Cauchy interlacing of a random symmetric matrix against its
         # leading principal submatrix is an independent ground truth.
