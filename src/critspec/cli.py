@@ -236,10 +236,11 @@ def _print_condition_summary(r, out) -> None:
           f"(pairing residual {r.pairing_residual:.3e})", file=out)
     print(f"spectral radius in list: {mark(r.spectral_radius_in_list)} "
           f"(margin {r.spectral_radius_margin:.3e})", file=out)
+    label = f"moments k=1..{r.moment_depth}:"
     if failing_k:
-        print(f"moments k=1..{r.moment_depth}:        FAIL at k={failing_k}", file=out)
+        print(f"{label:<24} FAIL at k={failing_k}", file=out)
     else:
-        print(f"moments k=1..{r.moment_depth}:        pass", file=out)
+        print(f"{label:<24} pass", file=out)
     if failing_jll:
         print(f"power-sum inequality:    FAIL at (k,m)={failing_jll}", file=out)
     else:
@@ -331,8 +332,9 @@ def _cmd_realize(args, out) -> int:
     verify, which stops at a route's failed sign test to skip the
     eigenvalue solve, realize always shows the matrix as built, its sign
     class and the backward error of its spectrum, so a failed route can
-    be inspected; a certified route shows the certificate.  A matrix with
-    non-finite entries is a NumericError.
+    be inspected; a certified route shows the certificate and its own
+    backward error.  Each candidate's spectrum is solved once.  A matrix
+    with non-finite entries is a NumericError.
     """
     if args.pivot is not None and args.route != "dcomp":
         raise ParseError("--pivot applies only to --route dcomp")
@@ -347,14 +349,17 @@ def _cmd_realize(args, out) -> int:
             sign = matrix_sign_class(M, args.tol)
         except ValueError:
             pass
-        residual, mismatch = _certify(M, spec, crit)
         # real-dcomp promises a real matrix with the right spectrum, not
         # a nonnegative one.
         if args.route == "real-dcomp":
-            cert = M if mismatch is None else None
+            residual, reason = _certify(M, spec, crit)
+            cert = M if reason is None else None
         else:
-            cert, _, reason = _certificate(M, spec, crit, args.tol)
-        reason = mismatch or reason
+            cert, residual, reason = _certificate(M, spec, crit, args.tol)
+        if residual is None:
+            # M is complex or failed the sign test, so no solve ran.
+            residual, mismatch = _certify(M, spec, crit)
+            reason = mismatch or reason
         M = M if cert is None else cert
     certified = cert is not None
     if args.fmt == "machine":

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NumericError", "NonConvergenceError", "ParseError"]
+
 
 class NumericError(RuntimeError):
     """A floating-point computation produced an untrustworthy result."""

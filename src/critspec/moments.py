@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split, lazy
 from .spectra import pairing_residual
 
@@ -169,12 +170,14 @@ class ConditionReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _jll_factors(n: int, jll_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    # k*m on the (k, m) grid and n**(m-1) by column m, read-only.
+def _jll_factors(n: int, jll_depth: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    # k*m on the (k, m) grid and n**(m-1) by column m, read-only, and
+    # whether n**jll_depth, above both sides of every cell, is a double.
+    # Raises OverflowError when some n**(m-1) is not.
     ms = range(1, jll_depth + 1)
     km, n_pow = np.outer(ms, ms), np.array([float(n) ** (m - 1) for m in ms])
     km.flags.writeable = n_pow.flags.writeable = False
-    return km, n_pow
+    return km, n_pow, float(n_pow[-1]) * n < math.inf
 
 
 def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
@@ -214,14 +217,23 @@ def _grade_moments(
     n**(m-1) * s_km and their pass flags, row k, column m.  Every power
     of a moment is Python's float power, which np.power does not always
     match, so each entry is what a scalar loop over the checks gives.
+    Raises NumericError when a cell leaves the double range, which takes
+    n**jll_depth past it.
     """
     tk = tol * _growth(rho, max(depth, jll_depth * jll_depth))
     moments, t = s[:depth], tk[1 : depth + 1]
     moment_ok = (moments.real >= -t) & (np.abs(moments.imag) <= t)
     ms = range(1, jll_depth + 1)
-    km, n_pow = _jll_factors(n, jll_depth)
-    lhs = np.array([x**m for x in s.real[:jll_depth].tolist() for m in ms]).reshape(km.shape)
-    rhs = n_pow * s.real[km - 1]
+    try:
+        km, n_pow, bounded = _jll_factors(n, jll_depth)
+        lhs = np.array([x**m for x in s.real[:jll_depth].tolist() for m in ms]).reshape(km.shape)
+        with contextlib.nullcontext() if bounded else np.errstate(over="raise"):
+            rhs = n_pow * s.real[km - 1]
+    except (OverflowError, FloatingPointError):
+        raise NumericError(
+            f"power-sum inequality at depth {jll_depth} on {n} entries "
+            f"leaves the double range"
+        ) from None
     return moment_ok, lhs, rhs, lhs <= rhs + n_pow * tk[km]
 
 

@@ -16,6 +16,8 @@ from critspec import (
     NumericError,
     ParseError,
     check_necessary_conditions,
+    harness,
+    spectrum,
     verify_critical_realizability,
 )
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
@@ -397,6 +399,10 @@ class TestNearTheDoubleRange:
             ("realize", "1e308,1e308,1e308", "--route", "dft"),
             ("chain", "1e200,-1e200", "--constants=-1"),
             ("critical", "1e300,-1e300,1"),
+            # n**(m-1) of the power-sum grid leaves the double range.
+            ("check", "3,-1,-1", "--jll", "700"),
+            ("verify", "4,-1,-1,-1", "--jll", "700"),
+            ("hunt", "--n", "4", "--samples", "1", "--jll", "700"),
         ],
         ids=" ".join,
     )
@@ -485,11 +491,26 @@ class TestRealizeAgreesWithVerify:
 
     @pytest.mark.parametrize("text", LISTS)
     def test_realize_certifies_exactly_when_verify_route_succeeds(self, text):
+        # A certificate's residual is its own backward error, as in verify.
         report = verify_critical_realizability(parse_spectrum(text))
-        succeeded = {r.name: r.succeeded for r in report.routes}
+        routes = {r.name: r for r in report.routes}
         for route, name in self.ROUTES.items():
-            code, _ = run_capture(["realize", text, "--route", route])
-            assert (code == 0) == succeeded[name], (route, code)
+            code, out = run_capture(["realize", text, "--route", route, "--format", "machine"])
+            assert (code == 0) == routes[name].succeeded, (route, code)
+            if code == 0:
+                assert json.loads(out)["report"]["residual"] == routes[name].residual, route
+
+    @pytest.mark.parametrize("route", ["companion", "dcomp", "dft", "real-dcomp"])
+    def test_realize_solves_the_candidate_spectrum_once(self, route, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return spectrum(M)
+
+        monkeypatch.setattr(harness, "spectrum", counting)
+        assert run_capture(["realize", "3,-1,-1", "--route", route])[0] == 0
+        assert len(calls) == 1
 
 
 class TestBadTolerance:

@@ -29,3 +29,18 @@ def test_every_exported_name_resolves(name):
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
 
+
+# The modules critspec/__init__.py star-imports, in import order.
+REEXPORTED = ["errors", "spectra", "polynomial", "moments", "realizers", "differentiator", "harness"]
+
+
+def test_package_exports_exactly_its_modules_all():
+    joined = [
+        attr
+        for name in REEXPORTED
+        for attr in importlib.import_module(f"critspec.{name}").__all__
+    ]
+    assert critspec.__all__ == joined + ["__version__"]
+    namespace: dict = {}
+    exec("from critspec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(critspec.__all__)

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_complex_list, random_self_conjugate, random_suleimanova
 from critspec import (
     ENSEMBLES,
+    NumericError,
     as_spectrum,
     check_necessary_conditions,
     critical_moment,
@@ -198,6 +199,17 @@ class TestNecessaryConditions:
             check_necessary_conditions([1, 2], kmax=0)
         with pytest.raises(ValueError):
             check_necessary_conditions([1, 2], jll_depth=0)
+
+    def test_power_sum_grid_past_the_double_range_raises(self):
+        # 3**646 is a double and 3**647 is not.  At depth 647 the cell
+        # (2, 647) is 3**646 * s_1294, about 1.8 * 1.7e308; one depth
+        # less, every cell is finite.
+        lam = [0.9999, -0.9999, 0.5]
+        with pytest.raises(NumericError, match="depth 647 on 3 entries"):
+            check_necessary_conditions(lam, kmax=1, jll_depth=647)
+        with np.errstate(over="ignore"):  # the slack, not a cell, overflows here
+            report = check_necessary_conditions(lam, kmax=1, jll_depth=646)
+        assert np.isfinite(report.unit_jll_lhs).all() and np.isfinite(report.unit_jll_rhs).all()
 
 
 class TestJllPairEquivalence:
