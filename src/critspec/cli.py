@@ -38,7 +38,7 @@ from .harness import (
 from .moments import check_necessary_conditions, critical_moments, power_sums
 from .differentiator import compression_critical_points
 from .polynomial import from_roots
-from .realizers import d_companion, matrix_sign_class, real_d_companion
+from .realizers import d_companion, real_d_companion
 from .spectra import SpectrumList, as_spectrum
 
 __all__ = ["parse_complex", "parse_spectrum", "run", "main"]
@@ -166,14 +166,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format",
         )
 
+    def add_depths(p: argparse.ArgumentParser, jll: bool = True) -> None:
+        p.add_argument("--kmax", type=int, default=None, help="moment depth (default 4n)")
+        if jll:
+            p.add_argument("--jll", type=int, default=8, help="power-sum inequality depth")
+
     p = sub.add_parser("check", help="run the necessary conditions on a list")
     add_common(p)
-    p.add_argument("--kmax", type=int, default=None, help="moment depth (default 4n)")
-    p.add_argument("--jll", type=int, default=8, help="power-sum inequality depth")
+    add_depths(p)
 
     p = sub.add_parser("critical", help="critical points and their moments")
     add_common(p)
-    p.add_argument("--kmax", type=int, default=None, help="moment depth (default 4n)")
+    add_depths(p, jll=False)
 
     p = sub.add_parser("realize", help="construct one realizing matrix for the critical points")
     add_common(p)
@@ -187,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full realizability verification of the critical points")
     add_common(p)
-    p.add_argument("--kmax", type=int, default=None, help="moment depth (default 4n)")
-    p.add_argument("--jll", type=int, default=8, help="power-sum inequality depth")
+    add_depths(p)
 
     p = sub.add_parser("hunt", help="randomized stress test over realizable spectra")
     add_common(p, spectrum=False)
@@ -196,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--ensemble", choices=ENSEMBLES, default="dense-uniform")
-    p.add_argument("--kmax", type=int, default=None, help="moment depth (default 4n)")
-    p.add_argument("--jll", type=int, default=8, help="power-sum inequality depth")
+    add_depths(p)
 
     p = sub.add_parser("chain", help="iterated monic antiderivatives of the list's polynomial")
     add_common(p)
@@ -327,35 +329,24 @@ def _cmd_realize(args, out) -> int:
     """Build one route's matrix and report on it.
 
     The critical points are verify's, the eigenvalues of the
-    differentiator compression, and the matrix is certified by verify's
-    one test (harness._certificate), so realize and verify agree.  Unlike
-    verify, which stops at a route's failed sign test to skip the
-    eigenvalue solve, realize always shows the matrix as built, its sign
-    class and the backward error of its spectrum, so a failed route can
-    be inspected; a certified route shows the certificate and its own
-    backward error.  Each candidate's spectrum is solved once.  A matrix
-    with non-finite entries is a NumericError.
+    differentiator compression, and every route's matrix, real-dcomp's
+    too, is certified by verify's one test (harness._certificate), so
+    realize and verify agree.  Unlike verify, which stops at a route's
+    failed sign test to skip the eigenvalue solve, realize always shows
+    the matrix as built, the sign class _certificate found and the
+    backward error of its spectrum, so a failed route can be inspected;
+    a certified route shows the certificate and its own backward error.
+    Each candidate's spectrum is solved once.  A matrix with non-finite
+    entries is a NumericError.
     """
     if args.pivot is not None and args.route != "dcomp":
         raise ParseError("--pivot applies only to --route dcomp")
     spec = parse_spectrum(args.spectrum)
     crit = compression_critical_points(spec)
     M, reason = _build_realizer(args, spec)
-    sign = None
-    residual = None
-    cert = None
+    sign = residual = cert = None
     if M is not None:
-        try:
-            sign = matrix_sign_class(M, args.tol)
-        except ValueError:
-            pass
-        # real-dcomp promises a real matrix with the right spectrum, not
-        # a nonnegative one.
-        if args.route == "real-dcomp":
-            residual, reason = _certify(M, spec, crit)
-            cert = M if reason is None else None
-        else:
-            cert, residual, reason = _certificate(M, spec, crit, args.tol)
+        cert, residual, reason, sign = _certificate(M, spec, crit, args.tol)
         if residual is None:
             # M is complex or failed the sign test, so no solve ran.
             residual, mismatch = _certify(M, spec, crit)
@@ -493,7 +484,7 @@ def _cmd_chain(args, out) -> int:
     if not constants:
         raise ParseError("no constants given", token=args.constants)
     p = from_roots(spec)
-    report = antiderivative_chain(p, constants)
+    report = antiderivative_chain(p, constants, args.tol)
     if args.fmt == "machine":
         doc = {
             "command": "chain",

@@ -17,10 +17,9 @@ import math
 
 import numpy as np
 
-from .polynomial import derivative_monic
-from .realizers import charpoly
 from .errors import NumericError
-from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
+from .realizers import spectrum
+from .spectra import SpectrumLike, SpectrumList, _backward_error, as_spectrum, conjugate_split
 
 __all__ = [
     "unit_vector",
@@ -181,11 +180,11 @@ def trace_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
 
 
 def is_differentiator(A: np.ndarray, z: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether the compression along z has characteristic polynomial p'/n."""
+    """Whether the compression along z has characteristic polynomial p'/n,
+    p that of A: its spectrum is within backward error tol of the critical
+    points of A's spectrum, as a route certificate's must be.  No
+    polynomial is expanded, so there is no order limit."""
     B = compression(A, z)
-    target = derivative_monic(charpoly(np.asarray(A, dtype=complex)))
-    got = charpoly(B)
-    ct = np.array(target.coeffs)
-    cg = np.array(got.coeffs)
-    scale = 1.0 + float(max(np.max(np.abs(ct)), np.max(np.abs(cg))))
-    return bool(np.all(np.abs(ct - cg) <= tol * scale))
+    lam = spectrum(A)
+    crit = compression_critical_points(lam)
+    return _backward_error(spectrum(B), crit, lam.spectral_radius or 1.0) <= tol

@@ -32,7 +32,6 @@ from .moments import (
     ConditionReport,
     _grade_moments,
     _growth,
-    _ldexp,
     check_necessary_conditions,
     critical_moment,
     power_sums,
@@ -59,6 +58,8 @@ from .spectra import (
     Classification,
     SpectrumLike,
     SpectrumList,
+    _backward_error,
+    _ldexp,
     as_spectrum,
     classify,
     conjugate_split,
@@ -90,7 +91,7 @@ ENSEMBLES = (
     "circulant-nonnegative",
 )
 
-# Largest backward error (see _backward_error) at which a candidate's
+# Largest backward error (spectra._backward_error) at which a candidate's
 # spectrum is taken for the critical points.  Every route's candidate
 # has the critical points as its spectrum by construction; over the
 # benchmark's corpora and hunts at orders up to 16 they measure below
@@ -107,10 +108,10 @@ class VerifyConfig:
     tol        tolerance for the condition checks: tol * (2*rho)**k on a
                term of degree k in the critical points, rho their spectral
                radius, so the verdict does not change with the scale of the
-               list (check_necessary_conditions).  In the routes it only
-               decides which candidates are worth an eigenvalue solve: the
-               sign test at -tol * (1 + max|M|), the DFT route's equal real
-               entries and the Hadamard image's imaginary dust.  Whether a
+               list (check_necessary_conditions).  The route filters, which
+               only spare eigenvalue solves, scale too: the sign test and
+               the Hadamard image's imaginary dust at tol * max|M|, the DFT
+               route's equal real entries at tol * 2*rho.  Whether a
                candidate certifies does not depend on it (_certificate).
     kmax       moment depth (None means 4 * list size)
     jll_depth  grid depth for the power-sum inequality
@@ -195,31 +196,6 @@ class _RouteFailure(Exception):
     """A route's build found no candidate; the message is the reason."""
 
 
-def _backward_error(nu: SpectrumList, mu: SpectrumList, scale: float) -> float:
-    """How far prod(t - nu) is from prod(t - mu), relative to prod(t + |mu|).
-
-    The coefficient differences are summed with the weights they have
-    at |t| = scale and divided by prod(scale + |mu|), so the number does
-    not change when both lists and the scale are multiplied by one
-    constant.  LAPACK's eigenvalues are backward stable, so a matrix
-    whose spectrum is mu in exact arithmetic comes out near eps here
-    even where mu has multiple entries, whose computed copies move by
-    eps**(1/m).  Lists of different lengths are infinitely far apart.
-    """
-    if len(nu) != len(mu):
-        return math.inf
-    mu_arr = mu.as_array()
-    # numpy divides complex by scale as times 1/scale, which overflows for
-    # a subnormal scale; 2**e divides exactly, then the mantissa unit.
-    unit, e = math.frexp(scale)
-    zeros = _ldexp(np.array([nu.as_array(), mu_arr, -np.abs(mu_arr)]), -e) / unit
-    coeffs = np.zeros((3, len(mu) + 1), dtype=complex)
-    coeffs[:, 0] = 1.0
-    for j in range(len(mu)):
-        coeffs[:, 1 : j + 2] -= zeros[:, j : j + 1] * coeffs[:, : j + 1]
-    return float(np.abs(coeffs[0] - coeffs[1]).sum() / coeffs[2].real.sum())
-
-
 def _certify(
     M: np.ndarray, spec: SpectrumList, crit: SpectrumList
 ) -> tuple[float, str | None]:
@@ -241,27 +217,28 @@ def _certify(
 
 def _certificate(
     M: np.ndarray, spec: SpectrumList, crit: SpectrumList, tol: float
-) -> tuple[np.ndarray | None, float | None, str | None]:
-    """The certificate candidate M gives for crit, its backward error, and
-    why there is none.
+) -> tuple[np.ndarray | None, float | None, str | None, MatrixSignClass | None]:
+    """The certificate candidate M gives for crit, its backward error, why
+    there is none, and M's sign class (None for a complex M).
 
-    A certificate is a real matrix with no negative entry whose spectrum
-    is crit (_certify).  A complex M fails, and so does one with an entry
-    below -tol * (1 + max|M|), which spares the eigenvalue solve.  Entries
-    left at or below zero (-0.0 too, not NaN) become +0.0 and the backward
-    error of that exact matrix decides: tol never passes a wrong certificate.
-    The backward error is None when no eigenvalue solve ran.  Raises
-    NumericError when M is not finite.
+    The one rule of verify and realize: a certificate is a real matrix with
+    no negative entry whose spectrum is crit (_certify).  A complex M fails,
+    and so does one with an entry below -tol * max|M|, sparing the solve.
+    Entries left at or below zero (-0.0 too, not NaN) become +0.0 and the
+    backward error of that exact matrix decides: tol never passes a wrong
+    certificate.  The backward error is None when no eigenvalue solve ran.
+    Raises NumericError when M is not finite.
     """
     try:
         sign = matrix_sign_class(M, tol)
     except ValueError as exc:
-        return None, None, str(exc)
+        return None, None, str(exc), None
     if sign is not MatrixSignClass.NONNEGATIVE:
-        return None, None, f"matrix is not entrywise nonnegative (sign class: {sign.value})"
+        reason = f"matrix is not entrywise nonnegative (sign class: {sign.value})"
+        return None, None, reason, sign
     M = np.where(M <= 0, 0.0, M)
     beta, reason = _certify(M, spec, crit)
-    return (M if reason is None else None), beta, reason
+    return (M if reason is None else None), beta, reason, sign
 
 
 def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
@@ -272,16 +249,16 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
     smallest real entry to frequency n/2.  Exact conjugate pairs
     (conjugate_split) take mirrored slots, by descending imaginary part;
     the remaining real entries must pair up with values equal within
-    tol * (1 + rho) to share one.  The entry counts leave exactly enough
-    slots.  d is Hermitian, so the real part of its inverse transform is
-    taken.  Raises _RouteFailure when no such ordering exists.
+    tol * 2*rho (classify's law) to share one.  The entry counts leave
+    exactly enough slots.  d is Hermitian, so the real part of its inverse
+    transform is taken.  Raises _RouteFailure when no such ordering exists.
     """
     n = len(spec)
-    tol_abs = tol * (1.0 + spec.spectral_radius)
+    t = tol * 2.0 * spec.spectral_radius
     reals, ups = conjugate_split(spec) or ([], [])
     rest = reals[1:-1] if n % 2 == 0 else reals[1:]
     pairs = list(zip(rest[::2], rest[1::2]))
-    if not reals or any(abs(r1 - r2) > 2.0 * tol_abs for r1, r2 in pairs):
+    if not reals or any(abs(r1 - r2) > t for r1, r2 in pairs):
         raise _RouteFailure("no conjugate-symmetric frequency arrangement exists")
     d = np.zeros(n, dtype=complex)
     d[0] = reals[0]
@@ -318,11 +295,10 @@ def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | N
     except ValueError as exc:
         raise _RouteFailure(str(exc)) from None
     # The image of a self-conjugate list can be real, as with the DFT
-    # matrix; it is computed in complex arithmetic, so its imaginary part
-    # is then rounding dust, dropped here.  Any other image stays complex.
-    if conjugate_split(spec) is not None and np.max(np.abs(A.imag)) <= cfg.tol * (
-        1.0 + np.max(np.abs(A))
-    ):
+    # matrix; computed in complex arithmetic, its imaginary part is then
+    # dust within tol * max|A|, dropped here.  Any other image stays complex.
+    dust = cfg.tol * np.max(np.abs(A))
+    if conjugate_split(spec) is not None and np.max(np.abs(A.imag)) <= dust:
         return A.real
     return A
 
@@ -355,7 +331,7 @@ def _run_route(
         if M is None:
             reason = "no similarity matrix supplied"
             return RouteResult(name, False, False, None, reason, None)
-        cert, beta, reason = _certificate(M, spec, crit, cfg.tol)
+        cert, beta, reason, _ = _certificate(M, spec, crit, cfg.tol)
     except (_RouteFailure, NumericError) as exc:
         return RouteResult(name, True, False, None, str(exc), None)
     return RouteResult(name, True, cert is not None, cert, reason, beta)
@@ -574,22 +550,22 @@ class ChainReport:
     all_nonnegative: bool
 
 
-def antiderivative_chain(p: MonicPolynomial, constants) -> ChainReport:
+def antiderivative_chain(p: MonicPolynomial, constants, tol: float = 1e-9) -> ChainReport:
     """Iterate monic antiderivatives, tracking companion sign and roots.
 
     The starting polynomial must have a nonnegative companion matrix.
     With nonpositive coefficients and nonpositive constants the chain
     stays companion-nonnegative forever; a positive constant breaks the
-    pattern at that step, and the report shows where.
+    pattern at that step, and the report shows where (sign classes at tol).
     """
-    if matrix_sign_class(companion(p)) is not MatrixSignClass.NONNEGATIVE:
+    if matrix_sign_class(companion(p), tol) is not MatrixSignClass.NONNEGATIVE:
         raise ValueError("the starting companion matrix must be nonnegative")
     steps: list[ChainStep] = []
     q = p
     for c in constants:
         q = antiderivative_monic(q, c)
         try:
-            sign = matrix_sign_class(companion(q))
+            sign = matrix_sign_class(companion(q), tol)
         except ValueError:
             sign = MatrixSignClass.NEITHER
         steps.append(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split, lazy
+from .spectra import SpectrumLike, SpectrumList, _ldexp, as_spectrum, conjugate_split, lazy
 from .spectra import pairing_residual
 
 __all__ = [
@@ -178,12 +178,6 @@ def _jll_factors(n: int, jll_depth: int) -> tuple[np.ndarray, np.ndarray, bool]:
     km, n_pow = np.outer(ms, ms), np.array([float(n) ** (m - 1) for m in ms])
     km.flags.writeable = n_pow.flags.writeable = False
     return km, n_pow, float(n_pow[-1]) * n < math.inf
-
-
-def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
-    """x * 2**e for a real or complex array: exact wherever the result is
-    a normal double, +-inf (with an overflow warning) past the range."""
-    return np.ldexp(x.view(float), e).view(x.dtype)
 
 
 def _scaled(spec: SpectrumList, e: int) -> SpectrumList:

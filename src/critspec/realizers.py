@@ -236,10 +236,11 @@ def spectrum(M: np.ndarray) -> SpectrumList:
 
 
 def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
-    """Entrywise sign classification of a real matrix at a scaled tolerance.
+    """Entrywise sign classification of a real matrix.
 
-    A complex-typed matrix has no sign class and raises ValueError, even
-    when its imaginary part is zero.
+    An entry counts as negative below -tol * max|M|, so c * M has the
+    class of M for every c > 0.  A complex-typed matrix has no sign
+    class and raises ValueError, even when its imaginary part is zero.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -248,7 +249,7 @@ def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
         raise ValueError("matrix is complex; only a real matrix has a sign class")
     if not M.size:
         return MatrixSignClass.NONNEGATIVE
-    thresh = -tol * (1.0 + abs(M).max())
+    thresh = -tol * abs(M).max()
     if M.min() >= thresh:
         return MatrixSignClass.NONNEGATIVE
     off = M[~np.eye(M.shape[0], dtype=bool)]

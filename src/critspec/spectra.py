@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -177,6 +178,37 @@ def pairing_residual(a: SpectrumLike, b: SpectrumLike, tol: float) -> float:
 
     rows, cols = linear_sum_assignment(dist**2)
     return float(dist[rows, cols].max())
+
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """x * 2**e for a real or complex array: exact wherever the result is
+    a normal double, +-inf (with an overflow warning) past the range."""
+    return np.ldexp(x.view(float), e).view(x.dtype)
+
+
+def _backward_error(nu: SpectrumList, mu: SpectrumList, scale: float) -> float:
+    """How far prod(t - nu) is from prod(t - mu), relative to prod(t + |mu|).
+
+    The coefficient differences are summed with the weights they have
+    at |t| = scale and divided by prod(scale + |mu|), so the number does
+    not change when both lists and the scale are multiplied by one
+    constant.  LAPACK's eigenvalues are backward stable, so a matrix
+    whose spectrum is mu in exact arithmetic comes out near eps here
+    even where mu has multiple entries, whose computed copies move by
+    eps**(1/m).  Lists of different lengths are infinitely far apart.
+    """
+    if len(nu) != len(mu):
+        return math.inf
+    mu_arr = mu.as_array()
+    # numpy divides complex by scale as times 1/scale, which overflows for
+    # a subnormal scale; 2**e divides exactly, then the mantissa unit.
+    unit, e = math.frexp(scale)
+    zeros = _ldexp(np.array([nu.as_array(), mu_arr, -np.abs(mu_arr)]), -e) / unit
+    coeffs = np.zeros((3, len(mu) + 1), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for j in range(len(mu)):
+        coeffs[:, 1 : j + 2] -= zeros[:, j : j + 1] * coeffs[:, : j + 1]
+    return float(np.abs(coeffs[0] - coeffs[1]).sum() / coeffs[2].real.sum())
 
 
 def multiset_equal(a: SpectrumLike, b: SpectrumLike, tol: float) -> bool:

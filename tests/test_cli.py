@@ -245,13 +245,30 @@ class TestRealizeCommand:
         rows = doc["report"]["matrix"]["rows"]
         assert rows[0][0]["re"] == pytest.approx(1 / 3)
 
-    def test_real_dcomp_certifies_by_spectrum(self):
+    def test_real_dcomp_certifies_only_a_nonnegative_matrix(self):
+        # The real d-companion of 2,i,-i has the critical points as its
+        # spectrum but a negative entry: like every route, not certified.
         code, out = run_capture(
             ["realize", "2,i,-i", "--route", "real-dcomp", "--format", "machine"]
         )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["report"]["certified"] is True
+        assert code == 1
+        report = json.loads(out)["report"]
+        assert report["certified"] is False
+        assert report["sign_class"] == "neither"
+        assert report["residual"] < 1e-15
+        assert report["reason"] == "matrix is not entrywise nonnegative (sign class: neither)"
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_small_scale_sign_class_as_at_scale_one(self, fmt):
+        # The d-companion of 1e-12,-1e-12,-1e-12 is 1e-12 times that of
+        # 1,-1,-1: diagonal -1/3, off-diagonal 2/3, Metzler at any scale.
+        argv = ["realize", "1e-12,-1e-12,-1e-12", "--route", "dcomp", "--format", fmt]
+        code, out = run_capture(argv)
+        assert code == 1
+        if fmt == "human":
+            assert "\nsign class: metzler\n" in out
+        else:
+            assert json.loads(out)["report"]["sign_class"] == "metzler"
 
     def test_real_dcomp_refuses_a_nearly_paired_list(self, capsys):
         # 1+i and 1-1.0000000001i are no conjugate pair: no real matrix has
@@ -635,6 +652,17 @@ class TestChainCommand:
     def test_bad_start_exit_two(self):
         code, _ = run_capture(["chain", "1,2", "--constants=-1"])
         assert code == 2
+
+    def test_tolerance_reaches_the_sign_class(self):
+        # The step's companion has one entry of -4e-4 beside entries up to
+        # 12: negative at the default 1e-9, within --tol 0.1 * 12.
+        argv = ["chain", "3,-1,-1", "--constants=0.0001"]
+        code, out = run_capture(argv)
+        assert code == 1
+        assert "companion sign class: neither" in out
+        code, out = run_capture([*argv, "--tol", "0.1"])
+        assert code == 0
+        assert "companion sign class: nonnegative" in out
 
     def test_leading_negative_spectrum_after_separator(self):
         code, out = run_capture(["check", "--", "-1,-1,3"])

@@ -24,6 +24,7 @@ from critspec import (
     differentiator,
     harness,
     hunt,
+    is_differentiator,
     polynomial,
     random_realizable,
     realizers,
@@ -134,6 +135,7 @@ def test_verify_and_hunt_solve_no_polynomial(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     for lam in (LISTS["circulant-nonnegative-8"], LISTS["repeated-16"], LISTS["complex-8"]):
         verify_critical_realizability(lam)
+        assert is_differentiator(np.diag(lam), np.ones(len(lam)))
     for ensemble in ENSEMBLES:
         report = hunt(HuntConfig(n_min=3, n_max=8, samples=10, seed=2, ensemble=ensemble))
         assert report.certified + report.uncertified + len(report.alarms) == 10

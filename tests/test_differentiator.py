@@ -138,6 +138,12 @@ class TestDifferentiator:
 
             assert pairing_residual(spectrum(B), critical_points(list(lam)), 1e-7) < 1e-7
 
+    def test_no_order_limit(self):
+        # The flat vector differentiates every diagonal matrix; order 40 is
+        # past the Faddeev-LeVerrier charpoly's limit of 32.
+        lam = np.random.default_rng(60).normal(size=40)
+        assert is_differentiator(np.diag(lam), np.ones(40))
+
     def test_agreement_with_trace_vector_random_pairs(self):
         rng = np.random.default_rng(56)
         for _ in range(60):

@@ -192,8 +192,8 @@ class TestCertificateRule:
         assert report.verdict == "conditions-hold-uncertified"
 
     def test_small_scale_negative_entries_do_not_certify(self):
-        # The sign test's threshold -tol*(1 + max|M|) is near -tol at this
-        # scale, above every negative entry of the candidates.
+        # The sign test's threshold -tol * max|M| scales with the candidate,
+        # so it rejects these negative entries as it does at scale 1.
         report = verify_critical_realizability(
             [2e-10, 1e-10 + 1e-10j, 1e-10 - 1e-10j, -2.5e-10]
         )
@@ -259,10 +259,23 @@ def _class_flags(report):
     )
 
 
+def _route_outcomes(report):
+    """Each route's success and the kind of its reason (the text before
+    any ':'), except the companion's: p'/n's coefficients have mixed
+    degree in the list, so its sign test still depends on the scale."""
+    return [
+        (r.name, r.succeeded, (r.reason or "").split(":")[0])
+        for r in report.routes
+        if r.name != "companion"
+    ]
+
+
 class TestScaleInvariance:
     """The checks are homogeneous and so is their tolerance: every pass
     flag of check and verify, and verify's verdict, is the same for
-    c * lam as for lam; so are verify's class flags, whose tolerance
+    c * lam as for lam, and so is the outcome of the d-companion,
+    dft-circulant and hadamard (DFT matrix) routes, whose filters scale
+    with the candidate; so are verify's class flags, whose tolerance
     follows the same law, for c = 10**-8 and 10**8."""
 
     SCALES = (1e-8, 1e-4, 0.3, 7.0, 1e4, 1e8)
@@ -270,12 +283,14 @@ class TestScaleInvariance:
 
     def _assert_invariant(self, lam, key):
         check = _condition_flags(check_necessary_conditions(lam))
-        report = verify_critical_realizability(lam)
+        cfg = VerifyConfig(hadamard=dft_matrix(len(lam)))
+        report = verify_critical_realizability(lam, cfg)
         for c in self.SCALES:
             scaled = as_spectrum(lam.as_array() * c)
             assert _condition_flags(check_necessary_conditions(scaled)) == check, (key, c)
-            got = verify_critical_realizability(scaled)
+            got = verify_critical_realizability(scaled, cfg)
             assert got.verdict == report.verdict, (key, c)
+            assert _route_outcomes(got) == _route_outcomes(report), (key, c)
             assert _condition_flags(got.conditions) == _condition_flags(report.conditions), (
                 key,
                 c,
