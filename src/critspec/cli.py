@@ -26,7 +26,6 @@ from .harness import (
     ENSEMBLES,
     HuntConfig,
     VerifyConfig,
-    _MATCH_TOL,
     _ROUTES,
     _certificate,
     _certify,
@@ -154,10 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, spectrum: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, spectrum: bool = True, tol: bool = True) -> None:
         if spectrum:
             p.add_argument("spectrum", help="comma-separated complex literals, or @file")
-        p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
         p.add_argument(
             "--format",
             choices=("human", "machine"),
@@ -176,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_depths(p)
 
     p = sub.add_parser("critical", help="critical points and their moments")
-    add_common(p)
+    add_common(p, tol=False)
     add_depths(p, jll=False)
 
     p = sub.add_parser("realize", help="construct one realizing matrix for the critical points")
-    add_common(p)
+    add_common(p, tol=False)
     p.add_argument(
         "--route",
         choices=("companion", "dcomp", "real-dcomp", "dft", "circulant"),
@@ -286,7 +286,7 @@ def _cmd_critical(args, out) -> int:
         doc = {
             "command": "critical",
             "input": _input_record(spec),
-            "config": {"tol": args.tol, "kmax": args.kmax},
+            "config": {"kmax": args.kmax},
             "report": {
                 "critical": serialize.spectrum_record(crit),
                 "moments": [
@@ -320,7 +320,7 @@ def _build_realizer(args, spec: SpectrumList):
         return real_d_companion(spec), None
     build = dict(_ROUTES)["companion" if args.route == "companion" else "dft-circulant"]
     try:
-        return build(spec, VerifyConfig(tol=args.tol)), None
+        return build(spec, VerifyConfig()), None
     except _RouteFailure as exc:
         return None, str(exc)
 
@@ -346,7 +346,7 @@ def _cmd_realize(args, out) -> int:
     M, reason = _build_realizer(args, spec)
     sign = residual = cert = None
     if M is not None:
-        cert, residual, reason, sign = _certificate(M, spec, crit, args.tol)
+        cert, residual, reason, sign = _certificate(M, spec, crit)
         if residual is None:
             # M is complex or failed the sign test, so no solve ran.
             residual, mismatch = _certify(M, spec, crit)
@@ -357,12 +357,7 @@ def _cmd_realize(args, out) -> int:
         doc = {
             "command": "realize",
             "input": _input_record(spec),
-            "config": {
-                "tol": args.tol,
-                "match_tol": _MATCH_TOL,
-                "route": args.route,
-                "pivot": args.pivot,
-            },
+            "config": {"route": args.route, "pivot": args.pivot},
             "report": {
                 "critical": serialize.spectrum_record(crit),
                 "route": args.route,
@@ -399,12 +394,7 @@ def _cmd_verify(args, out) -> int:
         doc = {
             "command": "verify",
             "input": _input_record(spec),
-            "config": {
-                "tol": args.tol,
-                "match_tol": _MATCH_TOL,
-                "kmax": args.kmax,
-                "jll": args.jll,
-            },
+            "config": {"tol": args.tol, "kmax": args.kmax, "jll": args.jll},
             "report": serialize.realizability_record(report),
         }
         _emit(doc, out)
@@ -451,7 +441,6 @@ def _cmd_hunt(args, out) -> int:
             "input": _input_record(None),
             "config": {
                 "tol": args.tol,
-                "match_tol": _MATCH_TOL,
                 "kmax": args.kmax,
                 "jll": args.jll,
                 "seed": args.seed,
@@ -530,7 +519,7 @@ def run(argv: list[str], out=None) -> int:
     out = sys.stdout if out is None else out
     args = _parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
         return _DISPATCH[args.command](args, out)
     except ValueError as exc:

@@ -47,7 +47,8 @@ def is_trace_vector(A: np.ndarray, z: np.ndarray, tol: float = 1e-9) -> bool:
 
     Powers beyond n-1 add nothing: the characteristic polynomial
     rewrites A**n in terms of lower powers.  The comparison at power k
-    is made at tol * (1 + ||A||**k) to track the growth of the powers.
+    is made at tol * ||A||**k, relative to the powers, so the answer for
+    c * A is that for A at every c > 0.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -61,7 +62,7 @@ def is_trace_vector(A: np.ndarray, z: np.ndarray, tol: float = 1e-9) -> bool:
     for k in range(n):
         val = complex(z.conj() @ power @ z)
         target = complex(np.trace(power)) / n
-        if abs(val - target) > tol * (1.0 + norm_a**k):
+        if abs(val - target) > tol * norm_a**k:
             return False
         power = power @ A
     return True

@@ -91,14 +91,17 @@ ENSEMBLES = (
     "circulant-nonnegative",
 )
 
-# Largest backward error (spectra._backward_error) at which a candidate's
-# spectrum is taken for the critical points.  Every route's candidate
-# has the critical points as its spectrum by construction; over the
-# benchmark's corpora and hunts at orders up to 16 they measure below
-# 2e-15, and the bound leaves room for rounding growth with the order.
-_MATCH_TOL = 1e-10
-
 _EPS = float(np.finfo(float).eps)
+
+
+def _rounding_bound(n: int) -> float:
+    """b = 64 * n * eps, what certification takes for rounding on a list of
+    n entries: relative to the candidate in the sign test and the route
+    filters, and as the largest backward error of its spectrum.  The
+    constructions and LAPACK's eigenvalues err by about n * eps (Edelman &
+    Murakami, Math. Comp. 64, 1995); unclamped hunt certificates at
+    n = 3-64 measure at most 1.04 * n * eps."""
+    return 64.0 * n * _EPS
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,8 @@ class VerifyConfig:
     tol        tolerance for the condition checks: tol * (2*rho)**k on a
                term of degree k in the critical points, rho their spectral
                radius, so the verdict does not change with the scale of the
-               list (check_necessary_conditions).  The route filters, which
-               only spare eigenvalue solves, scale too: the sign test and
-               the Hadamard image's imaginary dust at tol * max|M|, the DFT
-               route's equal real entries at tol * 2*rho.  Whether a
-               candidate certifies does not depend on it (_certificate).
+               list (check_necessary_conditions), and for classify.  The
+               routes do not read it: they certify within _rounding_bound.
     kmax       moment depth (None means 4 * list size)
     jll_depth  grid depth for the power-sum inequality
     hadamard   optional complex Hadamard matrix enabling the fourth route
@@ -202,35 +202,35 @@ def _certify(
     """The backward error of M's spectrum as crit, the critical points of
     spec, and why M fails to match.
 
-    The reason is None when the backward error is within _MATCH_TOL.
-    The scale is the spectral radius of spec (by Gauss-Lucas no critical
+    The reason is None when the backward error is within the rounding
+    bound of spec (_rounding_bound).  The scale is the spectral radius of spec (by Gauss-Lucas no critical
     point is larger), or 1 for a list of zeros.  Raises NumericError
     when M is not finite.
     """
     if not np.isfinite(M).all():
         raise NumericError("candidate matrix has non-finite entries")
     beta = _backward_error(spectrum(M), crit, spec.spectral_radius or 1.0)
-    if beta <= _MATCH_TOL:
+    if beta <= _rounding_bound(len(spec)):
         return beta, None
     return beta, f"spectrum mismatch: backward error {beta:.3e}"
 
 
 def _certificate(
-    M: np.ndarray, spec: SpectrumList, crit: SpectrumList, tol: float
+    M: np.ndarray, spec: SpectrumList, crit: SpectrumList
 ) -> tuple[np.ndarray | None, float | None, str | None, MatrixSignClass | None]:
     """The certificate candidate M gives for crit, its backward error, why
     there is none, and M's sign class (None for a complex M).
 
     The one rule of verify and realize: a certificate is a real matrix with
     no negative entry whose spectrum is crit (_certify).  A complex M fails,
-    and so does one with an entry below -tol * max|M|, sparing the solve.
-    Entries left at or below zero (-0.0 too, not NaN) become +0.0 and the
-    backward error of that exact matrix decides: tol never passes a wrong
-    certificate.  The backward error is None when no eigenvalue solve ran.
-    Raises NumericError when M is not finite.
+    and so does one with an entry below -b * max|M|, b the rounding bound
+    of spec (_rounding_bound), sparing the solve.  Entries left at or below
+    zero (-0.0 too, not NaN) are rounding and become +0.0, and the backward
+    error of that exact matrix decides.  The backward error is None when no
+    eigenvalue solve ran.  Raises NumericError when M is not finite.
     """
     try:
-        sign = matrix_sign_class(M, tol)
+        sign = matrix_sign_class(M, _rounding_bound(len(spec)))
     except ValueError as exc:
         return None, None, str(exc), None
     if sign is not MatrixSignClass.NONNEGATIVE:
@@ -241,7 +241,7 @@ def _certificate(
     return (M if reason is None else None), beta, reason, sign
 
 
-def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
+def _dft_circulant(spec: SpectrumList) -> np.ndarray:
     """Real circulant with eigenvalues spec, synthesized by inverse DFT.
 
     The list is ordered as DFT frequency content d with d[n-j] = conj(d[j]):
@@ -249,12 +249,12 @@ def _dft_circulant(spec: SpectrumList, tol: float) -> np.ndarray:
     smallest real entry to frequency n/2.  Exact conjugate pairs
     (conjugate_split) take mirrored slots, by descending imaginary part;
     the remaining real entries must pair up with values equal within
-    tol * 2*rho (classify's law) to share one.  The entry counts leave
+    b * 2*rho (_rounding_bound) to share one.  The entry counts leave
     exactly enough slots.  d is Hermitian, so the real part of its inverse
     transform is taken.  Raises _RouteFailure when no such ordering exists.
     """
     n = len(spec)
-    t = tol * 2.0 * spec.spectral_radius
+    t = _rounding_bound(n) * 2.0 * spec.spectral_radius
     reals, ups = conjugate_split(spec) or ([], [])
     rest = reals[1:-1] if n % 2 == 0 else reals[1:]
     pairs = list(zip(rest[::2], rest[1::2]))
@@ -296,8 +296,9 @@ def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | N
         raise _RouteFailure(str(exc)) from None
     # The image of a self-conjugate list can be real, as with the DFT
     # matrix; computed in complex arithmetic, its imaginary part is then
-    # dust within tol * max|A|, dropped here.  Any other image stays complex.
-    dust = cfg.tol * np.max(np.abs(A))
+    # rounding dust within b * max|A| (_rounding_bound), dropped here.  Any
+    # other image stays complex.
+    dust = _rounding_bound(len(spec)) * np.max(np.abs(A))
     if conjugate_split(spec) is not None and np.max(np.abs(A.imag)) <= dust:
         return A.real
     return A
@@ -314,7 +315,7 @@ _ROUTES = (
     ("d-companion", lambda spec, cfg: d_companion(spec)),
     (
         "dft-circulant",
-        lambda spec, cfg: principal_submatrix(_dft_circulant(spec, cfg.tol), 1),
+        lambda spec, cfg: principal_submatrix(_dft_circulant(spec), 1),
     ),
     ("hadamard", _hadamard_candidate),
 )
@@ -331,7 +332,7 @@ def _run_route(
         if M is None:
             reason = "no similarity matrix supplied"
             return RouteResult(name, False, False, None, reason, None)
-        cert, beta, reason, _ = _certificate(M, spec, crit, cfg.tol)
+        cert, beta, reason, _ = _certificate(M, spec, crit)
     except (_RouteFailure, NumericError) as exc:
         return RouteResult(name, True, False, None, str(exc), None)
     return RouteResult(name, True, cert is not None, cert, reason, beta)
@@ -353,7 +354,8 @@ def verify_critical_realizability(
     so there is no order limit.  Every route's candidate goes through
     _certificate: it must be real and pass the sign test, and then the
     LAPACK eigenvalues of the candidate, as a polynomial, must be within
-    _MATCH_TOL backward error of the critical points (_certify).  Raises
+    backward error 64 * n * eps of the critical points, n = len(lam)
+    (_certify); cfg.tol grades the conditions only.  Raises
     NumericError when B, or the spectral radius or the trace of lam or of
     its critical points, is not finite.
     """
@@ -510,9 +512,10 @@ def hunt(config: HuntConfig) -> HuntReport:
             if r.succeeded:
                 successes[r.name] += 1
         # A certificate is a nonnegative matrix with the critical points as
-        # its spectrum, so a condition failing beside one is the battery's
-        # rounding and the sample counts as certified.  Any other condition
-        # failure is an alarm only if the recheck confirms it.
+        # its spectrum, both within rounding (_rounding_bound), so a
+        # condition failing beside one is the battery's rounding and the
+        # sample counts as certified.  Any other condition failure is an
+        # alarm only if the recheck confirms it.
         if any(r.succeeded for r in report.routes):
             certified += 1
         elif report.verdict == "condition-violation" and _confirm_alarm(

@@ -72,11 +72,12 @@ NEARLY_PAIRED = "2,1+1i,1-1.0000000001i,-1"
 # as its spectrum, so nothing certifies them.
 NOT_SELF_CONJUGATE = "3,-1+0.00000000001i,-1-0.000000000011i"
 
-# At this scale the sign test's threshold -tol*(1 + max|M|) is about -tol,
-# below the candidates' negative entries; the backward error rejects them.
-# The battery's tolerance scales with the list, so the verdict is that of
-# the same list at scale 1, a condition violation; so does classify's, so
-# the complex list is in no real class.
+# The sign test's threshold -64*n*eps*max|M| scales with the candidates:
+# the DFT circulant fails it, and the companion, built at the list's own
+# scale, fails the backward error.  The battery's tolerance
+# scales with the list too, so the verdict is that of the same list at
+# scale 1, a condition violation; so does classify's, so the complex list
+# is in no real class.
 SMALL_SCALE = "2e-10,1e-10+1e-10i,1e-10-1e-10i,-2.5e-10"
 
 # A Suleimanova list whose power sums leave the double range from s_40 on:

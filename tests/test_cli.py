@@ -31,6 +31,13 @@ GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
 NOT_SELF_CONJUGATE = "3,-1+0.00000000001i,-1-0.000000000011i"
 
 
+# A near-cluster list: its critical points have a negative trace.
+ROW_ONE = (
+    "1,-3.949974194071795e-11+0.9999999999762622i,"
+    "-3.949974194071795e-11-0.9999999999762622i,-1"
+)
+
+
 def run_capture(argv):
     buf = io.StringIO()
     code = run(argv, out=buf)
@@ -330,6 +337,20 @@ class TestRealizeCommand:
         assert out.endswith(rows)
         assert "-0 " not in out
 
+    @pytest.mark.parametrize("route", ["companion", "dft"])
+    def test_clamp_beyond_rounding_does_not_certify(self, route):
+        # Lambda' is about 2.7e-4 * {1, w, w**2} and its exact trace is
+        # -5.9e-11.  The candidate's entries of -2e-11 and -5.9e-11 are not
+        # rounding, and set to +0.0 they gave a matrix for another list
+        # that passed a backward error of 1e-10.
+        argv = ["realize", ROW_ONE, "--route", route]
+        code, out = run_capture(argv)
+        assert code == 1
+        assert "sign class: metzler\n" in out and "certified: no\n" in out
+        code, out = run_capture(["verify", ROW_ONE])
+        assert code == 1
+        assert "verdict: condition-violation" in out and "succeeded" not in out
+
     def test_dft_route_succeeds_on_symmetric_list(self):
         code, out = run_capture(["realize", "3,-1,-1", "--route", "dft", "--format", "machine"])
         assert code == 0
@@ -532,7 +553,8 @@ class TestRealizeAgreesWithVerify:
 
 class TestBadTolerance:
     # The critical points {1/3, -1} of 1,-1,-1 have negative trace; an
-    # infinite tolerance used to certify them.
+    # infinite tolerance used to certify them.  critical and realize take
+    # no --tol, so argparse rejects it.
     COMMANDS = [
         ["check", "3,-1,-1"],
         ["critical", "3,-1,-1"],
@@ -544,11 +566,17 @@ class TestBadTolerance:
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
-    def test_exit_two_without_output(self, argv, tol):
+    def test_exit_two_without_output(self, argv, tol, capsys):
         for fmt in ("human", "machine"):
-            code, out = run_capture(argv + [f"--tol={tol}", "--format", fmt])
+            buf = io.StringIO()
+            try:
+                code = run(argv + [f"--tol={tol}", "--format", fmt], out=buf)
+            except SystemExit as exc:
+                assert argv[0] in ("critical", "realize")
+                code = exc.code
+                assert "unrecognized arguments: --tol" in capsys.readouterr().err
             assert code == 2
-            assert out == ""
+            assert buf.getvalue() == ""
 
 
 class TestModuleEntryPoint:

@@ -84,6 +84,22 @@ class TestTraceVector:
         # so a 1x1 matrix makes everything a trace vector.
         assert is_trace_vector(np.array([[2.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_answer_does_not_move_with_scale(self, c):
+        # An absolute term in the tolerance, tol * (1 + ||A||**k), took
+        # this pair for a trace vector at c = 1e-12.
+        rng = np.random.default_rng(56)
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        z = unit_vector(rng.normal(size=4) + 1j * rng.normal(size=4))
+        assert not is_trace_vector(c * A, z)
+        assert not is_differentiator(c * A, z)
+        # Q diag(lam) Q* has Q times any flat vector as a trace vector.
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            T = Q @ np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)) @ Q.conj().T
+            assert is_trace_vector(c * T, Q @ _flat_vector(n, rng))
+
 
 class TestCompression:
     def test_shape(self):

@@ -1,5 +1,6 @@
 """Verification pipeline, random ensembles, hunt, antiderivative chains."""
 
+import cmath
 import importlib.util
 import io
 import math
@@ -192,12 +193,31 @@ class TestCertificateRule:
         assert report.verdict == "conditions-hold-uncertified"
 
     def test_small_scale_negative_entries_do_not_certify(self):
-        # The sign test's threshold -tol * max|M| scales with the candidate,
-        # so it rejects these negative entries as it does at scale 1.
+        # The sign test's threshold -64 * n * eps * max|M| scales with the
+        # candidate, so it rejects these negative entries as at scale 1.
         report = verify_critical_realizability(
             [2e-10, 1e-10 + 1e-10j, 1e-10 - 1e-10j, -2.5e-10]
         )
         assert report.verdict != "certified"
+
+    def test_no_route_certifies_beside_a_failing_condition(self):
+        # Roots of unity with each upper entry moved by a relative 1e-12 to
+        # 1e-3: Lambda' is a small cluster against rho(Lambda).  Clamping
+        # entries down to -1e-9 * max|M| and matching at backward error
+        # 1e-10 certified the critical points of 73 of these lists while a
+        # condition failed.
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            n = int(rng.integers(3, 13))
+            delta = 10.0 ** rng.uniform(-12, -3)
+            lam = [1.0] + ([-1.0] if n % 2 == 0 else [])
+            for k in range(1, (n + 1) // 2):
+                u = cmath.exp(2j * math.pi * k / n)
+                u *= 1 + delta * rng.uniform(-0.5, 0.5) * (1 + 1j)
+                lam += [u, u.conjugate()]
+            report = verify_critical_realizability(lam)
+            if not report.conditions.overall:
+                assert not any(r.succeeded for r in report.routes), (i, lam)
 
     def test_rounding_negatives_set_to_zero(self):
         # The DFT similarity image of 1^8 has entries of -2.8e-17.

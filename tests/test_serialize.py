@@ -286,7 +286,7 @@ def _ref_verify_document(spec):
     doc = {
         "command": "verify",
         "input": {"spectrum": _ref_spectrum(spec)},
-        "config": {"tol": 1e-9, "match_tol": cli._MATCH_TOL, "kmax": None, "jll": 8},
+        "config": {"tol": 1e-9, "kmax": None, "jll": 8},
         "report": {
             "input": _ref_spectrum(rep.input),
             "critical": _ref_spectrum(rep.critical),
