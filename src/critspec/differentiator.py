@@ -13,6 +13,7 @@ with no polynomial expanded or solved.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,13 +69,30 @@ def is_trace_vector(A: np.ndarray, z: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
-def compression(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Q* A Q for Q an orthonormal basis of the complement of span(z).
+def _complement_basis(z: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Q* and Q, Q an orthonormal basis of the complement of span(z).
 
     Q is the last n-1 columns of the Householder reflector
     H = I - 2 v v* / (v* v), v = z + phase(z_0) e_1, which maps z to a
     multiple of e_1, so its first column spans z and the rest span the
-    complement.  Real A and z give a real result.
+    complement.  A real dtype gives a real Q, and Q* is then Q.T.
+    """
+    z = unit_vector(z)
+    complex_ = np.issubdtype(dtype, np.complexfloating)
+    if not complex_:
+        z = z.real
+    v = z.copy()
+    v[0] += z[0] / abs(z[0]) if z[0] != 0 else 1.0
+    Q = np.eye(z.size, z.size - 1, -1, dtype=dtype)
+    Q -= (2.0 / np.vdot(v, v).real) * np.outer(v, v[1:].conj())
+    return (Q.conj().T if complex_ else Q.T), Q
+
+
+def compression(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Q* A Q for Q an orthonormal basis of the complement of span(z).
+
+    Q is the Householder basis of _complement_basis, built on every call;
+    real A and z give a real result.
     """
     A, z = np.asarray(A), np.asarray(z)
     dtype = np.result_type(A, z, float)
@@ -84,16 +102,26 @@ def compression(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if n < 2:
         raise ValueError("compression needs order at least 2")
-    z = unit_vector(z)
-    if not np.issubdtype(dtype, np.complexfloating):
-        z = z.real
     if z.size != n:
         raise ValueError(f"vector length {z.size} does not match order {n}")
-    v = z.copy()
-    v[0] += z[0] / abs(z[0]) if z[0] != 0 else 1.0
-    Q = np.eye(n, n - 1, -1, dtype=dtype)
-    Q -= (2.0 / np.vdot(v, v).real) * np.outer(v, v[1:].conj())
-    return Q.conj().T @ A @ Q
+    Qh, Q = _complement_basis(z, dtype)
+    return Qh @ A @ Q
+
+
+# Keys are (n, m, complex) with n - m even, so an order has at most
+# n/2 + 2 of them.  A real entry holds n**2 * 8 bytes at most (Q* is a
+# view of Q), a complex one 2 * n**2 * 16, so the cache 64 * n**2 * 32.
+@functools.lru_cache(maxsize=64)
+def _flat_basis(n: int, m: int, complex_: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Q* and Q of the flat vector of an order-n list with m
+    real slots: 1 on each real slot and sqrt(2) on the first slot of each
+    pair block (m = n, all ones, for a complex list)."""
+    z = np.zeros(n)
+    z[:m] = 1.0
+    z[m::2] = math.sqrt(2.0)
+    Qh, Q = _complement_basis(z, np.dtype(complex if complex_ else float))
+    Qh.flags.writeable = Q.flags.writeable = False
+    return Qh, Q
 
 
 def critical_compression(lam: SpectrumLike) -> np.ndarray:
@@ -108,24 +136,28 @@ def critical_compression(lam: SpectrumLike) -> np.ndarray:
     i(e_j - e_k)/sqrt(2), in which the flat vector stays real, so the
     eigenvalues come out as exact conjugate pairs.  Any other list gives
     a complex B.
+
+    The basis depends only on the order n, the number m of real entries
+    and whether B is complex, so it is built once per such key and kept
+    read-only in an LRU cache of 64 entries, at most 64 * n**2 * 32 bytes
+    for lists of order up to n.  B itself is a fresh array, bit for bit
+    the uncached compression of the same matrix along the same vector.
     """
     spec = as_spectrum(lam)
-    if len(spec) < 2:
+    n = len(spec)
+    if n < 2:
         raise ValueError("critical points need a list of at least two entries")
     split = conjugate_split(spec)
     if split is None:
-        return compression(np.diag(spec.as_array()), np.ones(len(spec)))
+        Qh, Q = _flat_basis(n, n, True)
+        return Qh @ np.diag(spec.as_array()) @ Q
     reals, ups = split
     m = len(reals)
-    ups = np.array(ups, dtype=complex)
-    D = np.diag(np.concatenate([reals, np.repeat(ups.real, 2)]))
-    rows = np.arange(m, len(spec), 2)
-    D[rows, rows + 1] = -ups.imag
-    D[rows + 1, rows] = ups.imag
-    z = np.zeros(len(spec))
-    z[:m] = 1.0
-    z[rows] = math.sqrt(2.0)
-    return compression(D, z)
+    D = np.diag(reals + [w.real for w in ups for _ in (0, 1)])
+    for j, w in zip(range(m, n, 2), ups):
+        D[j, j + 1], D[j + 1, j] = -w.imag, w.imag
+    Qh, Q = _flat_basis(n, m, False)
+    return Qh @ D @ Q
 
 
 def compression_critical_points(lam: SpectrumLike, B: np.ndarray | None = None) -> SpectrumList:

@@ -9,6 +9,7 @@ realizable.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -169,9 +170,16 @@ def circulant(first_row: np.ndarray) -> np.ndarray:
     c = np.asarray(first_row)
     if c.ndim != 1 or c.size < 1:
         raise ValueError("first row must be a nonempty vector")
-    n = c.size
+    return c[_circulant_index(c.size)]
+
+
+@functools.lru_cache(maxsize=64)
+def _circulant_index(n: int) -> np.ndarray:
+    """The read-only index matrix (j - i) mod n of an order-n circulant,
+    built once per order (n**2 * 8 bytes each)."""
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return c[idx]
+    idx.flags.writeable = False
+    return idx
 
 
 def principal_submatrix(M: np.ndarray, i: int) -> np.ndarray:
@@ -252,7 +260,16 @@ def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
     thresh = -tol * abs(M).max()
     if M.min() >= thresh:
         return MatrixSignClass.NONNEGATIVE
-    off = M[~np.eye(M.shape[0], dtype=bool)]
+    off = M[_off_diagonal(M.shape[0])]
     if (off >= thresh).all():
         return MatrixSignClass.METZLER
     return MatrixSignClass.NEITHER
+
+
+@functools.lru_cache(maxsize=64)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The read-only mask of the off-diagonal entries of an order-n
+    matrix, built once per order (n**2 bytes each)."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask

@@ -10,9 +10,7 @@ downstream relies on.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -109,11 +107,28 @@ class SpectrumList:
     @lazy
     def _split(self) -> tuple[tuple[float, ...], tuple[complex, ...]] | None:
         # A run of equal real part is in descending imaginary part, so its
-        # conjugate is the run reversed; a NaN entry equals nothing.
-        for _, run in itertools.groupby(self.entries, operator.attrgetter("real")):
-            if (run := list(run)) != [z.conjugate() for z in reversed(run)]:
-                return None
-        return tuple(z.real for z in self if not z.imag), tuple(z for z in self if z.imag > 0)
+        # conjugate is the run reversed; a NaN entry equals nothing, and a
+        # single entry is its own conjugate only when it is real.
+        e, n = self.entries, len(self.entries)
+        reals, ups = [], []
+        i = 0
+        while i < n:
+            x = e[i].real
+            j = i + 1
+            while j < n and e[j].real == x:
+                j += 1
+            if j == i + 1:
+                if e[i].imag or x != x:
+                    return None
+                reals.append(x)
+            else:
+                run = e[i:j]
+                if run != tuple(z.conjugate() for z in reversed(run)):
+                    return None
+                reals += [z.real for z in run if not z.imag]
+                ups += [z for z in run if z.imag > 0]
+            i = j
+        return tuple(reals), tuple(ups)
 
 
 SpectrumLike = Union[SpectrumList, Iterable[complex]]

@@ -10,7 +10,9 @@ from critspec import (
     MonicPolynomial,
     as_spectrum,
     charpoly,
+    circulant,
     compression,
+    critical_compression,
     critical_moments,
     derivative_monic,
     dft_matrix,
@@ -25,6 +27,7 @@ from critspec import (
     trace_moments,
     unit_vector,
 )
+from critspec import differentiator, realizers
 
 oracle = load_bench("oracle")
 
@@ -139,6 +142,87 @@ class TestCompression:
             B = compression(np.diag(lam), np.eye(4)[j])
             rest = lam[:j] + lam[j + 1 :]
             assert pairing_residual(spectrum(B), rest, 1e-12) < 1e-14
+
+
+def _compression_input(rng, n, kind, m, scale):
+    """A list of order n and the D and flat z whose uncached compression
+    critical_compression of the list must equal: diag of the list and
+    ones for a real or complex list; for a self-conjugate one with m real
+    entries, the real entries then a block [[a, -b], [b, a]] per pair,
+    with z = 1 on the real slots and sqrt(2) on each block's first."""
+    if kind == "real":
+        lam = rng.normal(size=n) * scale
+        return lam, np.diag(as_spectrum(lam).as_array().real), np.ones(n)
+    if kind == "complex":
+        lam = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+        return lam, np.diag(as_spectrum(lam).as_array()), np.ones(n)
+    ups = (rng.normal(size=(n - m) // 2) + 1j * rng.uniform(0.1, 1, (n - m) // 2)) * scale
+    lam = as_spectrum(list(rng.normal(size=m) * scale) + list(ups) + list(ups.conj()))
+    reals = [z.real for z in lam if not z.imag]
+    ups = [z for z in lam if z.imag > 0]
+    D = np.diag(reals + [x for z in ups for x in (z.real, z.real)])
+    z = np.zeros(n)
+    z[:m] = 1.0
+    for k, w in enumerate(ups):
+        j = m + 2 * k
+        D[j, j + 1], D[j + 1, j] = -w.imag, w.imag
+        z[j] = np.sqrt(2.0)
+    return lam, D, z
+
+
+class TestBasisCache:
+    """critical_compression reads its Householder basis from a per-order
+    cache; the cached path must be the uncached compression bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_cached_path_equals_uncached_compression(self, scale):
+        rng = np.random.default_rng(270)
+        for n in range(2, 17):
+            cases = [("real", n), ("complex", n)]
+            cases += [("self-conjugate", m) for m in range(n % 2, n + 1, 2)]
+            for kind, m in cases:
+                lam, D, z = _compression_input(rng, n, kind, m, scale)
+                B = critical_compression(lam)
+                ref = compression(D, z)
+                assert B.dtype == ref.dtype, (n, kind, m)
+                assert B.tobytes() == ref.tobytes(), (n, kind, m)
+
+    def test_cached_arrays_are_read_only(self):
+        critical_compression([3, 1 + 2j, 1 - 2j, -1])
+        critical_compression([3, 1 + 2j, -1, -2])
+        for Qh, Q in (differentiator._flat_basis(4, 2, False), differentiator._flat_basis(4, 4, True)):
+            for a in (Qh, Q):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
+        for a in (realizers._circulant_index(4), realizers._off_diagonal(4)):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "lam, key",
+        [
+            ([3, -1, -1], (3, 3, False)),
+            ([3, 1 + 2j, 1 - 2j, -1], (4, 2, False)),
+            ([3, 1 + 2j, -1, -2], (4, 4, True)),
+        ],
+    )
+    def test_result_is_fresh_and_writable(self, lam, key):
+        B = critical_compression(lam)
+        Qh, Q = differentiator._flat_basis(*key)
+        assert B.flags.writeable and B.flags.owndata
+        assert not np.shares_memory(B, Q) and not np.shares_memory(B, Qh)
+        before = B.copy()
+        B[...] = 0.0
+        assert critical_compression(lam).tobytes() == before.tobytes()
+
+    def test_circulant_is_fresh_and_writable(self):
+        for n in (1, 2, 5, 9):
+            c = np.arange(n) + 1.0
+            M = circulant(c)
+            assert M.flags.writeable
+            assert np.array_equal(M, [[c[(j - i) % n] for j in range(n)] for i in range(n)])
+            M[0, 0] = -1.0  # the cached index matrix is not touched
+            assert circulant(c)[0, 0] == 1.0
 
 
 class TestDifferentiator:

@@ -35,7 +35,7 @@ from critspec import (
     spectrum,
     verify_critical_realizability,
 )
-from critspec import harness, moments
+from critspec import differentiator, harness, moments
 from critspec.cli import parse_spectrum, run
 from critspec.harness import _confirm_alarm, _moment_cross_check
 from critspec.moments import (
@@ -413,6 +413,21 @@ class TestSampleOverhead:
         # The battery's power sums, p'/n's coefficients and tr(B**k).
         assert sorted(entered) == ["derivative_monic", "power_sums", "power_traces"]
         assert len(sums) == 1
+
+    def test_second_sample_of_the_same_real_count_builds_no_basis(self, monkeypatch):
+        builds = []
+        build = differentiator._complement_basis
+        monkeypatch.setattr(
+            differentiator, "_complement_basis", lambda *args: builds.append(args) or build(*args)
+        )
+        differentiator._flat_basis.cache_clear()
+        hunt(HuntConfig(5, 5, samples=1, seed=1, ensemble="dense-uniform"))
+        assert len(builds) == 1
+        # Both samples of seed 1 have three real entries: one key, no build.
+        hunt(HuntConfig(5, 5, samples=2, seed=1, ensemble="dense-uniform"))
+        assert len(builds) == 1
+        info = differentiator._flat_basis.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 class TestHunt:

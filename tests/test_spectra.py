@@ -2,7 +2,9 @@
 interlacing."""
 
 import cmath
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -155,6 +157,66 @@ class TestCachedQuantities:
             as_spectrum(values).spectral_radius
         with pytest.raises(NumericError, match="spectral radius of the list"):
             classify(values)
+
+
+def _groupby_split(spec):
+    """The split by the earlier rule, one itertools.groupby pass over runs
+    of equal real part, each run compared with its reversed conjugate."""
+    for _, run in itertools.groupby(spec.entries, operator.attrgetter("real")):
+        if (run := list(run)) != [z.conjugate() for z in reversed(run)]:
+            return None
+    return tuple(z.real for z in spec if not z.imag), tuple(z for z in spec if z.imag > 0)
+
+
+class TestSplitAgainstGroupby:
+    """The index loop over runs gives the groupby pass's split, bit for bit."""
+
+    def _check(self, values):
+        spec = SpectrumList(tuple(values))
+        assert repr(SpectrumList._split.func(spec)) == repr(_groupby_split(spec)), values
+
+    def test_seeded_self_conjugate_lists_and_near_pairs_that_miss(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            lam = random_self_conjugate(rng, int(rng.integers(1, 12)))
+            self._check(lam)
+            lower = [i for i, z in enumerate(lam) if z.imag < 0]
+            if lower:
+                entries = list(lam)
+                k = lower[int(rng.integers(len(lower)))]
+                z = entries[k]
+                # One ulp off in the imaginary part, then in the real part.
+                entries[k] = complex(z.real, math.nextafter(z.imag, 0.0))
+                self._check(entries)
+                entries[k] = complex(math.nextafter(z.real, math.inf), z.imag)
+                self._check(entries)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [complex(np.nan, 0.0)],
+            [1.0, complex(np.nan, 0.0), complex(np.nan, -0.0)],
+            [complex(1.0, np.nan), complex(1.0, np.nan)],
+            [complex(np.nan, 1.0), complex(np.nan, -1.0), 2.0],
+            [complex(0.0, np.inf), complex(0.0, -np.inf)],
+            [complex(2.0, -0.0), complex(1.0, 0.0), complex(1.0, -0.0)],
+            [complex(3.0, -0.0), complex(-1.0, -0.0), 1j, -1j],
+            [complex(1.0, -0.0), complex(1.0, 2.0), complex(1.0, -2.0), 1.0],
+            [1 + 2j, 1 + 1j, 1.0, 1 - 1j, 1 - 2j],
+            [1 + 2j, 1 + 1j, 1 - 1j, 1 - 2j, 1 + 1j],
+            [1 + 2j, 1 + 1j, 1 - 1j, 1 - 1j],
+            [1.0, 1.0, 1.0],
+            [1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j, 1.0, 1.0],
+            [1j, 1.0],
+        ],
+    )
+    def test_nan_signed_zero_and_equal_real_runs(self, values):
+        self._check(values)
+
+    @given(_paired_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_lists(self, values):
+        self._check(values)
 
 
 class TestMultisetEqual:
