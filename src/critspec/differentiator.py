@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import NumericError
 from .realizers import spectrum
-from .spectra import SpectrumLike, SpectrumList, _backward_error, as_spectrum, conjugate_split
+from .spectra import SpectrumLike, SpectrumList, _backward_error, _rounding_bound
+from .spectra import as_spectrum, conjugate_split
 
 __all__ = [
     "unit_vector",
@@ -212,12 +213,11 @@ def trace_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
     return power_traces(critical_compression(lam), kmax)
 
 
-def is_differentiator(A: np.ndarray, z: np.ndarray, tol: float = 1e-8) -> bool:
+def is_differentiator(A: np.ndarray, z: np.ndarray) -> bool:
     """Whether the compression along z has characteristic polynomial p'/n,
-    p that of A: its spectrum is within backward error tol of the critical
-    points of A's spectrum, as a route certificate's must be.  No
-    polynomial is expanded, so there is no order limit."""
-    B = compression(A, z)
-    lam = spectrum(A)
-    crit = compression_critical_points(lam)
-    return _backward_error(spectrum(B), crit, lam.spectral_radius or 1.0) <= tol
+    p that of A: its spectrum is within the certifier's backward error
+    (_rounding_bound) of the critical points of A's spectrum, as a route
+    certificate's must be.  No polynomial is expanded: no order limit."""
+    B, lam = compression(A, z), spectrum(A)
+    crit, bound = compression_critical_points(lam), _rounding_bound(len(lam))
+    return _backward_error(spectrum(B), crit, lam.spectral_radius or 1.0) <= bound

@@ -31,7 +31,6 @@ from .errors import NumericError
 from .moments import (
     ConditionReport,
     _grade_moments,
-    _growth,
     check_necessary_conditions,
     critical_moment,
     power_sums,
@@ -58,8 +57,11 @@ from .spectra import (
     Classification,
     SpectrumLike,
     SpectrumList,
+    _EPS,
+    _allowance,
     _backward_error,
     _ldexp,
+    _rounding_bound,
     as_spectrum,
     classify,
     conjugate_split,
@@ -91,27 +93,14 @@ ENSEMBLES = (
     "circulant-nonnegative",
 )
 
-_EPS = float(np.finfo(float).eps)
-
-
-def _rounding_bound(n: int) -> float:
-    """b = 64 * n * eps, what certification takes for rounding on a list of
-    n entries: relative to the candidate in the sign test and the route
-    filters, and as the largest backward error of its spectrum.  The
-    constructions and LAPACK's eigenvalues err by about n * eps (Edelman &
-    Murakami, Math. Comp. 64, 1995); unclamped hunt certificates at
-    n = 3-64 measure at most 1.04 * n * eps."""
-    return 64.0 * n * _EPS
-
-
 @dataclass(frozen=True)
 class VerifyConfig:
     """Tolerances and optional extras for a verification run.
 
-    tol        tolerance for the condition checks: tol * (2*rho)**k on a
-               term of degree k in the critical points, rho their spectral
-               radius, so the verdict does not change with the scale of the
-               list (check_necessary_conditions), and for classify.  The
+    tol        coefficient of the condition checks' and classify's allowance
+               tol * d * n * rho**d on a term of degree d in the n critical
+               points of spectral radius rho (spectra._allowance), so the
+               verdict does not change with the scale of the list.  The
                routes do not read it: they certify within _rounding_bound.
     kmax       moment depth (None means 4 * list size)
     jll_depth  grid depth for the power-sum inequality
@@ -418,10 +407,10 @@ def random_realizable(
     return spectrum(M), M
 
 
-# Safety factor on the error bound of _moment_cross_check.  Over hunts of
-# the four ensembles at n = 3-32 the largest difference measured was 1.4
-# times k * n * eps * (1 + rho)**k.
-_CROSS_CHECK_SAFETY = 16.0
+# Safety factor on _moment_cross_check's bound.  The largest difference
+# measured, over order-5 hunts of the four ensembles, was 3.93 times
+# k * n * eps * rho**k (2.50 past k = 1, 1.72 at n = 3-32, 0.47 at 33-64).
+_CROSS_CHECK_SAFETY = 32.0
 
 
 def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionReport) -> None:
@@ -434,8 +423,8 @@ def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionR
     double range there, as at the list's own scale; 2**c would not do, as
     the critical points' radius can be 1e-8 of rho.  Both carry an error of
     about k * n * eps * ||B||**k, so moment k must agree to
-    _CROSS_CHECK_SAFETY * k * n * eps * (2*rho)**k, the condition battery's
-    tolerance law.
+    _allowance(_CROSS_CHECK_SAFETY * eps, n, rho, k), the condition
+    battery's tolerance law.
     """
     rho, depth = lam.spectral_radius, conditions.moment_depth
     e = math.frexp(rho)[1]
@@ -443,8 +432,7 @@ def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionR
     shift = (k * (conditions.scale_exponent - e)).repeat(2)  # real and imaginary parts
     direct = _ldexp(conditions.unit_power_sums[:depth], shift)
     traces = power_traces(_ldexp(B, -e), depth)
-    growth = _growth(math.ldexp(rho, -e), depth)[1:]
-    bound = _CROSS_CHECK_SAFETY * k * len(lam) * _EPS * growth
+    bound = _allowance(_CROSS_CHECK_SAFETY * _EPS, len(lam), math.ldexp(rho, -e), k)
     bad = np.flatnonzero(np.abs(direct - traces) > bound)
     if bad.size:
         i = int(bad[0])

@@ -15,7 +15,8 @@ tr(B**k) of the differentiator compression B instead
 critical points either.
 
 The necessary conditions are homogeneous in the list, and so is their
-one tolerance law: tol * (2*rho)**k on s_k for rho the spectral radius.
+one tolerance law: tol * d * n * rho**d on a term of degree d in n
+entries of spectral radius rho (spectra._allowance).
 check_necessary_conditions grades them on the list divided by the power
 of two just above rho, an exact rescaling under which no moment leaves
 the double range, so the verdict of c * lam is the verdict of lam.
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .spectra import SpectrumLike, SpectrumList, _ldexp, as_spectrum, conjugate_split, lazy
-from .spectra import pairing_residual
+from .spectra import SpectrumLike, SpectrumList, _allowance, _ldexp, as_spectrum, conjugate_split
+from .spectra import lazy, pairing_residual
 
 __all__ = [
     "ConditionReport",
@@ -125,8 +126,8 @@ class ConditionReport:
     moment_passed            whether s_k >= 0, k = 1..moment_depth
     jll_passed               whether s_k**m <= n**(m-1) * s_{km}, row k, column m
 
-    Each comparison allows tol * (2*rho)**k for a term of degree k in the
-    list (check_necessary_conditions), graded on the list over
+    Each comparison allows tol * d * n * rho**d for a term of degree d in
+    the list (check_necessary_conditions), graded on the list over
     2**scale_exponent, and the report keeps the unit_ values read there:
     s_1..s_K, K = max(moment_depth, jll_depth**2), the grids s_k**m and
     n**(m-1) * s_{km}, the pairing residual and the margin.  At the list's
@@ -185,17 +186,6 @@ def _scaled(spec: SpectrumList, e: int) -> SpectrumList:
     return SpectrumList(_ldexp(spec.as_array(), e).tolist())
 
 
-def _growth(rho: float, kmax: int) -> np.ndarray:
-    """(2*rho)**0 .. (2*rho)**kmax, the growth of every moment tolerance.
-
-    With rho < 1 the powers leave the double range only past k = 1023,
-    where tol * (2*rho)**k exceeds n * rho**k, and so every moment, for
-    any tol above 1e-290; inf then passes what the finite value would.
-    """
-    with np.errstate(over="ignore") if kmax > 1023 else contextlib.nullcontext():
-        return np.power(2.0 * rho, np.arange(kmax + 1))
-
-
 def _grade_moments(
     s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int, tol: float
 ) -> tuple[np.ndarray, ...]:
@@ -203,18 +193,18 @@ def _grade_moments(
 
     s and rho are in one unit, in which rho < 1: then |s_k| <= n and
     both sides of a power-sum cell are at most n**m.  The tolerance on
-    s_k is tol * (2*rho)**k, and the (k, m) cell's is n**(m-1) times
-    that of s_km; the checks are homogeneous, so scaling s_k by c**k and
-    rho by c changes no verdict.  s needs max(depth, jll_depth**2)
-    entries; a NaN moment fails its check.  Returns the pass flags of
-    s_1..s_depth, then the jll_depth x jll_depth grids s_k**m,
-    n**(m-1) * s_km and their pass flags, row k, column m.  Every power
-    of a moment is Python's float power, which np.power does not always
-    match, so each entry is what a scalar loop over the checks gives.
-    Raises NumericError when a cell leaves the double range, which takes
-    n**jll_depth past it.
+    s_k is _allowance(tol, n, rho, k), and the (k, m) cell's, n**(m-1)
+    times that of s_km, is finite wherever the cell is; the checks are
+    homogeneous, so scaling s_k by c**k and rho by c changes no verdict.
+    s needs max(depth, jll_depth**2) entries; a NaN moment fails its
+    check.  Returns the pass flags of s_1..s_depth, then the jll_depth x
+    jll_depth grids s_k**m, n**(m-1) * s_km and their pass flags, row k,
+    column m.  Every power of a moment is Python's float power, which
+    np.power does not always match, so each entry is what a scalar loop
+    over the checks gives.  Raises NumericError when a cell leaves the
+    double range, which takes n**jll_depth past it.
     """
-    tk = tol * _growth(rho, max(depth, jll_depth * jll_depth))
+    tk = _allowance(tol, n, rho, np.arange(max(depth, jll_depth * jll_depth) + 1))
     moments, t = s[:depth], tk[1 : depth + 1]
     moment_ok = (moments.real >= -t) & (np.abs(moments.imag) <= t)
     ms = range(1, jll_depth + 1)
@@ -244,11 +234,11 @@ def check_necessary_conditions(
     check is graded on the list divided by 2**e, e = frexp(rho)[1], whose
     spectral radius is in [1/2, 1) (or 0) and whose moments are the
     list's times 2**(-k*e) bit for bit, so none leaves the double range.
-    The tolerance is tol * (2*rho)**k on s_k (_grade_moments) and
-    tol * 2*rho on the pairing residual and the spectral-radius margin,
-    so c * lam gets the verdict of lam.  The report keeps the values it
-    graded, at unit scale, and gives them at the list's own scale on
-    first read (ConditionReport).
+    The tolerance is _allowance(tol, n, rho, d) on a term of degree d: on
+    s_k (_grade_moments), and at d = 1 on the pairing residual and the
+    spectral-radius margin, so c * lam gets the verdict of lam.  The
+    report keeps the values it graded, at unit scale, and gives them at
+    the list's own scale on first read (ConditionReport).
     """
     spec = as_spectrum(lam)
     if len(spec) == 0:
@@ -260,7 +250,7 @@ def check_necessary_conditions(
     rho = spec.spectral_radius
     e = math.frexp(rho)[1]
     unit, rho = _scaled(spec, -e), math.ldexp(rho, -e)
-    base = tol * 2.0 * rho
+    base = _allowance(tol, n, rho, 1)
 
     # An exact conjugate split survives the rescale; its residual is 0.0.
     exact = conjugate_split(spec) is not None
@@ -298,7 +288,8 @@ def jll_pair_equivalence(lam: SpectrumLike) -> tuple[bool, bool]:
     root finding.  The two margins are proportional with the factor
     (n-1)(n-2)/n**2, so the thresholds are scaled the same way and the
     verdicts agree whenever n >= 3.  At n = 2 the critical-side margin
-    degenerates to exactly zero, so that verdict is vacuously true.
+    degenerates to exactly zero, so that verdict is vacuously true.  The
+    margin n * s_2 - s_1**2 is allowed n * _allowance(1e-12, n, rho, 2).
     """
     spec = as_spectrum(lam)
     n = len(spec)
@@ -311,7 +302,7 @@ def jll_pair_equivalence(lam: SpectrumLike) -> tuple[bool, bool]:
     s2c = (n - 2) / n * s2 + (s1 * s1) / (n * n)
     rhs_margin = ((n - 1) * s2c - s1c * s1c).real
     factor = (n - 1) * (n - 2) / (n * n)
-    thresh = 1e-12 * n * (2.0 * spec.spectral_radius) ** 2
+    thresh = n * _allowance(1e-12, n, spec.spectral_radius, 2)
     original = lhs_margin >= -thresh
-    critical = rhs_margin >= -thresh * factor if factor > 0 else rhs_margin >= 0.0
+    critical = rhs_margin >= -thresh * factor
     return bool(original), bool(critical)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
+from .spectra import SpectrumLike, SpectrumList, _EPS, as_spectrum, conjugate_split
 
 __all__ = [
     "MonicPolynomial",
@@ -36,8 +36,6 @@ __all__ = [
     "roots",
     "critical_points",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # roots() accepts x when every |p(x)| <= _ROOT_TOL * (1 + max|a_k|).
 _ROOT_TOL = 1e-10

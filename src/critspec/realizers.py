@@ -192,7 +192,8 @@ def principal_submatrix(M: np.ndarray, i: int) -> np.ndarray:
         raise ValueError("the matrix must have order at least 2")
     if not 1 <= i <= n:
         raise ValueError(f"index must be in 1..{n}, got {i}")
-    return np.delete(np.delete(M, i - 1, axis=0), i - 1, axis=1)
+    keep = np.arange(n) != i - 1
+    return M[keep[:, None] & keep].reshape(n - 1, n - 1)
 
 
 def charpoly(M: np.ndarray) -> MonicPolynomial:

@@ -226,6 +226,27 @@ def _backward_error(nu: SpectrumList, mu: SpectrumList, scale: float) -> float:
     return float(np.abs(coeffs[0] - coeffs[1]).sum() / coeffs[2].real.sum())
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _rounding_bound(n: int) -> float:
+    """b = 64 * n * eps, what certification takes for rounding on a list of
+    n entries: relative to the candidate in the sign test and the route
+    filters, and as the largest backward error of its spectrum.  The
+    constructions and LAPACK's eigenvalues err by about n * eps (Edelman &
+    Murakami, Math. Comp. 64, 1995); unclamped hunt certificates at
+    n = 3-64 measure at most 1.04 * n * eps."""
+    return 64.0 * n * _EPS
+
+
+def _allowance(tol: float, n: int, rho: float, d):
+    """tol * d * n * rho**d, what every tolerance-graded check allows a term of
+    degree d (int or int array) in n entries of spectral radius rho: the
+    rounding error d * n * eps * rho**d of a power sum, times tol / (n * eps).
+    Homogeneous of degree d; at unit scale (rho < 1) it can only underflow."""
+    return tol * n * d * rho**d
+
+
 def multiset_equal(a: SpectrumLike, b: SpectrumLike, tol: float) -> bool:
     """True when the two multisets pair up entrywise within tol."""
     if tol < 0:
@@ -254,16 +275,15 @@ def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
     """The list's structured classes and its trace; NumericError if the
     spectral radius or the trace is not finite.
 
-    Every test allows tol * 2*rho, rho the spectral radius: the k = 1
-    case of the condition battery's law (moments), so c * lam is in the
-    classes of lam.
+    Every test allows tol * n * rho, rho the spectral radius: the degree-1
+    allowance (_allowance), so c * lam is in the classes of lam.
     """
     spec = as_spectrum(lam)
     if len(spec) == 0:
         raise ValueError("cannot classify an empty list")
     arr = spec.as_array()
     n = len(arr)
-    t = tol * 2.0 * spec.spectral_radius
+    t = _allowance(tol, n, spec.spectral_radius, 1)
     # Realness is decided once; the real-only families below reuse it.
     real = bool(np.all(np.abs(arr.imag) <= t))
     s1 = spec.trace
@@ -291,9 +311,9 @@ def interlaces(lam: SpectrumLike, mu: SpectrumLike, tol: float = 1e-9) -> bool:
     """Whether mu interlaces lam: l1 >= m1 >= l2 >= ... >= m_{n-1} >= ln.
 
     Both lists must be real and |mu| must equal |lam| - 1.  Realness and
-    every comparison allow tol * 2*rho, rho the larger spectral radius of
-    the two lists, as in classify, so c * (lam, mu) gets the answer of
-    (lam, mu).
+    every comparison allow tol * n * rho, n = |lam| and rho the larger
+    spectral radius of the two lists, as in classify (_allowance), so
+    c * (lam, mu) gets the answer of (lam, mu).
     """
     L = as_spectrum(lam)
     M = as_spectrum(mu)
@@ -301,7 +321,7 @@ def interlaces(lam: SpectrumLike, mu: SpectrumLike, tol: float = 1e-9) -> bool:
         raise ValueError(
             f"interlacing needs sizes n and n-1, got {len(L)} and {len(M)}"
         )
-    t = tol * 2.0 * max(S.spectral_radius for S in (L, M) if len(S))
+    t = _allowance(tol, len(L), max(S.spectral_radius for S in (L, M) if len(S)), 1)
     if any(abs(z.imag) > t for z in L.entries + M.entries):
         raise ValueError("interlacing is defined for real lists only")
     # Canonical order is descending real part.

@@ -97,6 +97,10 @@ PAST_THE_RANGE = "1.3e308+1.3e308i,1.3e308-1.3e308i,-1.3e308"
 # s_1 = s_3 = -1 < 0, and so is every odd moment; s_1**3 <= 9 * s_3 fails too.
 FAILS_MOMENTS = "1,-1,-1"
 
+# Both sides of every power-sum cell to depth 31 are doubles, and so is
+# every allowance: the check exits 0 with nothing on stderr.
+DEEP_JLL = ",".join(["0.999"] + ["-0.03"] * 31)
+
 README_EXAMPLES = (
     ("check", "--", "-1,-1,3"),
     ("critical", "1,1,-2/3,-2/3,-2/3"),
@@ -172,6 +176,9 @@ def _cli_cases() -> list[dict]:
     # The human summary names the failing moments and power-sum cells.
     for cmd in ("check", "verify"):
         cases.append({"argv": [cmd, FAILS_MOMENTS]})
+    # Every odd moment fails to depth 40, and no power-sum slack overflows.
+    cases.append({"argv": ["check", FAILS_MOMENTS, "--kmax", "40", "--format", "machine"]})
+    cases.append({"argv": ["check", DEEP_JLL, "--jll", "31", "--format", "machine"]})
     for case in cases:
         case["id"] = " ".join(case["argv"])
     return cases

@@ -112,7 +112,8 @@ class TestCheckCommand:
         assert "FAIL" in out
 
     def test_human_summary_names_the_failing_checks(self):
-        # s_1 = s_3 = -1 of 1,-1,-1 fail, and so does s_1**3 <= 9 * s_3.
+        # s_1 = s_3 = -1 of 1,-1,-1 fail, and so does s_1**3 <= 9 * s_3:
+        # every cell with k and m odd, m > 1, fails in exact arithmetic.
         code, out = run_capture(["check", "1,-1,-1"])
         report = check_necessary_conditions(parse_spectrum("1,-1,-1"))
         ks = [k for k in range(1, report.moment_depth + 1) if not report.moment_passed[k - 1]]
@@ -123,10 +124,19 @@ class TestCheckCommand:
             if not report.jll_passed[k - 1, m - 1]
         ]
         assert ks == [1, 3, 5, 7, 9, 11]
-        assert kms == [(1, 3), (1, 5), (1, 7), (3, 3), (3, 5), (3, 7), (5, 3), (5, 5), (7, 3)]
+        assert kms == [
+            (1, 3), (1, 5), (1, 7), (3, 3), (3, 5), (3, 7), (5, 3), (5, 5), (5, 7), (7, 3),
+            (7, 5), (7, 7),
+        ]
         assert code == 1
         assert f"FAIL at k={ks}\n" in out
         assert f"FAIL at (k,m)={kms}\n" in out
+
+    def test_every_odd_moment_fails_at_depth_40(self):
+        # s_k = -1 at every odd k, and no allowance reaches 1.
+        code, out = run_capture(["check", "1,-1,-1", "--kmax", "40"])
+        assert code == 1
+        assert f"FAIL at k={list(range(1, 40, 2))}\n" in out
 
     def test_machine_format(self):
         code, out = run_capture(["check", "3,-1,-1", "--format", "machine"])

@@ -252,6 +252,14 @@ class TestDifferentiator:
             z = unit_vector(rng.normal(size=n) + 1j * rng.normal(size=n))
             assert is_differentiator(A, z) == is_trace_vector(A, z)
 
+    def test_near_trace_vector_is_refused_at_the_certifier_bound(self):
+        # Backward error about 1.9e-9: far above 64 * n * eps, so the
+        # certifier's bound refuses it, as is_trace_vector does.
+        D = np.diag(np.random.default_rng(3).normal(size=5))
+        z = np.ones(5) + np.array([1e-8, 0.0, 0.0, 0.0, 0.0])
+        assert not is_trace_vector(D, z)
+        assert not is_differentiator(D, z)
+
     def test_agreement_on_structured_true_cases(self):
         rng = np.random.default_rng(57)
         for _ in range(20):

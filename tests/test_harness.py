@@ -631,8 +631,8 @@ class TestMomentCrossCheck:
             _moment_cross_check(lam, critical_compression(lam), conditions)
 
     def test_nudge_of_1e_9_fails(self):
-        # The bound is k * n * eps * (2 * rho)**k times a safety factor,
-        # 8e-14 at k = 1 here; the fixed 1e-6 it replaced let this pass.
+        # The bound is k * n * eps * rho**k times a safety factor, 8e-14
+        # at k = 1 here; the fixed 1e-6 it replaced let this pass.
         lam, crit = self._nudged(1e-9)
         conditions = check_necessary_conditions(crit, kmax=16)
         with pytest.raises(NumericError, match="cross-check failed at k=1: "):

@@ -207,9 +207,28 @@ class TestNecessaryConditions:
         lam = [0.9999, -0.9999, 0.5]
         with pytest.raises(NumericError, match="depth 647 on 3 entries"):
             check_necessary_conditions(lam, kmax=1, jll_depth=647)
-        with np.errstate(over="ignore"):  # the slack, not a cell, overflows here
-            report = check_necessary_conditions(lam, kmax=1, jll_depth=646)
+        # Nor does any slack: every RuntimeWarning fails the suite.
+        report = check_necessary_conditions(lam, kmax=1, jll_depth=646)
         assert np.isfinite(report.unit_jll_lhs).all() and np.isfinite(report.unit_jll_rhs).all()
+
+    def test_every_odd_moment_fails_to_depth_1023(self):
+        # s_k of 1,-1,-1 is -1 at every odd k, and the allowance
+        # tol * k * n * rho**k stays below 1 at every depth.
+        report = check_necessary_conditions([1, -1, -1], kmax=1023)
+        failed = np.flatnonzero(~report.moment_passed) + 1
+        assert failed.tolist() == list(range(1, 1024, 2))
+
+    @pytest.mark.parametrize("k", [1, 2, 29, 31, 64, 500, 1024])
+    def test_planted_negative_moment_fails_at_every_depth(self, k):
+        # At unit scale every moment is at most n * rho**k; one of size
+        # rho**k planted negative at k fails however deep the grading.
+        n, rho = 4, 0.999
+        s = n * rho ** np.arange(1, 1025, dtype=float) + 0j
+        s[k - 1] = -(rho**k)
+        for depth in (k, min(k + 1, 1024), 1024):
+            moment_ok = _grade_moments(s, n, rho, depth, 1, 1e-9)[0]
+            assert not moment_ok[k - 1]
+            assert moment_ok.sum() == depth - 1
 
 
 class TestJllPairEquivalence:
@@ -276,7 +295,7 @@ def _grade_moments_loop(s, n, rho, depth, jll_depth, tol):
     """
     values, moment_ok = [], []
     for k in range(1, depth + 1):
-        tk = tol * (2.0 * rho) ** k
+        tk = tol * n * k * rho**k
         v = complex(s[k - 1])
         values.append(v)
         moment_ok.append(bool(v.real >= -tk and abs(v.imag) <= tk))
@@ -289,7 +308,8 @@ def _grade_moments_loop(s, n, rho, depth, jll_depth, tol):
             n_pow = float(n) ** (m - 1)
             lhs.append(a**m)
             rhs.append(n_pow * b)
-            jll_ok.append(bool(lhs[-1] <= rhs[-1] + n_pow * (tol * (2.0 * rho) ** (k * m))))
+            slack = n_pow * (tol * n * (k * m) * rho ** (k * m))
+            jll_ok.append(bool(lhs[-1] <= rhs[-1] + slack))
     return tuple(values), tuple(moment_ok), tuple(lhs), tuple(rhs), tuple(jll_ok)
 
 
