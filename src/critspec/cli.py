@@ -281,7 +281,6 @@ def _cmd_critical(args, out) -> int:
             f"moment k={int(bad[0]) + 1} of the critical points is not finite "
             f"in double precision"
         )
-    table = list(zip(range(1, depth + 1), formula, direct))
     if args.fmt == "machine":
         doc = {
             "command": "critical",
@@ -289,14 +288,7 @@ def _cmd_critical(args, out) -> int:
             "config": {"kmax": args.kmax},
             "report": {
                 "critical": serialize.spectrum_record(crit),
-                "moments": [
-                    {
-                        "k": k,
-                        "formula": serialize.complex_record(f),
-                        "direct": serialize.complex_record(d),
-                    }
-                    for k, f, d in table
-                ],
+                "moments": serialize.moment_table_record(formula, direct),
             },
         }
         _emit(doc, out)
@@ -304,7 +296,7 @@ def _cmd_critical(args, out) -> int:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
         print(f"critical points (n={len(crit)}): {format_spectrum(crit)}", file=out)
         print("moments of the critical points (determinant formula | direct):", file=out)
-        for k, f, d in table:
+        for k, f, d in zip(range(1, depth + 1), formula, direct):
             print(f"  k={k:<3d} {format_complex(f):>24s} | {format_complex(d)}", file=out)
     return 0
 
@@ -391,11 +383,12 @@ def _cmd_verify(args, out) -> int:
     cfg = VerifyConfig(tol=args.tol, kmax=args.kmax, jll_depth=args.jll)
     report = verify_critical_realizability(spec, cfg)
     if args.fmt == "machine":
+        record = serialize.realizability_record(report)
         doc = {
             "command": "verify",
-            "input": _input_record(spec),
+            "input": {"spectrum": serialize.report_input_record(record)},
             "config": {"tol": args.tol, "kmax": args.kmax, "jll": args.jll},
-            "report": serialize.realizability_record(report),
+            "report": record,
         }
         _emit(doc, out)
     else:

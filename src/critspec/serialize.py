@@ -6,15 +6,16 @@ round-trip a double exactly), and no volatile fields such as wall-clock
 time.  Serializing, parsing, and serializing again yields identical
 bytes.
 
-The bulk of a verify document (spectra, certificate matrices and the
-condition battery's cells) is not built as dicts: spectrum_record,
-matrix_record and condition_report_record's two check lists are blocks,
-rendered straight from the report's arrays with one batch float format
-per block (_fmt_floats) into one template cached by indentation.  A
+The bulk of a document is not built as dicts.  A verify report is one
+block: realizability_record renders spectra, condition battery, classes
+and routes into one template cached by the report's shape and
+indentation, and every float of the report takes one batch float
+format (_fmt_floats).  Spectra, matrices, the battery and critical's
+moment table are blocks of the same kind, from the same prototypes.  A
 block is a render node that only canonical_json reads;
-json.loads(canonical_json(record)) gives the same data as the plain
-dict and list records did: lists of {"re", "im"} cells, {"order",
-"rows"}, and one dict per check.
+json.loads(canonical_json(record)) gives the same data as plain dict
+and list records: lists of {"re", "im"} cells, {"order", "rows"}, and
+one dict per check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 import itertools
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -44,10 +45,10 @@ __all__ = [
     "spectrum_record",
     "matrix_record",
     "polynomial_record",
-    "classification_record",
     "condition_report_record",
-    "route_record",
+    "moment_table_record",
     "realizability_record",
+    "report_input_record",
     "hunt_record",
     "chain_record",
 ]
@@ -88,7 +89,24 @@ def _fmt_floats(a, null: bool = False) -> list[str]:
 def _re_im(values) -> np.ndarray:
     """The real and imaginary parts of complex values, interleaved: the
     order of their {"re", "im"} cells."""
-    return np.ascontiguousarray(values, dtype=complex).view(float)
+    return np.ascontiguousarray(values, dtype=complex).view(float).ravel()
+
+
+def _formatted(head: list, nullable: list, tail: list) -> Iterator[str]:
+    """The floats of head, nullable and tail (lists of 1-d arrays and
+    tuples, in document order), formatted in one _fmt_floats pass.
+
+    A non-finite value in nullable (a moment or power sum past the
+    double range) renders null; in head or tail (a residual, margin,
+    trace or certificate entry) it raises ValueError.
+    """
+    a = np.concatenate(head + nullable + tail)
+    lo = sum(map(len, head))
+    hi = lo + sum(map(len, nullable))
+    finite = np.isfinite(a)
+    if not (finite[:lo].all() and finite[hi:].all()):
+        raise ValueError("non-finite values have no canonical rendering")
+    return iter(_fmt_floats(a, null=True))
 
 
 class _Slot:
@@ -101,7 +119,7 @@ _BOOLS = ("false", "true")
 
 
 class _Block:
-    """Part of a document rendered from one %-template: what _write gives
+    """Part of a document rendered from one template: what _write gives
     for prototype(*args) at the block's indentation, with each _SLOT
     filled by the next of values (rendered strings)."""
 
@@ -114,11 +132,27 @@ class _Block:
 
 
 @functools.lru_cache(maxsize=256)
-def _template(prototype, args: tuple, nl: str) -> str:
-    # A prototype holds only keys, ints and slots, so no % of its own.
+def _template(prototype, args: tuple, nl: str) -> tuple[str | None, ...]:
+    """prototype(*args) as _write renders it at indentation nl, cut at its
+    slots: the text between slots at even places, None at each slot.
+
+    _write fills a block by extending its parts with this and assigning
+    the values to the odd places, so no text is scanned per document.
+    Equal pieces are kept once.  A verify report's template at n = 8 and
+    the default depths takes about 21 KB; it grows by about 180 bytes per
+    moment cell (kmax), 170 per power-sum cell (jll**2) and 32 per
+    certificate entry.  The cache holds one per report shape and
+    indentation, so at maxsize, reports with --kmax 1000 --jll 30 (340 KB
+    each) would hold about 87 MB.
+    """
     parts: list[str] = []
     _write(prototype(*args), parts, nl)
-    return "".join(parts)
+    # A prototype holds only keys, ints and slots, so "%s" marks a slot.
+    pieces: dict[str, str] = {}
+    out: list[str | None] = []
+    for piece in "".join(parts).split("%s"):
+        out += (pieces.setdefault(piece, piece), None)
+    return tuple(out[:-1])
 
 
 def _cells(*columns) -> tuple[str, ...]:
@@ -187,7 +221,9 @@ def _write(obj: Any, parts: list[str], nl: str) -> None:
     elif kind is int:
         parts.append(str(obj))
     elif kind is _Block:
-        parts.append(_template(obj.prototype, obj.args, nl) % obj.values)
+        start = len(parts) + 1
+        parts += _template(obj.prototype, obj.args, nl)
+        parts[start::2] = obj.values
     elif kind is _Slot:
         parts.append("%s")
     else:
@@ -218,6 +254,17 @@ def matrix_record(M: np.ndarray) -> _Block:
     return _Block(_matrix_prototype, np.shape(M), tuple(_fmt_floats(_re_im(M))))
 
 
+def _moment_table_prototype(depth: int) -> list:
+    return [{"k": k, "formula": _CELL, "direct": _CELL} for k in range(1, depth + 1)]
+
+
+def moment_table_record(formula, direct) -> _Block:
+    """[{"k", "formula", "direct"}], k = 1..K: two sequences s_1..s_K side
+    by side as {"re", "im"} cells."""
+    cells = _re_im(np.column_stack((formula, direct)))  # row k: formula, direct
+    return _Block(_moment_table_prototype, (len(formula),), tuple(_fmt_floats(cells)))
+
+
 def polynomial_record(p: MonicPolynomial) -> dict:
     return {
         "degree": p.degree,
@@ -225,14 +272,14 @@ def polynomial_record(p: MonicPolynomial) -> dict:
     }
 
 
-def classification_record(c: Classification) -> dict:
-    return {
-        "suleimanova": c.suleimanova,
-        "generalized_suleimanova": c.generalized_suleimanova,
-        "ciarlet": c.ciarlet,
-        "dcomp_inequality": c.dcomp_inequality,
-        "trace": float(c.trace),
-    }
+_CLASS = dict.fromkeys(
+    ("suleimanova", "generalized_suleimanova", "ciarlet", "dcomp_inequality", "trace"), _SLOT
+)
+
+
+def _class_values(c: Classification, trace: str) -> list[str]:
+    flags = (c.suleimanova, c.generalized_suleimanova, c.ciarlet, c.dcomp_inequality)
+    return [*map(_BOOLS.__getitem__, flags), trace]
 
 
 def _moment_prototype(depth: int) -> list:
@@ -245,56 +292,123 @@ def _jll_prototype(depth: int) -> list:
     return [{"k": k, "m": m, **cell} for k, m in grid]
 
 
-def condition_report_record(r: ConditionReport) -> dict:
-    # Moments and power sums past the double range are +-inf in the
-    # report; those fields render as null rather than failing the dump.
-    s, lhs, rhs = r.moment_values, r.jll_lhs.ravel(), r.jll_rhs.ravel()
-    values = _fmt_floats(np.concatenate([s.real, s.imag, lhs, rhs]), null=True)
-    moment_ok = [_BOOLS[ok] for ok in r.moment_passed.tolist()]
-    jll_ok = [_BOOLS[ok] for ok in r.jll_passed.ravel().tolist()]
-    d, g = s.size, lhs.size
+def _condition_prototype(moment_depth: int, jll_depth: int) -> dict:
     return {
-        "self_conjugate": r.self_conjugate,
-        "pairing_residual": float(r.pairing_residual),
-        "spectral_radius_in_list": r.spectral_radius_in_list,
-        "spectral_radius_margin": float(r.spectral_radius_margin),
-        "moment_depth": r.moment_depth,
-        "jll_depth": r.jll_depth,
-        "moment_checks": _Block(
-            _moment_prototype,
-            (r.moment_depth,),
-            _cells(values[:d], values[d : 2 * d], moment_ok),
-        ),
-        "jll_checks": _Block(
-            _jll_prototype,
-            (r.jll_depth,),
-            _cells(values[2 * d : 2 * d + g], values[2 * d + g :], jll_ok),
-        ),
-        "overall": r.overall,
+        "self_conjugate": _SLOT,
+        "pairing_residual": _SLOT,
+        "spectral_radius_in_list": _SLOT,
+        "spectral_radius_margin": _SLOT,
+        "moment_depth": moment_depth,
+        "jll_depth": jll_depth,
+        "moment_checks": _moment_prototype(moment_depth),
+        "jll_checks": _jll_prototype(jll_depth),
+        "overall": _SLOT,
     }
 
 
-def route_record(r: RouteResult) -> dict:
+def _condition_floats(r: ConditionReport) -> tuple[tuple, list]:
+    """The battery's floats in document order: the residual and margin,
+    then the moments and the two grids, which may hold +-inf."""
+    nullable = [_re_im(r.moment_values), r.jll_lhs.ravel(), r.jll_rhs.ravel()]
+    return (r.pairing_residual, r.spectral_radius_margin), nullable
+
+
+def _condition_values(r: ConditionReport, f: Iterator[str]) -> list[str]:
+    """The battery's values; f yields its floats, as _condition_floats orders them."""
+    residual, margin = next(f), next(f)
+    moments = list(itertools.islice(f, 2 * r.moment_depth))
+    cells = r.jll_depth**2
+    lhs, rhs = list(itertools.islice(f, cells)), list(itertools.islice(f, cells))
+    moment_ok = map(_BOOLS.__getitem__, r.moment_passed.tolist())
+    jll_ok = map(_BOOLS.__getitem__, r.jll_passed.ravel().tolist())
+    return [
+        _BOOLS[r.self_conjugate],
+        residual,
+        _BOOLS[r.spectral_radius_in_list],
+        margin,
+        *_cells(moments[::2], moments[1::2], moment_ok),
+        *_cells(lhs, rhs, jll_ok),
+        _BOOLS[r.overall],
+    ]
+
+
+def condition_report_record(r: ConditionReport) -> _Block:
+    head, nullable = _condition_floats(r)
+    values = _condition_values(r, _formatted([head], nullable, []))
+    return _Block(_condition_prototype, (r.moment_depth, r.jll_depth), tuple(values))
+
+
+def _route_prototype(shape: tuple[int, int] | None) -> dict:
     return {
-        "name": r.name,
-        "attempted": r.attempted,
-        "succeeded": r.succeeded,
-        "certificate": None if r.certificate is None else matrix_record(r.certificate),
-        "reason": r.reason,
-        "residual": None if r.residual is None else float(r.residual),
+        "name": _SLOT,
+        "attempted": _SLOT,
+        "succeeded": _SLOT,
+        "certificate": None if shape is None else _matrix_prototype(*shape),
+        "reason": _SLOT,
+        "residual": _SLOT,
     }
 
 
-def realizability_record(rep: RealizabilityReport) -> dict:
+def _route_floats(r: RouteResult) -> list:
+    """The route's floats in document order: its certificate, its residual."""
+    cert = [] if r.certificate is None else [_re_im(r.certificate)]
+    return cert if r.residual is None else [*cert, (r.residual,)]
+
+
+def _route_values(r: RouteResult, f: Iterator[str]) -> list[str]:
+    """The route's values; f yields its floats, as _route_floats orders them."""
+    cert = () if r.certificate is None else itertools.islice(f, 2 * r.certificate.size)
+    return [
+        encode_basestring_ascii(r.name),
+        _BOOLS[r.attempted],
+        _BOOLS[r.succeeded],
+        *cert,
+        "null" if r.reason is None else encode_basestring_ascii(r.reason),
+        "null" if r.residual is None else next(f),
+    ]
+
+
+def _report_prototype(n: int, m: int, moment_depth: int, jll_depth: int, shapes: tuple) -> dict:
     return {
-        "input": spectrum_record(rep.input),
-        "critical": spectrum_record(rep.critical),
-        "conditions": condition_report_record(rep.conditions),
-        "input_class": classification_record(rep.input_class),
-        "critical_class": classification_record(rep.critical_class),
-        "routes": [route_record(r) for r in rep.routes],
-        "verdict": rep.verdict,
+        "input": _spectrum_prototype(n),
+        "critical": _spectrum_prototype(m),
+        "conditions": _condition_prototype(moment_depth, jll_depth),
+        "input_class": _CLASS,
+        "critical_class": _CLASS,
+        "routes": [_route_prototype(shape) for shape in shapes],
+        "verdict": _SLOT,
     }
+
+
+def realizability_record(rep: RealizabilityReport) -> _Block:
+    """The whole report as one block: every float in one pass, rendered
+    into one template cached by the report's shape (_report_prototype)."""
+    c, routes = rep.conditions, rep.routes
+    classes = (rep.input_class, rep.critical_class)
+    head, nullable = _condition_floats(c)
+    tail = [tuple(cls.trace for cls in classes)]
+    for r in routes:
+        tail += _route_floats(r)
+    f = _formatted(
+        [_re_im(rep.input.as_array()), _re_im(rep.critical.as_array()), head], nullable, tail
+    )
+    n, m = len(rep.input), len(rep.critical)
+    values = [*itertools.islice(f, 2 * (n + m)), *_condition_values(c, f)]
+    for cls in classes:
+        values += _class_values(cls, next(f))
+    for r in routes:
+        values += _route_values(r, f)
+    values.append(encode_basestring_ascii(rep.verdict))
+    shapes = tuple(None if r.certificate is None else r.certificate.shape for r in routes)
+    args = (n, m, c.moment_depth, c.jll_depth, shapes)
+    return _Block(_report_prototype, args, tuple(values))
+
+
+def report_input_record(record: _Block) -> _Block:
+    """spectrum_record(rep.input) for record = realizability_record(rep),
+    from the strings record holds: the report opens with the input."""
+    n = record.args[0]
+    return _Block(_spectrum_prototype, (n,), record.values[: 2 * n])
 
 
 def _alarm_record(a: AlarmRecord) -> dict:

@@ -1,6 +1,7 @@
 """Canonical JSON: the single-pass writer renders what the recursive one did,
 and the block records render what the dict records did."""
 
+import dataclasses
 import enum
 import gc
 import io
@@ -15,8 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_bench
-from critspec import check_necessary_conditions, cli, serialize, verify_critical_realizability
+from critspec import (
+    AlarmRecord,
+    HuntReport,
+    VerifyConfig,
+    check_necessary_conditions,
+    cli,
+    dft_matrix,
+    serialize,
+    verify_critical_realizability,
+)
 from critspec.cli import parse_spectrum
+from critspec.moments import critical_moments, power_sums
 from critspec.serialize import _fmt_float, _fmt_floats, canonical_json
 
 CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text("utf-8"))
@@ -280,24 +291,39 @@ def _ref_route(r):
     }
 
 
-def _ref_verify_document(spec):
+def _ref_report(rep):
+    return {
+        "input": _ref_spectrum(rep.input),
+        "critical": _ref_spectrum(rep.critical),
+        "conditions": _ref_condition_report(rep.conditions),
+        "input_class": _ref_classification(rep.input_class),
+        "critical_class": _ref_classification(rep.critical_class),
+        "routes": [_ref_route(r) for r in rep.routes],
+        "verdict": rep.verdict,
+    }
+
+
+def _ref_verify_document(spec, kmax=None, jll=8):
     """What verify --format machine printed for spec with the dict records."""
-    rep = verify_critical_realizability(spec)
+    rep = verify_critical_realizability(spec, VerifyConfig(kmax=kmax, jll_depth=jll))
     doc = {
         "command": "verify",
         "input": {"spectrum": _ref_spectrum(spec)},
-        "config": {"tol": 1e-9, "kmax": None, "jll": 8},
-        "report": {
-            "input": _ref_spectrum(rep.input),
-            "critical": _ref_spectrum(rep.critical),
-            "conditions": _ref_condition_report(rep.conditions),
-            "input_class": _ref_classification(rep.input_class),
-            "critical_class": _ref_classification(rep.critical_class),
-            "routes": [_ref_route(r) for r in rep.routes],
-            "verdict": rep.verdict,
-        },
+        "config": {"tol": 1e-9, "kmax": kmax, "jll": jll},
+        "report": _ref_report(rep),
     }
     return _recursive_json(doc) + "\n"
+
+
+def _literal(values):
+    """Complex literals that parse back to exactly these values."""
+    return ",".join(f"{z.real!r}{z.imag:+.17g}i" for z in map(complex, values))
+
+
+def _verify_document(spec, *options):
+    buf = io.StringIO()
+    cli.run(["verify", "--format", "machine", *options, "--", _literal(spec)], out=buf)
+    return buf.getvalue()
 
 
 class TestBlockRecords:
@@ -327,3 +353,99 @@ class TestBlockRecords:
             assert json.loads(canonical_json(record)) == ref
             for wrapped, ref_wrapped in ((record, ref), ([{"x": record}], [{"x": ref}])):
                 assert canonical_json(wrapped) == _recursive_json(ref_wrapped)
+
+    def test_hunt_alarm_renders_the_report_block_at_depth(self):
+        rep = verify_critical_realizability(parse_spectrum("4,1+i,1-i,-1"))
+        alarm = AlarmRecord(sample_index=3, order=4, report=rep)
+        hunt = HuntReport(7, "dense-uniform", 4, 4, 5, 3, 1, (alarm, alarm), {"companion": 2})
+        ref = {
+            "seed": 7,
+            "ensemble": "dense-uniform",
+            "n_min": 4,
+            "n_max": 4,
+            "samples": 5,
+            "certified": 3,
+            "uncertified": 1,
+            "alarm_count": 2,
+            "alarms": [{"sample_index": 3, "order": 4, "report": _ref_report(rep)}] * 2,
+            "route_successes": {"companion": 2},
+        }
+        record = serialize.hunt_record(hunt)
+        assert canonical_json(record) == _recursive_json(ref)
+        assert canonical_json({"report": record}) == _recursive_json({"report": ref})
+
+    @pytest.mark.parametrize("spec,order", [("3,-1,-1", 3), ("1,1,1,1,1,1,1,1", 8)])
+    def test_hadamard_certificate_matches_dict_records(self, spec, order):
+        cfg = VerifyConfig(hadamard=dft_matrix(order))
+        rep = verify_critical_realizability(parse_spectrum(spec), cfg)
+        assert rep.routes[-1].name == "hadamard" and rep.routes[-1].certificate is not None
+        record = serialize.realizability_record(rep)
+        assert canonical_json(record) == _recursive_json(_ref_report(rep))
+
+    @pytest.mark.parametrize("kmax,jll", [(1, 1), (5, 3), (60, 8), (None, 12)])
+    def test_depths_match_dict_records(self, kmax, jll):
+        spec = parse_spectrum("4,1+i,1-i,-1")
+        options = ["--jll", str(jll)] + ([] if kmax is None else ["--kmax", str(kmax)])
+        assert _verify_document(spec, *options) == _ref_verify_document(spec, kmax, jll)
+
+    def test_random_lists_match_dict_records(self):
+        rng = np.random.default_rng(29)
+        for n in range(2, 13):
+            real = rng.normal(size=n - 2 * (n // 3))
+            pairs = rng.normal(size=n // 3) + 1j * rng.uniform(0.1, 1.0, n // 3)
+            self_conjugate = np.concatenate([real, pairs, pairs.conj()])
+            complex_list = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for values in (self_conjugate, complex_list):
+                spec = parse_spectrum(_literal(values))
+                assert _verify_document(spec) == _ref_verify_document(spec), values
+
+    def test_moments_past_the_double_range_render_null_in_verify(self):
+        spec = parse_spectrum("3e8,-1e8,-1e8")
+        buf = io.StringIO()
+        argv = ["verify", "3e8,-1e8,-1e8", "--kmax", "60", "--format", "machine"]
+        code = cli.run(argv, out=buf)
+        assert code == 0
+        assert buf.getvalue() == _ref_verify_document(spec, kmax=60)
+        assert '"re": null' in buf.getvalue() and '"rhs": null' in buf.getvalue()
+
+    @pytest.mark.parametrize("field", ["residual", "certificate"])
+    def test_nonfinite_route_value_raises(self, field):
+        rep = verify_critical_realizability(parse_spectrum("3,-1,-1"))
+        route = rep.routes[0]
+        assert route.succeeded
+        if field == "residual":
+            bad = dataclasses.replace(route, residual=math.inf)
+        else:
+            cert = route.certificate.copy()
+            cert[0, -1] = math.inf
+            bad = dataclasses.replace(route, certificate=cert)
+        report = dataclasses.replace(rep, routes=(bad, *rep.routes[1:]))
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(serialize.realizability_record(report))
+
+    def test_critical_moment_table_matches_dict_records(self):
+        spec = parse_spectrum("4,1+i,1-i,-1")
+        buf = io.StringIO()
+        argv = ["critical", "--format", "machine", "--kmax", "6", "--", "4,1+i,1-i,-1"]
+        assert cli.run(argv, out=buf) == 0
+        doc = json.loads(buf.getvalue())
+        crit = [complex(z["re"], z["im"]) for z in doc["report"]["critical"]]
+        formula = critical_moments(spec, 6)
+        direct = power_sums(crit, 6)
+        ref = [
+            {"k": k, "formula": _ref_complex(f), "direct": _ref_complex(d)}
+            for k, f, d in zip(range(1, 7), formula, direct)
+        ]
+        record = serialize.moment_table_record(formula, direct)
+        assert canonical_json(record) == _recursive_json(ref)
+        assert canonical_json(serialize.moment_table_record([], [])) == "[]"
+
+    def test_second_verify_of_the_same_shape_builds_no_template(self):
+        serialize._template.cache_clear()
+        cli.run(["verify", "--format", "machine", "--", "3,-1,-1"], out=io.StringIO())
+        info = serialize._template.cache_info()
+        assert (info.misses, info.hits) == (2, 0)  # the input's block and the report's
+        # Scaled by 2, the list has the same verdict, depths and certificates.
+        cli.run(["verify", "--format", "machine", "--", "6,-2,-2"], out=io.StringIO())
+        info = serialize._template.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
