@@ -220,14 +220,6 @@ def _parse_order_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(doc: dict, out) -> None:
-    print(serialize.canonical_json(doc), file=out)
-
-
-def _input_record(spec: SpectrumList | None) -> dict:
-    return {"spectrum": None if spec is None else serialize.spectrum_record(spec)}
-
-
 def _print_condition_summary(r, out) -> None:
     def mark(ok: bool) -> str:
         return "pass" if ok else "FAIL"
@@ -256,13 +248,9 @@ def _cmd_check(args, out) -> int:
         spec, kmax=args.kmax, jll_depth=args.jll, tol=args.tol
     )
     if args.fmt == "machine":
-        doc = {
-            "command": "check",
-            "input": _input_record(spec),
-            "config": {"tol": args.tol, "kmax": args.kmax, "jll": args.jll},
-            "report": serialize.condition_report_record(report),
-        }
-        _emit(doc, out)
+        config = {"tol": args.tol, "kmax": args.kmax, "jll": args.jll}
+        record = serialize.condition_report_record(report)
+        print(serialize.document("check", spec, config, record), file=out)
     else:
         print(f"list (n={len(spec)}): {format_spectrum(spec)}", file=out)
         _print_condition_summary(report, out)
@@ -282,16 +270,8 @@ def _cmd_critical(args, out) -> int:
             f"in double precision"
         )
     if args.fmt == "machine":
-        doc = {
-            "command": "critical",
-            "input": _input_record(spec),
-            "config": {"kmax": args.kmax},
-            "report": {
-                "critical": serialize.spectrum_record(crit),
-                "moments": serialize.moment_table_record(formula, direct),
-            },
-        }
-        _emit(doc, out)
+        record = serialize.critical_record(crit, formula, direct)
+        print(serialize.document("critical", spec, {"kmax": args.kmax}, record), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
         print(f"critical points (n={len(crit)}): {format_spectrum(crit)}", file=out)
@@ -346,21 +326,9 @@ def _cmd_realize(args, out) -> int:
         M = M if cert is None else cert
     certified = cert is not None
     if args.fmt == "machine":
-        doc = {
-            "command": "realize",
-            "input": _input_record(spec),
-            "config": {"route": args.route, "pivot": args.pivot},
-            "report": {
-                "critical": serialize.spectrum_record(crit),
-                "route": args.route,
-                "matrix": None if M is None else serialize.matrix_record(M),
-                "sign_class": None if sign is None else sign.value,
-                "residual": None if residual is None else float(residual),
-                "certified": certified,
-                "reason": reason,
-            },
-        }
-        _emit(doc, out)
+        config = {"route": args.route, "pivot": args.pivot}
+        record = serialize.realize_record(crit, args.route, M, sign, residual, certified, reason)
+        print(serialize.document("realize", spec, config, record), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
         print(f"critical points (n={len(crit)}): {format_spectrum(crit)}", file=out)
@@ -384,13 +352,9 @@ def _cmd_verify(args, out) -> int:
     report = verify_critical_realizability(spec, cfg)
     if args.fmt == "machine":
         record = serialize.realizability_record(report)
-        doc = {
-            "command": "verify",
-            "input": {"spectrum": serialize.report_input_record(record)},
-            "config": {"tol": args.tol, "kmax": args.kmax, "jll": args.jll},
-            "report": record,
-        }
-        _emit(doc, out)
+        spectrum = serialize.report_input_record(record)
+        config = {"tol": args.tol, "kmax": args.kmax, "jll": args.jll}
+        print(serialize.document("verify", spectrum, config, record), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
         print(f"critical points (n={len(report.critical)}): "
@@ -429,22 +393,17 @@ def _cmd_hunt(args, out) -> int:
     )
     report = hunt(config)
     if args.fmt == "machine":
-        doc = {
-            "command": "hunt",
-            "input": _input_record(None),
-            "config": {
-                "tol": args.tol,
-                "kmax": args.kmax,
-                "jll": args.jll,
-                "seed": args.seed,
-                "samples": args.samples,
-                "ensemble": args.ensemble,
-                "n_min": n_min,
-                "n_max": n_max,
-            },
-            "report": serialize.hunt_record(report),
+        config = {
+            "tol": args.tol,
+            "kmax": args.kmax,
+            "jll": args.jll,
+            "seed": args.seed,
+            "samples": args.samples,
+            "ensemble": args.ensemble,
+            "n_min": n_min,
+            "n_max": n_max,
         }
-        _emit(doc, out)
+        print(serialize.document("hunt", None, config, serialize.hunt_record(report)), file=out)
     else:
         print(f"ensemble: {report.ensemble}  seed: {report.seed}  "
               f"samples: {report.samples}  orders: {report.n_min}..{report.n_max}",
@@ -468,16 +427,8 @@ def _cmd_chain(args, out) -> int:
     p = from_roots(spec)
     report = antiderivative_chain(p, constants, args.tol)
     if args.fmt == "machine":
-        doc = {
-            "command": "chain",
-            "input": _input_record(spec),
-            "config": {
-                "tol": args.tol,
-                "constants": [serialize.complex_record(c) for c in constants],
-            },
-            "report": serialize.chain_record(report),
-        }
-        _emit(doc, out)
+        config = {"tol": args.tol, "constants": [serialize.complex_record(c) for c in constants]}
+        print(serialize.document("chain", spec, config, serialize.chain_record(report)), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
         print(f"start degree: {report.start.degree}", file=out)

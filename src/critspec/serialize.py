@@ -1,10 +1,11 @@
-"""Canonical JSON records for every report type.
+"""Canonical JSON records for every report type, and every --format
+machine document: document writes each one, its envelope {"command",
+"input", "config", "report"} included.
 
-The machine output format is meant to be diffed and hashed: a fixed
-field order, floats rendered with 17 significant digits (enough to
-round-trip a double exactly), and no volatile fields such as wall-clock
-time.  Serializing, parsing, and serializing again yields identical
-bytes.
+The format is meant to be diffed and hashed: a fixed field order,
+floats rendered with 17 significant digits (enough to round-trip a
+double exactly), and no volatile fields such as wall-clock time.
+Serializing, parsing, and serializing again yields identical bytes.
 
 The bulk of a document is not built as dicts.  A verify report is one
 block: realizability_record renders spectra, condition battery, classes
@@ -51,6 +52,9 @@ __all__ = [
     "report_input_record",
     "hunt_record",
     "chain_record",
+    "critical_record",
+    "realize_record",
+    "document",
 ]
 
 
@@ -166,11 +170,6 @@ _KINDS = (type(None), bool, int, float, str, dict, list, tuple, _Block, _Slot)
 _EXACT_KINDS = frozenset(_KINDS)
 
 
-@functools.lru_cache(maxsize=1024)
-def _key_prefix(key: str) -> str:
-    return encode_basestring_ascii(key) + ": "
-
-
 def canonical_json(obj: Any) -> str:
     """Serialize nested dict/list/scalar data with stable formatting."""
     parts: list[str] = []
@@ -199,7 +198,7 @@ def _write(obj: Any, parts: list[str], nl: str) -> None:
         sep = "{" + inner
         for k, v in obj.items():
             parts.append(sep)
-            parts.append(_key_prefix(str(k)))
+            parts.append(encode_basestring_ascii(str(k)) + ": ")
             _write(v, parts, inner)
             sep = "," + inner
         parts.append(nl + "}")
@@ -450,3 +449,37 @@ def chain_record(rep: ChainReport) -> dict:
         ],
         "all_nonnegative": rep.all_nonnegative,
     }
+
+
+def critical_record(crit: SpectrumList, formula, direct) -> dict:
+    """critical's report: the critical points and their moment table."""
+    return {"critical": spectrum_record(crit), "moments": moment_table_record(formula, direct)}
+
+
+def realize_record(
+    crit: SpectrumList, route: str, matrix, sign, residual, certified: bool, reason
+) -> dict:
+    """realize's report: the matrix as shown (None when no candidate was
+    built), its MatrixSignClass and the backward error of its spectrum."""
+    return {
+        "critical": spectrum_record(crit),
+        "route": route,
+        "matrix": None if matrix is None else matrix_record(matrix),
+        "sign_class": None if sign is None else sign.value,
+        "residual": None if residual is None else float(residual),
+        "certified": certified,
+        "reason": reason,
+    }
+
+
+def document(command: str, spectrum: SpectrumList | _Block | None, config: dict, report) -> str:
+    """The machine document of one command, without its final newline.
+
+    spectrum is the input list, or its block already rendered (verify's
+    report_input_record), or None for a command that reads no list.
+    """
+    if isinstance(spectrum, SpectrumList):
+        spectrum = spectrum_record(spectrum)
+    return canonical_json(
+        {"command": command, "input": {"spectrum": spectrum}, "config": config, "report": report}
+    )

@@ -303,16 +303,30 @@ def _ref_report(rep):
     }
 
 
+def _ref_realize(crit, route, matrix, sign, residual, certified, reason):
+    return {
+        "critical": _ref_spectrum(crit),
+        "route": route,
+        "matrix": None if matrix is None else _ref_matrix(matrix),
+        "sign_class": None if sign is None else sign.value,
+        "residual": None if residual is None else float(residual),
+        "certified": certified,
+        "reason": reason,
+    }
+
+
+def _ref_document(command, spectrum, config, report):
+    """A machine document as the dict records built it, without its final
+    newline; spectrum is the input's dict record, or None."""
+    doc = {"command": command, "input": {"spectrum": spectrum}, "config": config, "report": report}
+    return _recursive_json(doc)
+
+
 def _ref_verify_document(spec, kmax=None, jll=8):
     """What verify --format machine printed for spec with the dict records."""
     rep = verify_critical_realizability(spec, VerifyConfig(kmax=kmax, jll_depth=jll))
-    doc = {
-        "command": "verify",
-        "input": {"spectrum": _ref_spectrum(spec)},
-        "config": {"tol": 1e-9, "kmax": kmax, "jll": jll},
-        "report": _ref_report(rep),
-    }
-    return _recursive_json(doc) + "\n"
+    config = {"tol": 1e-9, "kmax": kmax, "jll": jll}
+    return _ref_document("verify", _ref_spectrum(spec), config, _ref_report(rep)) + "\n"
 
 
 def _literal(values):
@@ -439,6 +453,12 @@ class TestBlockRecords:
         record = serialize.moment_table_record(formula, direct)
         assert canonical_json(record) == _recursive_json(ref)
         assert canonical_json(serialize.moment_table_record([], [])) == "[]"
+        # The whole document: critical_record inside document's envelope.
+        ref = {"critical": _ref_spectrum(crit), "moments": ref}
+        record = serialize.critical_record(crit, formula, direct)
+        assert canonical_json(record) == _recursive_json(ref)
+        text = _ref_document("critical", _ref_spectrum(spec), {"kmax": 6}, ref)
+        assert buf.getvalue() == text + "\n"
 
     def test_second_verify_of_the_same_shape_builds_no_template(self):
         serialize._template.cache_clear()
@@ -449,3 +469,73 @@ class TestBlockRecords:
         cli.run(["verify", "--format", "machine", "--", "6,-2,-2"], out=io.StringIO())
         info = serialize._template.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+
+class TestDocument:
+    """serialize.document writes every machine document, envelope included."""
+
+    def test_spectrum_list_input(self):
+        spec = parse_spectrum("4,1+i,1-i,-1")
+        report = check_necessary_conditions(spec)
+        config = {"tol": 1e-9, "kmax": None, "jll": 8}
+        text = serialize.document("check", spec, config, serialize.condition_report_record(report))
+        ref = _ref_condition_report(report)
+        assert text == _ref_document("check", _ref_spectrum(spec), config, ref)
+        buf = io.StringIO()
+        cli.run(["check", "--format", "machine", "--", "4,1+i,1-i,-1"], out=buf)
+        assert buf.getvalue() == text + "\n"
+
+    def test_rendered_input(self):
+        spec = parse_spectrum("4,1+i,1-i,-1")
+        record = serialize.realizability_record(verify_critical_realizability(spec))
+        config = {"tol": 1e-9, "kmax": None, "jll": 8}
+        text = serialize.document("verify", serialize.report_input_record(record), config, record)
+        assert text + "\n" == _ref_verify_document(spec)
+
+    def test_no_input(self):
+        hunt = HuntReport(7, "dense-uniform", 4, 4, 5, 5, 0, (), {"companion": 5})
+        config = {"seed": 7, "samples": 5}
+        ref = {
+            "seed": 7,
+            "ensemble": "dense-uniform",
+            "n_min": 4,
+            "n_max": 4,
+            "samples": 5,
+            "certified": 5,
+            "uncertified": 0,
+            "alarm_count": 0,
+            "alarms": [],
+            "route_successes": {"companion": 5},
+        }
+        text = serialize.document("hunt", None, config, serialize.hunt_record(hunt))
+        assert text == _ref_document("hunt", None, config, ref)
+        assert json.loads(text)["input"] == {"spectrum": None}
+
+    @pytest.mark.parametrize(
+        "literal,route,certified,sign,built",
+        [
+            ("3,-1,-1", "dcomp", True, "nonnegative", True),  # a certificate
+            ("1,-1,-1", "companion", False, "metzler", True),  # failed, shown as built
+            ("2,1+1i,1-1.0000000001i,-1", "dft", False, None, False),  # no candidate
+        ],
+    )
+    def test_realize_record(self, monkeypatch, literal, route, certified, sign, built):
+        # The parts realize hands to realize_record, rendered by the dict
+        # reference, are what the command prints.
+        calls = []
+        real = serialize.realize_record
+        monkeypatch.setattr(serialize, "realize_record", lambda *a: calls.append(a) or real(*a))
+        buf = io.StringIO()
+        argv = ["realize", "--route", route, "--format", "machine", "--", literal]
+        assert cli.run(argv, out=buf) == (0 if certified else 1)
+        [parts] = calls
+        _, _, matrix, sign_class, residual, is_certified, reason = parts
+        assert is_certified is certified
+        assert (None if sign_class is None else sign_class.value) == sign
+        assert (matrix is not None) is built and (residual is not None) is built
+        assert (reason is None) is certified
+        config = {"route": route, "pivot": None}
+        ref = _ref_realize(*parts)
+        assert canonical_json(real(*parts)) == _recursive_json(ref)
+        text = _ref_document("realize", _ref_spectrum(parse_spectrum(literal)), config, ref)
+        assert buf.getvalue() == text + "\n"
