@@ -186,7 +186,7 @@ def power_traces(B: np.ndarray, kmax: int) -> np.ndarray:
 
     With m = ceil(sqrt(kmax)), B**1 .. B**m and B**0, B**m, B**2m, ...
     come from repeated products and every trace tr(B**i B**jm) from one
-    einsum.  Overflow to inf/nan is tolerated, as in power_sums.
+    GEMM.  Overflow to inf/nan is tolerated, as in power_sums.
     """
     if kmax < 1:
         raise ValueError("moment index must be at least 1")
@@ -198,7 +198,8 @@ def power_traces(B: np.ndarray, kmax: int) -> np.ndarray:
             small.append(small[-1] @ B)
         for _ in range(-(-kmax // m) - 1):
             giant.append(giant[-1] @ small[-1])
-        traces = np.einsum("aij,bji->ba", np.array(small), np.array(giant))
+        giant_t = np.array(giant).swapaxes(1, 2).reshape(len(giant), -1)
+        traces = giant_t @ np.array(small).reshape(m, -1).T
     return traces.ravel()[:kmax]
 
 

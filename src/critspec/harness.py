@@ -408,9 +408,16 @@ def random_realizable(
 
 
 # Safety factor on _moment_cross_check's bound.  The largest difference
-# measured, over order-5 hunts of the four ensembles, was 3.93 times
-# k * n * eps * rho**k (2.50 past k = 1, 1.72 at n = 3-32, 0.47 at 33-64).
+# measured over hunts of the four ensembles was 3.49 times k*n*eps*rho**k
+# at n = 5 (2.50 past k = 1), 1.90 at n = 3-32 and 0.55 at n = 33-64.
 _CROSS_CHECK_SAFETY = 32.0
+
+
+def _unit_traces(lam: SpectrumList, B: np.ndarray, kmax: int) -> tuple[int, np.ndarray]:
+    """e = frexp(rho)[1], rho the spectral radius of lam, and tr(B**1) ..
+    tr(B**kmax) in the unit 2**e of lam, B = critical_compression(lam)."""
+    e = math.frexp(lam.spectral_radius)[1]
+    return e, power_traces(_ldexp(B, -e), kmax)
 
 
 def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionReport) -> None:
@@ -427,11 +434,10 @@ def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionR
     battery's tolerance law.
     """
     rho, depth = lam.spectral_radius, conditions.moment_depth
-    e = math.frexp(rho)[1]
+    e, traces = _unit_traces(lam, B, depth)
     k = np.arange(1, depth + 1)
     shift = (k * (conditions.scale_exponent - e)).repeat(2)  # real and imaginary parts
     direct = _ldexp(conditions.unit_power_sums[:depth], shift)
-    traces = power_traces(_ldexp(B, -e), depth)
     bound = _allowance(_CROSS_CHECK_SAFETY * _EPS, len(lam), math.ldexp(rho, -e), k)
     bad = np.flatnonzero(np.abs(direct - traces) > bound)
     if bad.size:
@@ -443,30 +449,24 @@ def _moment_cross_check(lam: SpectrumList, B: np.ndarray, conditions: ConditionR
         )
 
 
-def _confirm_alarm(
-    lam: SpectrumList, B: np.ndarray, crit: SpectrumList, cfg: VerifyConfig
-) -> bool:
-    """Re-run a failed condition battery tighter before believing it.
+def _confirm_alarm(report: RealizabilityReport) -> bool:
+    """Whether the condition failures of report's battery are an alarm.
 
-    The recheck drops the tolerance a hundredfold, and any moment or
-    power-sum failure must reproduce through the moments tr(B**k) of
-    B = critical_compression(lam), which never touch the computed
-    critical points.  Those are graded in the unit of lam, as in
-    _moment_cross_check.  Only failures that survive both are alarms.
+    Reads the battery verify ran and reruns none of it.  A failed
+    self-conjugacy or spectral-radius check is an alarm; a failed moment
+    or power-sum cell only if tr(B**k), B = report.compression, fails it
+    too, graded at report.tol in the unit of the list (_unit_traces):
+    those moments never touch the computed critical points.
     """
-    tight_tol = cfg.tol / 100.0
-    tight = check_necessary_conditions(
-        crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=tight_tol
-    )
-    if not tight.self_conjugate or not tight.spectral_radius_in_list:
+    c = report.conditions
+    if not c.self_conjugate or not c.spectral_radius_in_list:
         return True
-    depth, jll_depth = tight.moment_depth, tight.jll_depth
-    e = math.frexp(lam.spectral_radius)[1]
-    traces = power_traces(_ldexp(B, -e), max(depth, jll_depth * jll_depth))
+    depth, jll_depth, crit = c.moment_depth, c.jll_depth, report.critical
+    e, traces = _unit_traces(report.input, report.compression, max(depth, jll_depth**2))
     moment_ok, _, _, jll_ok = _grade_moments(
-        traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, tight_tol
+        traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, report.tol
     )
-    return bool((~tight.moment_passed & ~moment_ok).any() or (~tight.jll_passed & ~jll_ok).any())
+    return bool((~c.moment_passed & ~moment_ok).any() or (~c.jll_passed & ~jll_ok).any())
 
 
 def hunt(config: HuntConfig) -> HuntReport:
@@ -506,9 +506,7 @@ def hunt(config: HuntConfig) -> HuntReport:
         # alarm only if the recheck confirms it.
         if any(r.succeeded for r in report.routes):
             certified += 1
-        elif report.verdict == "condition-violation" and _confirm_alarm(
-            lam, report.compression, report.critical, vcfg
-        ):
+        elif report.verdict == "condition-violation" and _confirm_alarm(report):
             alarms.append(AlarmRecord(sample_index=i, order=n, report=report))
         else:
             uncertified += 1

@@ -1,6 +1,7 @@
 """Verification pipeline, random ensembles, hunt, antiderivative chains."""
 
 import cmath
+import dataclasses
 import importlib.util
 import io
 import math
@@ -688,35 +689,66 @@ class TestMomentCrossCheck:
 
 
 class TestConfirmAlarm:
-    """The recheck a hunt runs before it reports a condition failure."""
+    """The recheck a hunt runs on verify's report before it reports a
+    condition failure."""
 
-    cfg = VerifyConfig()
+    @staticmethod
+    def _report(lam, crit=None):
+        """verify's report on lam, with its battery run on crit when given."""
+        report = verify_critical_realizability(lam)
+        if crit is None:
+            return report
+        crit = as_spectrum(crit)
+        conditions = check_necessary_conditions(crit, tol=report.tol)
+        return dataclasses.replace(report, critical=crit, conditions=conditions)
 
     def test_real_moment_failure_confirmed(self):
         # The critical points {1/3, -1} of 1,-1,-1 have negative trace, and
-        # the determinant formula from the list reproduces it.
-        lam = as_spectrum([1, -1, -1])
-        assert _confirm_alarm(lam, critical_compression(lam), critical_points(lam), self.cfg)
+        # tr(B) from the list reproduces it.
+        assert _confirm_alarm(self._report([1, -1, -1]))
 
     def test_non_self_conjugate_crit_confirmed(self):
-        lam = as_spectrum([3, -1, -1])
-        crit = as_spectrum([5 / 3, -1 + 0.5j])
-        assert _confirm_alarm(lam, critical_compression(lam), crit, self.cfg)
+        assert _confirm_alarm(self._report([3, -1, -1], [5 / 3, -1 + 0.5j]))
 
     def test_passing_crit_not_an_alarm(self):
-        lam = as_spectrum([3, -1, -1])
-        assert not _confirm_alarm(lam, critical_compression(lam), critical_points(lam), self.cfg)
+        report = self._report([3, -1, -1])
+        assert report.conditions.overall
+        assert not _confirm_alarm(report)
 
     def test_direct_failure_the_formula_clears_is_not_an_alarm(self):
         # 3,-1,-1,-1 has critical points {2, -1, -1} with trace exactly 0.
-        # Nudging one of them makes the direct s_1 negative; the formula
-        # from the list still gives 0.
-        lam = as_spectrum([3, -1, -1, -1])
-        nudged = as_spectrum([2.0, -1.0, -1.0 - 1e-6])
-        tight = check_necessary_conditions(nudged, tol=self.cfg.tol / 100.0)
-        assert tight.self_conjugate and tight.spectral_radius_in_list
-        assert np.flatnonzero(~tight.moment_passed).tolist() == [0]  # k = 1 alone
-        assert not _confirm_alarm(lam, critical_compression(lam), nudged, self.cfg)
+        # Nudging one of them makes the direct s_1 negative; tr(B) from the
+        # list still gives 0.
+        report = self._report([3, -1, -1, -1], [2.0, -1.0, -1.0 - 1e-6])
+        c = report.conditions
+        assert c.self_conjugate and c.spectral_radius_in_list
+        assert np.flatnonzero(~c.moment_passed).tolist() == [0]  # k = 1 alone
+        assert not _confirm_alarm(report)
+
+    def test_passed_radius_check_stands(self):
+        # The radius margin 1e-9 is within the battery's allowance, so the
+        # radius check passed and stays passed; the failing moments and
+        # power-sum cells all pass on tr(B**k) of the list.
+        report = self._report([3, -1, -1, -1], [2.0, -1.0, -2.0 - 1e-9])
+        c = report.conditions
+        assert c.self_conjugate and c.spectral_radius_in_list
+        assert (np.flatnonzero(~c.moment_passed) + 1).tolist() == [1, 3, 5, 7, 9, 11]
+        assert int((~c.jll_passed).sum()) == 8
+        assert not _confirm_alarm(report)
+
+    def test_runs_no_battery(self, monkeypatch):
+        reports = [
+            self._report([1, -1, -1]),
+            self._report([3, -1, -1], [5 / 3, -1 + 0.5j]),
+            self._report([3, -1, -1, -1], [2.0, -1.0, -2.0 - 1e-9]),
+        ]
+
+        def battery(*args, **kwargs):
+            raise AssertionError("the recheck ran the condition battery")
+
+        for module in (harness, moments):
+            monkeypatch.setattr(module, "check_necessary_conditions", battery)
+        assert [_confirm_alarm(r) for r in reports] == [True, True, False]
 
 
 class TestAntiderivativeChain:
