@@ -34,8 +34,8 @@ from .harness import (
     hunt,
     verify_critical_realizability,
 )
-from .moments import check_necessary_conditions, critical_moments, power_sums
-from .differentiator import compression_critical_points
+from .moments import check_necessary_conditions, power_sums
+from .differentiator import compression_critical_points, critical_compression, power_traces
 from .polynomial import from_roots
 from .realizers import d_companion, real_d_companion
 from .spectra import SpectrumList, as_spectrum
@@ -259,25 +259,26 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_critical(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
-    crit = compression_critical_points(spec)
+    B = critical_compression(spec)
+    crit = compression_critical_points(spec, B)
     depth = args.kmax if args.kmax is not None else 4 * len(spec)
-    formula = critical_moments(spec, depth)
+    trace = power_traces(B, depth)
     direct = power_sums(crit, depth)
-    bad = np.flatnonzero(~(np.isfinite(formula) & np.isfinite(direct)))
+    bad = np.flatnonzero(~(np.isfinite(trace) & np.isfinite(direct)))
     if bad.size:
         raise NumericError(
             f"moment k={int(bad[0]) + 1} of the critical points is not finite "
             f"in double precision"
         )
     if args.fmt == "machine":
-        record = serialize.critical_record(crit, formula, direct)
+        record = serialize.critical_record(crit, trace, direct)
         print(serialize.document("critical", spec, {"kmax": args.kmax}, record), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
         print(f"critical points (n={len(crit)}): {format_spectrum(crit)}", file=out)
-        print("moments of the critical points (determinant formula | direct):", file=out)
-        for k, f, d in zip(range(1, depth + 1), formula, direct):
-            print(f"  k={k:<3d} {format_complex(f):>24s} | {format_complex(d)}", file=out)
+        print("moments of the critical points (trace of B^k | direct):", file=out)
+        for k, t, d in zip(range(1, depth + 1), trace, direct):
+            print(f"  k={k:<3d} {format_complex(t):>24s} | {format_complex(d)}", file=out)
     return 0
 
 

@@ -7,12 +7,12 @@ determinant formula
     s_k(crit) = s_k(lam) + (-1/n)**k * d_k(lam),
 
 where d_k is a k x k determinant built from the moments of lam.  The
-determinant is the paper's object: `critical` prints it beside the
-direct moments.  It loses digits as k grows (every digit past k ~ 35 at
-unit scale, from k ~ 23 at n >= 8), so hunt's independent route is
-tr(B**k) of the differentiator compression B instead
-(differentiator.trace_moments), which never touches the computed
-critical points either.
+determinant is the paper's object, but no command calls it: it loses
+digits with k, every one past k ~ 35 at unit scale, and on the spectra
+of random nonnegative matrices it is off by 1e-6 relative from a median
+k of 29 at n = 8 and 18-24 at n = 12-32.  Every command reads tr(B**k)
+of the differentiator compression B (differentiator.power_traces) instead,
+which never touches the computed critical points either.
 
 The necessary conditions are homogeneous in the list, and so is their
 one tolerance law: tol * d * n * rho**d on a term of degree d in n
@@ -94,8 +94,9 @@ def monov_det(lam: SpectrumLike, k: int) -> complex:
 def critical_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
     """s_1 .. s_kmax of the critical points of lam, via the determinant formula.
 
-    Each d_k is the leading k x k minor of one kmax x kmax matrix.
-    Overflow to inf/nan is tolerated without a warning, as in power_sums.
+    Each d_k is the leading k x k minor of one kmax x kmax matrix, O(kmax**4)
+    in all; no command calls it, as its digits last only to small k (module
+    docstring).  Overflow to inf/nan is tolerated silently, as in power_sums.
     """
     spec = as_spectrum(lam)
     n = len(spec)

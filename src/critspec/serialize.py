@@ -254,14 +254,14 @@ def matrix_record(M: np.ndarray) -> _Block:
 
 
 def _moment_table_prototype(depth: int) -> list:
-    return [{"k": k, "formula": _CELL, "direct": _CELL} for k in range(1, depth + 1)]
+    return [{"k": k, "trace": _CELL, "direct": _CELL} for k in range(1, depth + 1)]
 
 
-def moment_table_record(formula, direct) -> _Block:
-    """[{"k", "formula", "direct"}], k = 1..K: two sequences s_1..s_K side
+def moment_table_record(trace, direct) -> _Block:
+    """[{"k", "trace", "direct"}], k = 1..K: two sequences s_1..s_K side
     by side as {"re", "im"} cells."""
-    cells = _re_im(np.column_stack((formula, direct)))  # row k: formula, direct
-    return _Block(_moment_table_prototype, (len(formula),), tuple(_fmt_floats(cells)))
+    cells = _re_im(np.column_stack((trace, direct)))  # row k: trace, direct
+    return _Block(_moment_table_prototype, (len(trace),), tuple(_fmt_floats(cells)))
 
 
 def polynomial_record(p: MonicPolynomial) -> dict:
@@ -451,9 +451,9 @@ def chain_record(rep: ChainReport) -> dict:
     }
 
 
-def critical_record(crit: SpectrumList, formula, direct) -> dict:
+def critical_record(crit: SpectrumList, trace, direct) -> dict:
     """critical's report: the critical points and their moment table."""
-    return {"critical": spectrum_record(crit), "moments": moment_table_record(formula, direct)}
+    return {"critical": spectrum_record(crit), "moments": moment_table_record(trace, direct)}
 
 
 def realize_record(

@@ -22,6 +22,7 @@ from critspec import (
 )
 from critspec.cli import format_complex, parse_complex, parse_spectrum, run
 from critspec.serialize import canonical_json
+from critspec.spectra import _allowance
 
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
@@ -167,6 +168,20 @@ class TestCheckCommand:
             assert all(c["passed"] for c in report["moment_checks"] + report["jll_checks"])
 
 
+def _moment_columns(out):
+    """critical's machine moment table as (trace, direct) complex arrays."""
+    rows = json.loads(out)["report"]["moments"]
+    return tuple(
+        np.array([complex(row[key]["re"], row[key]["im"]) for row in rows])
+        for key in ("trace", "direct")
+    )
+
+
+def _cross_check_allowance(n, rho, k):
+    """hunt's moment cross-check allowance, _allowance(32 * eps, n, rho, k)."""
+    return _allowance(32 * np.finfo(float).eps, n, rho, k)
+
+
 class TestCriticalCommand:
     def test_golden_case(self):
         code, out = run_capture(
@@ -185,32 +200,22 @@ class TestCriticalCommand:
         moments = doc["report"]["moments"]
         assert moments[0]["k"] == 1
         for row in moments:
-            f = complex(row["formula"]["re"], row["formula"]["im"])
+            t = complex(row["trace"]["re"], row["trace"]["im"])
             d = complex(row["direct"]["re"], row["direct"]["im"])
-            assert abs(f - d) <= 1e-6 * max(1.0, abs(f), abs(d))
+            assert abs(t - d) <= 1e-6 * max(1.0, abs(t), abs(d))
 
     def test_formula_column_pinned(self):
-        # The determinant-formula column as it reads today, bit for bit.
-        # Past k = 35 the formula has lost every digit (the direct column
-        # stays positive); the pin holds the values, not their accuracy.
+        # Monov's determinant printed s'_38 = -4.42e9 here, having lost every
+        # digit past k = 35.  tr(B**k) keeps the moments positive and within
+        # hunt's cross-check allowance of the direct column to k = 40.
         code, out = run_capture(
             ["critical", "3,-1,-1", "--kmax", "40", "--format", "machine"]
         )
         assert code == 0
-        formula = [row["formula"] for row in json.loads(out)["report"]["moments"]]
-        assert all(z["im"] == 0.0 for z in formula)
-        assert [z["re"] for z in formula] == [
-            0.6666666666666667, 3.7777777777777732, 3.6296296296296475, 8.716049382716136,
-            11.860082304526884, 22.433470507543802, 34.722450845913954, 60.5374180765275,
-            98.22903012764436, 166.3817168791211, 274.6361948012782, 460.3936579915462,
-            764.6560966533143, 1277.093494495377, 2125.8224914651364, 3545.7041509374976,
-            5906.840247496963, 9847.400455653667, 16409.667306661606, 27352.11245584488,
-            45584.18435096741, 75976.3261680603, 126624.4421081543, 211043.0474243164,
-            351733.74572753906, 586241.4150390625, 977031.267578125, 1628900.3671875,
-            2715759.515625, 4503594.78125, 7518353.875, 12451685.5,
-            20796884.0, 30043016.0, 56549888.0, 332334368.0,
-            331914368.0, -4421805568.0, -4466755584.0, -139196368896.0,
-        ]
+        trace, direct = _moment_columns(out)
+        k = np.arange(1, 41)
+        assert np.all(trace.real > 0) and np.all(trace.imag == 0)
+        assert np.all(np.abs(trace - direct) <= _cross_check_allowance(3, 3.0, k))
 
     def test_singleton_exit_two(self):
         code, _ = run_capture(["critical", "5"])
@@ -222,29 +227,61 @@ class TestCriticalCommand:
         assert out == ""
 
     def test_100_entries_overflow_the_formula_exit_three(self, capsys):
-        # Monov's determinant of these 100 entries leaves the double range
-        # at k = 131 of the default 400 (solving p'/n stalled here before).
+        # Monov's determinant of these 100 entries left the double range at
+        # k = 131 of the default 400, an exit 3; tr(B**k) stays finite.
         values = np.random.default_rng(0).standard_normal(100)
-        code, out = run_capture(["critical", ",".join(repr(float(x)) for x in values)])
-        assert code == 3
-        assert out == ""
-        assert capsys.readouterr().err == (
-            "error: moment k=131 of the critical points is not finite in double precision\n"
+        code, out = run_capture(
+            ["critical", "--format", "machine", "--", ",".join(repr(float(x)) for x in values)]
         )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        trace, direct = _moment_columns(out)
+        assert len(trace) == 400
+        assert np.all(np.isfinite(trace)) and np.all(np.isfinite(direct))
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_nonfinite_formula_exits_three(self, capsys, fmt):
-        # Monov's determinant overflows to NaN from k = 324 on.  Each d_k is a
-        # leading minor, so every depth past 324 stops at the same k.
+        # Moments that truly leave the double range: s'_4 is about 9e400.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run_capture(
-                ["critical", "3,-1,-1", "--kmax", "330", "--format", fmt]
-            )
+            code, out = run_capture(["critical", "3e100,-1e100,-1e100", "--format", fmt])
         assert code == 3
         assert out == ""
         err = capsys.readouterr().err
-        assert err == "error: moment k=324 of the critical points is not finite in double precision\n"
+        assert err == "error: moment k=4 of the critical points is not finite in double precision\n"
+
+    def test_trace_column_has_no_false_negative_moment(self):
+        # Over hunt-ensemble lists, no trace cell is negative beyond hunt's
+        # cross-check allowance where the direct cell is not; the determinant
+        # column did so on 6 of 100 lists at n = 8 and 75 of 100 at n = 16.
+        for n in (5, 8, 12, 16, 24, 32):
+            for ensemble in harness.ENSEMBLES:
+                for i in range(5):
+                    seed = np.random.SeedSequence([1, n, i])
+                    lam, _ = harness.random_realizable(n, seed, ensemble)
+                    literal = ",".join(f"{z.real!r}{z.imag:+.17g}i" for z in lam)
+                    code, out = run_capture(["critical", "--format", "machine", "--", literal])
+                    assert code == 0
+                    trace, direct = _moment_columns(out)
+                    k = np.arange(1, len(trace) + 1)
+                    allowance = _cross_check_allowance(n, lam.spectral_radius, k)
+                    false = (trace.real < -allowance) & (direct.real >= 0)
+                    assert not false.any(), (n, ensemble, i, np.flatnonzero(false) + 1)
+
+    def test_no_command_takes_a_determinant(self, monkeypatch):
+        def det(*args, **kwargs):
+            raise AssertionError("a command called np.linalg.det")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        for argv in (
+            ["critical", "3,-1,-1", "--kmax", "40"],
+            ["check", "3,-1,-1"],
+            ["verify", "3,-1,-1"],
+            ["realize", "3,-1,-1", "--route", "dcomp"],
+            ["chain", "3,-1,-1", "--constants=-1"],
+            ["hunt", "--n", "3-6", "--samples", "8", "--seed", "1"],
+        ):
+            assert run_capture(argv)[0] == 0, argv
 
 
 class TestRealizeCommand:

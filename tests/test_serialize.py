@@ -27,7 +27,8 @@ from critspec import (
     verify_critical_realizability,
 )
 from critspec.cli import parse_spectrum
-from critspec.moments import critical_moments, power_sums
+from critspec.differentiator import trace_moments
+from critspec.moments import power_sums
 from critspec.serialize import _fmt_float, _fmt_floats, canonical_json
 
 CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text("utf-8"))
@@ -444,18 +445,18 @@ class TestBlockRecords:
         assert cli.run(argv, out=buf) == 0
         doc = json.loads(buf.getvalue())
         crit = [complex(z["re"], z["im"]) for z in doc["report"]["critical"]]
-        formula = critical_moments(spec, 6)
+        trace = trace_moments(spec, 6)
         direct = power_sums(crit, 6)
         ref = [
-            {"k": k, "formula": _ref_complex(f), "direct": _ref_complex(d)}
-            for k, f, d in zip(range(1, 7), formula, direct)
+            {"k": k, "trace": _ref_complex(t), "direct": _ref_complex(d)}
+            for k, t, d in zip(range(1, 7), trace, direct)
         ]
-        record = serialize.moment_table_record(formula, direct)
+        record = serialize.moment_table_record(trace, direct)
         assert canonical_json(record) == _recursive_json(ref)
         assert canonical_json(serialize.moment_table_record([], [])) == "[]"
         # The whole document: critical_record inside document's envelope.
         ref = {"critical": _ref_spectrum(crit), "moments": ref}
-        record = serialize.critical_record(crit, formula, direct)
+        record = serialize.critical_record(crit, trace, direct)
         assert canonical_json(record) == _recursive_json(ref)
         text = _ref_document("critical", _ref_spectrum(spec), {"kmax": 6}, ref)
         assert buf.getvalue() == text + "\n"
