@@ -6,7 +6,7 @@ file.  Every command prints either a human-readable report (default) or
 a canonical machine-readable JSON document (--format machine).
 
 Exit codes: 0 success or certified, 1 a checked condition failed or no
-route certified, 2 input error, 3 numeric non-convergence.
+route certified, 2 input error or a depth too large to hold, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -153,11 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, spectrum: bool = True, tol: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, spectrum: bool = True) -> None:
         if spectrum:
             p.add_argument("spectrum", help="comma-separated complex literals, or @file")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
         p.add_argument(
             "--format",
             choices=("human", "machine"),
@@ -176,11 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_depths(p)
 
     p = sub.add_parser("critical", help="critical points and their moments")
-    add_common(p, tol=False)
+    add_common(p)
     add_depths(p, jll=False)
 
     p = sub.add_parser("realize", help="construct one realizing matrix for the critical points")
-    add_common(p, tol=False)
+    add_common(p)
     p.add_argument(
         "--route",
         choices=("companion", "dcomp", "real-dcomp", "dft", "circulant"),
@@ -244,11 +242,9 @@ def _print_condition_summary(r, out) -> None:
 
 def _cmd_check(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
-    report = check_necessary_conditions(
-        spec, kmax=args.kmax, jll_depth=args.jll, tol=args.tol
-    )
+    report = check_necessary_conditions(spec, kmax=args.kmax, jll_depth=args.jll)
     if args.fmt == "machine":
-        config = {"tol": args.tol, "kmax": args.kmax, "jll": args.jll}
+        config = {"kmax": args.kmax, "jll": args.jll}
         record = serialize.condition_report_record(report)
         print(serialize.document("check", spec, config, record), file=out)
     else:
@@ -349,12 +345,12 @@ def _cmd_realize(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     spec = parse_spectrum(args.spectrum)
-    cfg = VerifyConfig(tol=args.tol, kmax=args.kmax, jll_depth=args.jll)
+    cfg = VerifyConfig(kmax=args.kmax, jll_depth=args.jll)
     report = verify_critical_realizability(spec, cfg)
     if args.fmt == "machine":
         record = serialize.realizability_record(report)
         spectrum = serialize.report_input_record(record)
-        config = {"tol": args.tol, "kmax": args.kmax, "jll": args.jll}
+        config = {"kmax": args.kmax, "jll": args.jll}
         print(serialize.document("verify", spectrum, config, record), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
@@ -388,14 +384,12 @@ def _cmd_hunt(args, out) -> int:
         samples=args.samples,
         seed=args.seed,
         ensemble=args.ensemble,
-        tol=args.tol,
         kmax=args.kmax,
         jll_depth=args.jll,
     )
     report = hunt(config)
     if args.fmt == "machine":
         config = {
-            "tol": args.tol,
             "kmax": args.kmax,
             "jll": args.jll,
             "seed": args.seed,
@@ -426,9 +420,9 @@ def _cmd_chain(args, out) -> int:
     if not constants:
         raise ParseError("no constants given", token=args.constants)
     p = from_roots(spec)
-    report = antiderivative_chain(p, constants, args.tol)
+    report = antiderivative_chain(p, constants)
     if args.fmt == "machine":
-        config = {"tol": args.tol, "constants": [serialize.complex_record(c) for c in constants]}
+        config = {"constants": [serialize.complex_record(c) for c in constants]}
         print(serialize.document("chain", spec, config, serialize.chain_record(report)), file=out)
     else:
         print(f"input (n={len(spec)}): {format_spectrum(spec)}", file=out)
@@ -464,11 +458,13 @@ def run(argv: list[str], out=None) -> int:
     out = sys.stdout if out is None else out
     args = _parser().parse_args(argv)
     try:
-        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
-            raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
         return _DISPATCH[args.command](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A depth whose arrays cannot be allocated; numpy refuses up front.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,7 @@ from .spectra import (
     Classification,
     SpectrumLike,
     SpectrumList,
+    _CHECK_TOL,
     _EPS,
     _allowance,
     _backward_error,
@@ -95,19 +96,13 @@ ENSEMBLES = (
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Tolerances and optional extras for a verification run.
+    """Depths and optional extras for a verification run.
 
-    tol        coefficient of the condition checks' and classify's allowance
-               tol * d * n * rho**d on a term of degree d in the n critical
-               points of spectral radius rho (spectra._allowance), so the
-               verdict does not change with the scale of the list.  The
-               routes do not read it: they certify within _rounding_bound.
     kmax       moment depth (None means 4 * list size)
     jll_depth  grid depth for the power-sum inequality
     hadamard   optional complex Hadamard matrix enabling the fourth route
     """
 
-    tol: float = 1e-9
     kmax: int | None = None
     jll_depth: int = 8
     hadamard: np.ndarray | None = None
@@ -129,7 +124,7 @@ class RouteResult:
 class RealizabilityReport:
     """What verify found; compression is B = critical_compression(input),
     whose eigenvalues are critical.  input_class and critical_class are
-    classify(input, tol) and classify(critical, tol), made on first read."""
+    classify(input) and classify(critical), made on first read."""
 
     input: SpectrumList
     critical: SpectrumList
@@ -137,15 +132,14 @@ class RealizabilityReport:
     conditions: ConditionReport
     routes: tuple[RouteResult, ...]
     verdict: str
-    tol: float
 
     @lazy
     def input_class(self) -> Classification:
-        return classify(self.input, self.tol)
+        return classify(self.input)
 
     @lazy
     def critical_class(self) -> Classification:
-        return classify(self.critical, self.tol)
+        return classify(self.critical)
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,6 @@ class HuntConfig:
     samples: int
     seed: int
     ensemble: str = "dense-uniform"
-    tol: float = 1e-9
     kmax: int | None = None
     jll_depth: int = 8
 
@@ -344,7 +337,7 @@ def verify_critical_realizability(
     _certificate: it must be real and pass the sign test, and then the
     LAPACK eigenvalues of the candidate, as a polynomial, must be within
     backward error 64 * n * eps of the critical points, n = len(lam)
-    (_certify); cfg.tol grades the conditions only.  Raises
+    (_certify); the conditions are graded at spectra._CHECK_TOL.  Raises
     NumericError when B, or the spectral radius or the trace of lam or of
     its critical points, is not finite.
     """
@@ -354,9 +347,7 @@ def verify_critical_realizability(
         raise ValueError("verification needs a list of at least two entries")
     B = critical_compression(spec)
     crit = compression_critical_points(spec, B)
-    conditions = check_necessary_conditions(
-        crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth, tol=cfg.tol
-    )
+    conditions = check_necessary_conditions(crit, kmax=cfg.kmax, jll_depth=cfg.jll_depth)
     routes = tuple(_run_route(name, build, spec, crit, cfg) for name, build in _ROUTES)
     # The report's classes need finite radii and traces; each raises
     # NumericError if not.  Below n * rho = 1e307 no sum can overflow.
@@ -376,7 +367,6 @@ def verify_critical_realizability(
         conditions=conditions,
         routes=routes,
         verdict=verdict,
-        tol=cfg.tol,
     )
 
 
@@ -455,7 +445,7 @@ def _confirm_alarm(report: RealizabilityReport) -> bool:
     Reads the battery verify ran and reruns none of it.  A failed
     self-conjugacy or spectral-radius check is an alarm; a failed moment
     or power-sum cell only if tr(B**k), B = report.compression, fails it
-    too, graded at report.tol in the unit of the list (_unit_traces):
+    too, graded as the battery grades in the unit of the list (_unit_traces):
     those moments never touch the computed critical points.
     """
     c = report.conditions
@@ -464,7 +454,7 @@ def _confirm_alarm(report: RealizabilityReport) -> bool:
     depth, jll_depth, crit = c.moment_depth, c.jll_depth, report.critical
     e, traces = _unit_traces(report.input, report.compression, max(depth, jll_depth**2))
     moment_ok, _, _, jll_ok = _grade_moments(
-        traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth, report.tol
+        traces, len(crit), math.ldexp(crit.spectral_radius, -e), depth, jll_depth
     )
     return bool((~c.moment_passed & ~moment_ok).any() or (~c.jll_passed & ~jll_ok).any())
 
@@ -484,7 +474,7 @@ def hunt(config: HuntConfig) -> HuntReport:
         raise ValueError(
             f"unknown ensemble {config.ensemble!r}; choose from {ENSEMBLES}"
         )
-    vcfg = VerifyConfig(tol=config.tol, kmax=config.kmax, jll_depth=config.jll_depth)
+    vcfg = VerifyConfig(kmax=config.kmax, jll_depth=config.jll_depth)
     start = time.perf_counter()
     certified = 0
     uncertified = 0
@@ -539,22 +529,22 @@ class ChainReport:
     all_nonnegative: bool
 
 
-def antiderivative_chain(p: MonicPolynomial, constants, tol: float = 1e-9) -> ChainReport:
+def antiderivative_chain(p: MonicPolynomial, constants) -> ChainReport:
     """Iterate monic antiderivatives, tracking companion sign and roots.
 
     The starting polynomial must have a nonnegative companion matrix.
     With nonpositive coefficients and nonpositive constants the chain
     stays companion-nonnegative forever; a positive constant breaks the
-    pattern at that step, and the report shows where (sign classes at tol).
+    pattern at that step, and the report shows where (sign classes at _CHECK_TOL).
     """
-    if matrix_sign_class(companion(p), tol) is not MatrixSignClass.NONNEGATIVE:
+    if matrix_sign_class(companion(p), _CHECK_TOL) is not MatrixSignClass.NONNEGATIVE:
         raise ValueError("the starting companion matrix must be nonnegative")
     steps: list[ChainStep] = []
     q = p
     for c in constants:
         q = antiderivative_monic(q, c)
         try:
-            sign = matrix_sign_class(companion(q), tol)
+            sign = matrix_sign_class(companion(q), _CHECK_TOL)
         except ValueError:
             sign = MatrixSignClass.NEITHER
         steps.append(

@@ -16,7 +16,7 @@ which never touches the computed critical points either.
 
 The necessary conditions are homogeneous in the list, and so is their
 one tolerance law: tol * d * n * rho**d on a term of degree d in n
-entries of spectral radius rho (spectra._allowance).
+entries of spectral radius rho (spectra._allowance), tol = _CHECK_TOL.
 check_necessary_conditions grades them on the list divided by the power
 of two just above rho, an exact rescaling under which no moment leaves
 the double range, so the verdict of c * lam is the verdict of lam.
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .spectra import SpectrumLike, SpectrumList, _allowance, _ldexp, as_spectrum, conjugate_split
-from .spectra import lazy, pairing_residual
+from .spectra import SpectrumLike, SpectrumList, _CHECK_TOL, _allowance, _ldexp, as_spectrum
+from .spectra import conjugate_split, lazy, pairing_residual
 
 __all__ = [
     "ConditionReport",
@@ -127,8 +127,8 @@ class ConditionReport:
     moment_passed            whether s_k >= 0, k = 1..moment_depth
     jll_passed               whether s_k**m <= n**(m-1) * s_{km}, row k, column m
 
-    Each comparison allows tol * d * n * rho**d for a term of degree d in
-    the list (check_necessary_conditions), graded on the list over
+    Each comparison allows _CHECK_TOL * d * n * rho**d for a term of degree
+    d in the list (check_necessary_conditions), graded on the list over
     2**scale_exponent, and the report keeps the unit_ values read there:
     s_1..s_K, K = max(moment_depth, jll_depth**2), the grids s_k**m and
     n**(m-1) * s_{km}, the pairing residual and the margin.  At the list's
@@ -171,13 +171,21 @@ class ConditionReport:
     jll_rhs = property(lambda self: self._list_scale[4])
 
 
+_JLL_RANGE = "power-sum inequality at depth {} on {} entries leaves the double range"
+
+
 @functools.lru_cache(maxsize=64)
 def _jll_factors(n: int, jll_depth: int) -> tuple[np.ndarray, np.ndarray, bool]:
     # k*m on the (k, m) grid and n**(m-1) by column m, read-only, and
     # whether n**jll_depth, above both sides of every cell, is a double.
-    # Raises OverflowError when some n**(m-1) is not.
+    # Raises NumericError when some n**(m-1) is not, before the grid's
+    # jll_depth**2 cells are allocated.
     ms = range(1, jll_depth + 1)
-    km, n_pow = np.outer(ms, ms), np.array([float(n) ** (m - 1) for m in ms])
+    try:
+        n_pow = np.array([float(n) ** (m - 1) for m in ms])
+    except OverflowError:
+        raise NumericError(_JLL_RANGE.format(jll_depth, n)) from None
+    km = np.outer(ms, ms)
     km.flags.writeable = n_pow.flags.writeable = False
     return km, n_pow, float(n_pow[-1]) * n < math.inf
 
@@ -188,14 +196,14 @@ def _scaled(spec: SpectrumList, e: int) -> SpectrumList:
 
 
 def _grade_moments(
-    s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int, tol: float
+    s: np.ndarray, n: int, rho: float, depth: int, jll_depth: int
 ) -> tuple[np.ndarray, ...]:
     """Moment and power-sum checks on s_1.. of n entries of spectral radius rho.
 
     s and rho are in one unit, in which rho < 1: then |s_k| <= n and
     both sides of a power-sum cell are at most n**m.  The tolerance on
-    s_k is _allowance(tol, n, rho, k), and the (k, m) cell's, n**(m-1)
-    times that of s_km, is finite wherever the cell is; the checks are
+    s_k is _allowance(_CHECK_TOL, n, rho, k), and the (k, m) cell's,
+    n**(m-1) times that of s_km, is finite wherever the cell is; the checks are
     homogeneous, so scaling s_k by c**k and rho by c changes no verdict.
     s needs max(depth, jll_depth**2) entries; a NaN moment fails its
     check.  Returns the pass flags of s_1..s_depth, then the jll_depth x
@@ -205,20 +213,17 @@ def _grade_moments(
     over the checks gives.  Raises NumericError when a cell leaves the
     double range, which takes n**jll_depth past it.
     """
-    tk = _allowance(tol, n, rho, np.arange(max(depth, jll_depth * jll_depth) + 1))
+    km, n_pow, bounded = _jll_factors(n, jll_depth)
+    tk = _allowance(_CHECK_TOL, n, rho, np.arange(max(depth, jll_depth * jll_depth) + 1))
     moments, t = s[:depth], tk[1 : depth + 1]
     moment_ok = (moments.real >= -t) & (np.abs(moments.imag) <= t)
     ms = range(1, jll_depth + 1)
     try:
-        km, n_pow, bounded = _jll_factors(n, jll_depth)
         lhs = np.array([x**m for x in s.real[:jll_depth].tolist() for m in ms]).reshape(km.shape)
         with contextlib.nullcontext() if bounded else np.errstate(over="raise"):
             rhs = n_pow * s.real[km - 1]
     except (OverflowError, FloatingPointError):
-        raise NumericError(
-            f"power-sum inequality at depth {jll_depth} on {n} entries "
-            f"leaves the double range"
-        ) from None
+        raise NumericError(_JLL_RANGE.format(jll_depth, n)) from None
     return moment_ok, lhs, rhs, lhs <= rhs + n_pow * tk[km]
 
 
@@ -226,7 +231,6 @@ def check_necessary_conditions(
     lam: SpectrumLike,
     kmax: int | None = None,
     jll_depth: int = 8,
-    tol: float = 1e-9,
 ) -> ConditionReport:
     """Run the four necessary conditions on a list at the given depths.
 
@@ -235,11 +239,12 @@ def check_necessary_conditions(
     check is graded on the list divided by 2**e, e = frexp(rho)[1], whose
     spectral radius is in [1/2, 1) (or 0) and whose moments are the
     list's times 2**(-k*e) bit for bit, so none leaves the double range.
-    The tolerance is _allowance(tol, n, rho, d) on a term of degree d: on
-    s_k (_grade_moments), and at d = 1 on the pairing residual and the
-    spectral-radius margin, so c * lam gets the verdict of lam.  The
+    The tolerance is _allowance(_CHECK_TOL, n, rho, d) on a term of degree
+    d: on s_k (_grade_moments), and at d = 1 on the pairing residual and
+    the spectral-radius margin, so c * lam gets the verdict of lam.  The
     report keeps the values it graded, at unit scale, and gives them at
-    the list's own scale on first read (ConditionReport).
+    the list's own scale on first read (ConditionReport).  A jll_depth
+    past the double range raises NumericError before any power sum.
     """
     spec = as_spectrum(lam)
     if len(spec) == 0:
@@ -248,10 +253,11 @@ def check_necessary_conditions(
     depth = 4 * n if kmax is None else kmax
     if depth < 1 or jll_depth < 1:
         raise ValueError("depths must be at least 1")
+    _jll_factors(n, jll_depth)  # cached for _grade_moments; raises past the double range
     rho = spec.spectral_radius
     e = math.frexp(rho)[1]
     unit, rho = _scaled(spec, -e), math.ldexp(rho, -e)
-    base = _allowance(tol, n, rho, 1)
+    base = _allowance(_CHECK_TOL, n, rho, 1)
 
     # An exact conjugate split survives the rescale; its residual is 0.0.
     exact = conjugate_split(spec) is not None
@@ -260,7 +266,7 @@ def check_necessary_conditions(
     self_conjugate, radius_in_list = bool(residual <= base), bool(margin <= base)
 
     s = power_sums(unit, max(depth, jll_depth * jll_depth))
-    moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth)
     overall = self_conjugate and radius_in_list and moment_ok.all() and jll_ok.all()
     for a in (s, moment_ok, lhs, rhs, jll_ok):
         a.flags.writeable = False

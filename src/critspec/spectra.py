@@ -239,6 +239,11 @@ def _rounding_bound(n: int) -> float:
     return 64.0 * n * _EPS
 
 
+# The one tol of the battery, its alarm recheck, classify and chain's sign
+# test (_allowance), 4.5e6 / n times the rounding n * eps it stands for.
+_CHECK_TOL = 1e-9
+
+
 def _allowance(tol: float, n: int, rho: float, d):
     """tol * d * n * rho**d, what every tolerance-graded check allows a term of
     degree d (int or int array) in n entries of spectral radius rho: the
@@ -271,7 +276,7 @@ class Classification:
     trace: float
 
 
-def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
+def classify(lam: SpectrumLike, tol: float = _CHECK_TOL) -> Classification:
     """The list's structured classes and its trace; NumericError if the
     spectral radius or the trace is not finite.
 
@@ -307,7 +312,7 @@ def classify(lam: SpectrumLike, tol: float = 1e-9) -> Classification:
     )
 
 
-def interlaces(lam: SpectrumLike, mu: SpectrumLike, tol: float = 1e-9) -> bool:
+def interlaces(lam: SpectrumLike, mu: SpectrumLike, tol: float = _CHECK_TOL) -> bool:
     """Whether mu interlaces lam: l1 >= m1 >= l2 >= ... >= m_{n-1} >= ln.
 
     Both lists must be real and |mu| must equal |lam| - 1.  Realness and

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import importlib.util
+import inspect
 import io
 import math
 import sys
@@ -45,6 +46,7 @@ from critspec.moments import (
     _scaled,
     power_sums,
 )
+from critspec.spectra import _CHECK_TOL
 
 
 class TestVerify:
@@ -489,9 +491,9 @@ def classify_calls(monkeypatch):
     calls = []
     classify = harness.classify
 
-    def counting(lam, tol):
+    def counting(lam):
         calls.append(lam)
-        return classify(lam, tol)
+        return classify(lam)
 
     monkeypatch.setattr(harness, "classify", counting)
     return calls
@@ -508,7 +510,7 @@ def list_scale_builds(monkeypatch):
     return builds
 
 
-def _eager_tuples(crit, tol=1e-9, jll_depth=8):
+def _eager_tuples(crit, jll_depth=8):
     """The battery's five results as tuples, from one flat array of the
     values at the list's scale, each rescaled by its degree in the list:
     k for s_k, k*m for both grid cells.  The reference."""
@@ -516,7 +518,7 @@ def _eager_tuples(crit, tol=1e-9, jll_depth=8):
     e = math.frexp(crit.spectral_radius)[1]
     s = power_sums(_scaled(crit, -e), max(depth, jll_depth * jll_depth))
     rho = math.ldexp(crit.spectral_radius, -e)
-    moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth, tol)
+    moment_ok, lhs, rhs, jll_ok = _grade_moments(s, n, rho, depth, jll_depth)
     values = np.concatenate([s[:depth].view(float), lhs.ravel(), rhs.ravel()])
     ms = np.arange(1, jll_depth + 1)
     km = np.outer(ms, ms).ravel()
@@ -688,6 +690,23 @@ class TestMomentCrossCheck:
         hunt(HuntConfig(n_min=3, n_max=6, samples=20, seed=4))
 
 
+class TestOneCheckTolerance:
+    """The battery grades at spectra._CHECK_TOL, which nothing on the check,
+    verify, hunt or chain path takes as an argument or a field."""
+
+    def test_no_tol_field_or_parameter(self):
+        for cls in (VerifyConfig, HuntConfig, harness.RealizabilityReport):
+            assert "tol" not in {f.name for f in dataclasses.fields(cls)}, cls
+        for fn in (check_necessary_conditions, antiderivative_chain, _grade_moments):
+            assert "tol" not in inspect.signature(fn).parameters, fn
+
+    def test_classes_read_the_constant(self):
+        # The lazy classes take classify's default, which is the constant.
+        assert inspect.signature(harness.classify).parameters["tol"].default == _CHECK_TOL
+        report = verify_critical_realizability([3, -1, -1])
+        assert report.critical_class == harness.classify(report.critical, _CHECK_TOL)
+
+
 class TestConfirmAlarm:
     """The recheck a hunt runs on verify's report before it reports a
     condition failure."""
@@ -699,7 +718,7 @@ class TestConfirmAlarm:
         if crit is None:
             return report
         crit = as_spectrum(crit)
-        conditions = check_necessary_conditions(crit, tol=report.tol)
+        conditions = check_necessary_conditions(crit)
         return dataclasses.replace(report, critical=crit, conditions=conditions)
 
     def test_real_moment_failure_confirmed(self):

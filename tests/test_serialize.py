@@ -326,7 +326,7 @@ def _ref_document(command, spectrum, config, report):
 def _ref_verify_document(spec, kmax=None, jll=8):
     """What verify --format machine printed for spec with the dict records."""
     rep = verify_critical_realizability(spec, VerifyConfig(kmax=kmax, jll_depth=jll))
-    config = {"tol": 1e-9, "kmax": kmax, "jll": jll}
+    config = {"kmax": kmax, "jll": jll}
     return _ref_document("verify", _ref_spectrum(spec), config, _ref_report(rep)) + "\n"
 
 
@@ -478,7 +478,7 @@ class TestDocument:
     def test_spectrum_list_input(self):
         spec = parse_spectrum("4,1+i,1-i,-1")
         report = check_necessary_conditions(spec)
-        config = {"tol": 1e-9, "kmax": None, "jll": 8}
+        config = {"kmax": None, "jll": 8}
         text = serialize.document("check", spec, config, serialize.condition_report_record(report))
         ref = _ref_condition_report(report)
         assert text == _ref_document("check", _ref_spectrum(spec), config, ref)
@@ -489,7 +489,7 @@ class TestDocument:
     def test_rendered_input(self):
         spec = parse_spectrum("4,1+i,1-i,-1")
         record = serialize.realizability_record(verify_critical_realizability(spec))
-        config = {"tol": 1e-9, "kmax": None, "jll": 8}
+        config = {"kmax": None, "jll": 8}
         text = serialize.document("verify", serialize.report_input_record(record), config, record)
         assert text + "\n" == _ref_verify_document(spec)
 
