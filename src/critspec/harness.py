@@ -37,13 +37,15 @@ from .moments import (
 )
 from .polynomial import (
     MonicPolynomial,
+    _derivative_coeffs,
     antiderivative_monic,
-    derivative_monic,
     from_roots,
     roots,
 )
 from .realizers import (
     MatrixSignClass,
+    _circulant_index,
+    _companion_of,
     circulant,
     companion,
     d_companion,
@@ -224,7 +226,8 @@ def _certificate(
 
 
 def _dft_circulant(spec: SpectrumList) -> np.ndarray:
-    """Real circulant with eigenvalues spec, synthesized by inverse DFT.
+    """C(1), the first principal submatrix of the real circulant with
+    eigenvalues spec, synthesized by inverse DFT.
 
     The list is ordered as DFT frequency content d with d[n-j] = conj(d[j]):
     the dominant real entry goes to frequency 0 and, for even order, the
@@ -233,7 +236,8 @@ def _dft_circulant(spec: SpectrumList) -> np.ndarray:
     the remaining real entries must pair up with values equal within
     b * 2*rho (_rounding_bound) to share one.  The entry counts leave
     exactly enough slots.  d is Hermitian, so the real part of its inverse
-    transform is taken.  Raises _RouteFailure when no such ordering exists.
+    transform is taken; C(1) is indexed from that first row directly, with
+    no circulant built.  Raises _RouteFailure when no such ordering exists.
     """
     n = len(spec)
     t = _rounding_bound(n) * 2.0 * spec.spectral_radius
@@ -255,18 +259,19 @@ def _dft_circulant(spec: SpectrumList) -> np.ndarray:
     # candidate is then rejected for its non-finite entries.
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.fft.ifft(d).real
-    return circulant(c)
+    return c[_circulant_index(n)[1:, 1:]]
 
 
 def _companion_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray:
-    """The companion matrix of p'/n; raises NumericError when p, the
-    polynomial with roots spec, leaves the double range."""
+    """The companion matrix of p'/n, from p's coefficient array with no
+    polynomial in between; raises NumericError when p, the polynomial with
+    roots spec, leaves the double range."""
     p = from_roots(spec)
     if not all(map(cmath.isfinite, p.coeffs)):
         raise NumericError(
             "characteristic polynomial of the list is not finite in double precision"
         )
-    return companion(derivative_monic(p))
+    return _companion_of(_derivative_coeffs(np.array(p.coeffs, dtype=complex)))
 
 
 def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | None:
@@ -295,10 +300,7 @@ def _hadamard_candidate(spec: SpectrumList, cfg: VerifyConfig) -> np.ndarray | N
 _ROUTES = (
     ("companion", _companion_candidate),
     ("d-companion", lambda spec, cfg: d_companion(spec)),
-    (
-        "dft-circulant",
-        lambda spec, cfg: principal_submatrix(_dft_circulant(spec), 1),
-    ),
+    ("dft-circulant", lambda spec, cfg: _dft_circulant(spec)),
     ("hadamard", _hadamard_candidate),
 )
 
@@ -480,9 +482,12 @@ def hunt(config: HuntConfig) -> HuntReport:
     uncertified = 0
     alarms: list[AlarmRecord] = []
     successes = {name: 0 for name in ROUTE_NAMES}
+    fixed = config.n_min == config.n_max
     for i in range(config.samples):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
-        n = int(rng.integers(config.n_min, config.n_max + 1))
+        # A one-order range draws nothing: integers(n, n + 1) would return
+        # n and leave the stream as it was, so the samples are the same.
+        n = config.n_min if fixed else int(rng.integers(config.n_min, config.n_max + 1))
         lam, _ = random_realizable(n, rng, config.ensemble)
         report = verify_critical_realizability(lam, vcfg)
         _moment_cross_check(lam, report.compression, report.conditions)

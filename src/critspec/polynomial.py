@@ -87,14 +87,19 @@ def evaluate(p: MonicPolynomial, z: complex) -> complex:
 
 def derivative_monic(p: MonicPolynomial) -> MonicPolynomial:
     """p'/n, the monic normalization of the derivative."""
-    n = p.degree
-    if n < 2:
+    if p.degree < 2:
         raise ValueError("a linear polynomial has no critical points")
-    a = np.array(p.coeffs, dtype=complex)
+    return MonicPolynomial(tuple(_derivative_coeffs(np.array(p.coeffs, dtype=complex))))
+
+
+def _derivative_coeffs(a: np.ndarray) -> np.ndarray:
+    """The ascending coefficients of p'/n from those of p, a complex array
+    of n >= 2 entries; derivative_monic's arithmetic on arrays."""
+    n = len(a)
     k = np.arange(1, n)
     # Infinite coefficients give NaN here, which callers report as errors.
     with np.errstate(over="ignore", invalid="ignore"):
-        return MonicPolynomial(tuple(a[1:] * k / n))
+        return a[1:] * k / n
 
 
 def antiderivative_monic(p: MonicPolynomial, c: complex = 0.0) -> MonicPolynomial:

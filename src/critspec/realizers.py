@@ -44,10 +44,14 @@ class MatrixSignClass(Enum):
 
 def companion(p: MonicPolynomial) -> np.ndarray:
     """Companion matrix of p: subdiagonal ones, last column -a_k."""
-    n = p.degree
-    a = np.array(p.coeffs, dtype=complex)
-    real = bool(np.all(a.imag == 0))
-    C = np.eye(n, k=-1, dtype=float if real else complex)
+    return _companion_of(np.array(p.coeffs, dtype=complex))
+
+
+def _companion_of(a: np.ndarray) -> np.ndarray:
+    """Companion matrix of the monic polynomial whose ascending
+    coefficients are the complex array a; real when every a_k is."""
+    real = not a.imag.any()
+    C = np.eye(len(a), k=-1, dtype=float if real else complex)
     C[:, -1] = -(a.real if real else a)
     return C
 
@@ -70,9 +74,15 @@ def d_companion(lam: SpectrumLike, pivot: int | None = None) -> np.ndarray:
         raise ValueError("the construction needs a list of at least two entries")
     entries = list(spec)
     if pivot is None:
-        # math.hypot, unlike abs, gives inf for a modulus past the double range.
-        keys = [(z.real, math.hypot(z.real, z.imag), -i) for i, z in enumerate(entries)]
-        idx = keys.index(max(keys))
+        x = entries[0].real
+        if all(x > z.real for z in entries[1:]):
+            # Entry 0's real part is strictly the largest, so its key below
+            # would win on that alone.
+            idx = 0
+        else:
+            # math.hypot, unlike abs, gives inf for a modulus past the double range.
+            keys = [(z.real, math.hypot(z.real, z.imag), -i) for i, z in enumerate(entries)]
+            idx = keys.index(max(keys))
     else:
         if not 1 <= pivot <= n:
             raise ValueError(f"pivot must be in 1..{n}, got {pivot}")
@@ -82,7 +92,7 @@ def d_companion(lam: SpectrumLike, pivot: int | None = None) -> np.ndarray:
     A = np.full((n - 1, n - 1), lam1 / n, dtype=complex)
     A -= rest[:, None] / n
     A += np.diag(rest)
-    if np.all(A.imag == 0):
+    if not A.imag.any():
         return A.real.copy()
     return A
 
@@ -258,8 +268,10 @@ def matrix_sign_class(M: np.ndarray, tol: float = 1e-9) -> MatrixSignClass:
         raise ValueError("matrix is complex; only a real matrix has a sign class")
     if not M.size:
         return MatrixSignClass.NONNEGATIVE
-    thresh = -tol * abs(M).max()
-    if M.min() >= thresh:
+    # max(-min, max) is max|M|, NaN as that is, without an array of moduli.
+    lo, hi = M.min(), M.max()
+    thresh = -tol * max(-lo, hi)
+    if lo >= thresh:
         return MatrixSignClass.NONNEGATIVE
     off = M[_off_diagonal(M.shape[0])]
     if (off >= thresh).all():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_bench, random_suleimanova
+from conftest import load_bench, random_complex_list, random_self_conjugate, random_suleimanova
 from critspec import (
     ENSEMBLES,
     HuntConfig,
@@ -20,26 +20,38 @@ from critspec import (
     MonicPolynomial,
     NonConvergenceError,
     NumericError,
+    SpectrumList,
     VerifyConfig,
     antiderivative_chain,
     as_spectrum,
     check_necessary_conditions,
+    circulant,
+    companion,
     compression_critical_points,
     critical_compression,
     critical_points,
+    d_companion,
+    derivative_monic,
     dft_matrix,
     from_roots,
     hunt,
     matrix_sign_class,
     multiset_equal,
     pairing_residual,
+    principal_submatrix,
     random_realizable,
     spectrum,
     verify_critical_realizability,
 )
 from critspec import differentiator, harness, moments
 from critspec.cli import parse_spectrum, run
-from critspec.harness import _confirm_alarm, _moment_cross_check
+from critspec.harness import (
+    _RouteFailure,
+    _companion_candidate,
+    _confirm_alarm,
+    _dft_circulant,
+    _moment_cross_check,
+)
 from critspec.moments import (
     ConditionReport,
     _grade_moments,
@@ -414,7 +426,7 @@ class TestSampleOverhead:
         report = hunt(HuntConfig(5, 5, samples=1, seed=1, ensemble="dense-uniform"))
         assert report.uncertified == 1
         # The battery's power sums, p'/n's coefficients and tr(B**k).
-        assert sorted(entered) == ["derivative_monic", "power_sums", "power_traces"]
+        assert sorted(entered) == ["_derivative_coeffs", "power_sums", "power_traces"]
         assert len(sums) == 1
 
     def test_second_sample_of_the_same_real_count_builds_no_basis(self, monkeypatch):
@@ -433,6 +445,140 @@ class TestSampleOverhead:
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
+def _parent_companion_route(spec):
+    """companion(derivative_monic(from_roots(spec))) as the two functions
+    were written before they shared their array code."""
+    p = from_roots(spec)
+    n = p.degree - 1
+    a = np.array(p.coeffs, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = MonicPolynomial(tuple(a[1:] * np.arange(1, n + 1) / (n + 1)))
+    a = np.array(dp.coeffs, dtype=complex)
+    real = bool(np.all(a.imag == 0))
+    C = np.eye(n, k=-1, dtype=float if real else complex)
+    C[:, -1] = -(a.real if real else a)
+    return C
+
+
+def _parent_d_companion(spec):
+    """d_companion(spec) with its default pivot taken by the full keys and
+    its imaginary part tested entry by entry."""
+    entries, n = list(spec), len(spec)
+    keys = [(z.real, math.hypot(z.real, z.imag), -i) for i, z in enumerate(entries)]
+    idx = keys.index(max(keys))
+    rest = np.array(entries[:idx] + entries[idx + 1 :], dtype=complex)
+    A = np.full((n - 1, n - 1), entries[idx] / n, dtype=complex)
+    A -= rest[:, None] / n
+    A += np.diag(rest)
+    if np.all(A.imag == 0):
+        return A.real.copy()
+    return A
+
+
+def _parent_sign_class(M, tol):
+    """matrix_sign_class with its threshold from abs(M).max()."""
+    thresh = -tol * abs(M).max()
+    if M.min() >= thresh:
+        return MatrixSignClass.NONNEGATIVE
+    if (M[~np.eye(len(M), dtype=bool)] >= thresh).all():
+        return MatrixSignClass.METZLER
+    return MatrixSignClass.NEITHER
+
+
+def _assert_same_bits(new, old):
+    # tobytes tells signed zeros and NaN apart as well as values.
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def _route_lists():
+    """Real lists (some with tied tops), self-conjugate, complex and
+    circulant-spectrum lists at n = 2..16, each at scales 1e-300..1e300."""
+    rng = np.random.default_rng(34)
+    for n in range(2, 17):
+        bases = [
+            rng.uniform(-2, 2, n),
+            rng.integers(-2, 3, n).astype(float),
+            random_self_conjugate(rng, n).as_array(),
+            random_complex_list(rng, n).as_array(),
+            random_realizable(n, rng, "circulant-nonnegative")[0].as_array(),
+        ]
+        for base in bases:
+            for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300):
+                yield SpectrumList(tuple((base * scale).tolist()))
+
+
+class TestRouteBuildsKeepTheirBits:
+    """Each route builds its candidate from arrays the list already holds;
+    the candidates are the bits the full constructions gave."""
+
+    def test_companion_route_is_the_companion_of_the_derivative(self):
+        built = 0
+        for spec in _route_lists():
+            if not all(map(cmath.isfinite, from_roots(spec).coeffs)):
+                with pytest.raises(NumericError):
+                    _companion_candidate(spec, VerifyConfig())
+                continue
+            want = _parent_companion_route(spec)
+            _assert_same_bits(_companion_candidate(spec, VerifyConfig()), want)
+            _assert_same_bits(companion(derivative_monic(from_roots(spec))), want)
+            built += 1
+        assert built > 350
+
+    def test_dft_route_is_the_first_principal_submatrix(self, monkeypatch):
+        rows = []
+        ifft = np.fft.ifft
+
+        def recording(d):
+            # The inverse transform whose real part is the circulant's first row.
+            rows.append(ifft(d))
+            return rows[-1]
+
+        monkeypatch.setattr(np.fft, "ifft", recording)
+        built = 0
+        for spec in _route_lists():
+            try:
+                C1 = _dft_circulant(spec)
+            except _RouteFailure:
+                continue
+            _assert_same_bits(C1, principal_submatrix(circulant(rows[-1].real), 1))
+            built += 1
+        assert built > 150
+
+    def test_d_companion_default_pivot_is_the_largest_key(self):
+        nan, inf = float("nan"), float("inf")
+        odd = [[nan, 1, 2], [2, nan, 1], [inf, 1, -1], [-inf, 1], [1, 1, 1], [0.0, -0.0, -0.0],
+               [1 + 1j, 1 - 1j, 1], [complex(1, nan), 0.5, 0], [inf + 1j, inf - 1j, 0]]
+        lists = list(_route_lists()) + [SpectrumList(tuple(map(complex, z))) for z in odd]
+        for spec in lists:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = d_companion(spec), _parent_d_companion(spec)
+            _assert_same_bits(got, want)
+
+    def test_sign_class_threshold_is_the_largest_modulus(self):
+        rng = np.random.default_rng(35)
+        tol = 1e-9
+        for spec in _route_lists():
+            for build in (lambda s: d_companion(s).real, lambda s: _dft_circulant(s)):
+                try:
+                    M = build(spec)
+                except _RouteFailure:
+                    continue
+                assert matrix_sign_class(M, tol) is _parent_sign_class(M, tol)
+                # An entry exactly at -tol * max|M|, or one step below it,
+                # is classed right only by a threshold from the true max|M|.
+                big = abs(M).max()
+                for at in (-tol * big, np.nextafter(-tol * big, -np.inf)):
+                    M2 = M.copy()
+                    M2.flat[int(rng.integers(M.size))] = at
+                    assert matrix_sign_class(M2, tol) is _parent_sign_class(M2, tol)
+        zeros = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        odd = [zeros, -zeros, np.array([[1.0, np.nan], [0.0, 1.0]]),
+               np.array([[-np.inf, 1.0], [1.0, 1.0]]), np.array([[np.inf, -1.0], [0.0, 1.0]])]
+        for M in odd:
+            assert matrix_sign_class(M, tol) is _parent_sign_class(M, tol)
+
+
 class TestHunt:
     def test_small_hunt_clean(self):
         report = hunt(HuntConfig(n_min=3, n_max=5, samples=60, seed=1))
@@ -447,6 +593,27 @@ class TestHunt:
         assert a.certified == b.certified
         assert a.uncertified == b.uncertified
         assert a.route_successes == b.route_successes
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_one_order_range_draws_as_the_two_call_draw(self, monkeypatch, ensemble):
+        # With n_min == n_max hunt draws no order; its samples are those of
+        # the order draw and then the matrix, while integers(n, n + 1)
+        # leaves the stream as it was.
+        drawn = []
+        draw = harness.random_realizable
+
+        def recording(n, rng, ens):
+            lam, M = draw(n, rng, ens)
+            drawn.append(M)
+            return lam, M
+
+        monkeypatch.setattr(harness, "random_realizable", recording)
+        hunt(HuntConfig(5, 5, samples=12, seed=3, ensemble=ensemble))
+        assert len(drawn) == 12
+        for i, M in enumerate(drawn):
+            rng = np.random.default_rng(np.random.SeedSequence([3, i]))
+            n = int(rng.integers(5, 6))
+            assert np.array_equal(random_realizable(n, rng, ensemble)[1], M)
 
     def test_all_ensembles_run(self):
         for ensemble in ENSEMBLES:
