@@ -188,11 +188,9 @@ def _certify(
 
     The reason is None when the backward error is within the rounding
     bound of spec (_rounding_bound).  The scale is the spectral radius of spec (by Gauss-Lucas no critical
-    point is larger), or 1 for a list of zeros.  Raises NumericError
-    when M is not finite.
+    point is larger), or 1 for a list of zeros.  M must be finite
+    (_certificate checks it).
     """
-    if not np.isfinite(M).all():
-        raise NumericError("candidate matrix has non-finite entries")
     beta = _backward_error(spectrum(M), crit, spec.spectral_radius or 1.0)
     if beta <= _rounding_bound(len(spec)):
         return beta, None
@@ -211,8 +209,11 @@ def _certificate(
     of spec (_rounding_bound), sparing the solve.  Entries left at or below
     zero (-0.0 too, not NaN) are rounding and become +0.0, and the backward
     error of that exact matrix decides.  The backward error is None when no
-    eigenvalue solve ran.  Raises NumericError when M is not finite.
+    eigenvalue solve ran.  Raises NumericError when M is not finite, before
+    the sign test, whose clamp would otherwise turn -inf into 0.
     """
+    if not np.isfinite(M).all():
+        raise NumericError("candidate matrix has non-finite entries")
     try:
         sign = matrix_sign_class(M, _rounding_bound(len(spec)))
     except ValueError as exc:

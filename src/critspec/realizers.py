@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 # Uncalled here, roots stays bound: bench/tracing.py wraps it.
-from .polynomial import MonicPolynomial, roots
+from .polynomial import MonicPolynomial, from_roots, roots
 from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
     "spectrum",
     "matrix_sign_class",
 ]
-
-CHARPOLY_MAX_ORDER = 32
-
 
 class MatrixSignClass(Enum):
     NONNEGATIVE = "nonnegative"
@@ -207,33 +204,14 @@ def principal_submatrix(M: np.ndarray, i: int) -> np.ndarray:
 
 
 def charpoly(M: np.ndarray) -> MonicPolynomial:
-    """Characteristic polynomial via the Faddeev-LeVerrier recursion.
+    """Characteristic polynomial of M, expanded from its LAPACK eigenvalues.
 
-    Exact up to rounding in O(n**4) arithmetic; orders above
-    CHARPOLY_MAX_ORDER are rejected because the recursion's conditioning
-    degrades with order.
+    The eigenvalues are those of a matrix within rounding of M, and
+    from_roots expands them with an error relative to prod(1 + |lambda_i|),
+    so there is no order limit.  Non-square and non-finite matrices raise
+    ValueError, as in spectrum.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("a square matrix is required")
-    n = M.shape[0]
-    if n < 1:
-        raise ValueError("the matrix must have order at least 1")
-    if n > CHARPOLY_MAX_ORDER:
-        raise ValueError(
-            f"order {n} exceeds the supported maximum {CHARPOLY_MAX_ORDER}"
-        )
-    eye = np.eye(n, dtype=complex)
-    work = M.copy()
-    desc = [1.0 + 0.0j]
-    c = -np.trace(work)
-    desc.append(c)
-    for k in range(2, n + 1):
-        work = M @ (work + c * eye)
-        c = -np.trace(work) / k
-        desc.append(c)
-    asc = desc[1:][::-1]
-    return MonicPolynomial(tuple(asc))
+    return from_roots(spectrum(M))
 
 
 def spectrum(M: np.ndarray) -> SpectrumList:

@@ -449,8 +449,8 @@ class TestVerifyCommand:
         assert code in (0, 1)
 
     def test_34_entries_get_a_verdict(self):
-        # Solving p'/n of these 34 entries stalls, and the order-33 route
-        # candidates are past charpoly's order limit; verify needs neither.
+        # Solving p'/n of these 34 entries stalls; verify takes the critical
+        # points from the compression and needs no polynomial solve.
         rng = np.random.default_rng(5)
         v = sorted(rng.uniform(-1, 0, 33))
         lam = [-sum(v) + 0.5] + v

@@ -120,9 +120,8 @@ class TestVerify:
         assert not report.conditions.spectral_radius_in_list
 
     def test_34_entries_get_a_verdict_within_the_oracle_bound(self):
-        # Solving p'/n of these 34 entries stalls, and the order-33 route
-        # candidates are past charpoly's order limit; the eigenvalues of
-        # the compression and the backward-error certificate need neither.
+        # Solving p'/n of these 34 entries stalls; the eigenvalues of the
+        # compression and the backward-error certificate need no solve.
         rng = np.random.default_rng(5)
         v = sorted(rng.uniform(-1, 0, 33))
         lam = as_spectrum([-sum(v) + 0.5] + v)
@@ -242,6 +241,27 @@ class TestCertificateRule:
         assert had.succeeded
         assert had.certificate.dtype == np.float64
         assert (had.certificate >= 0).all()
+
+    NON_FINITE = [
+        np.array([[1.0, -np.inf], [-5.0, 1.0]]),
+        np.array([[1.0, np.inf], [0.5, 1.0]]),
+        np.array([[1.0, np.nan], [0.5, 1.0]]),
+        np.array([[1.0, complex(np.nan, 1.0)], [0.5, 1.0]]),
+    ]
+
+    @pytest.mark.parametrize("M", NON_FINITE, ids=["-inf", "inf", "nan", "complex-nan"])
+    def test_non_finite_candidate_raises_before_the_sign_test(self, monkeypatch, M):
+        # The clamp would set a -inf that passed the sign test to 0 and
+        # judge that finite matrix instead.
+        spec = as_spectrum([3, -1, -1])
+        crit = compression_critical_points(spec)
+        with pytest.raises(NumericError, match="candidate matrix has non-finite entries"):
+            harness._certificate(M, spec, crit)
+        monkeypatch.setattr(harness, "d_companion", lambda spec: M)
+        report = verify_critical_realizability(spec)
+        dcomp = next(r for r in report.routes if r.name == "d-companion")
+        assert dcomp.attempted and not dcomp.succeeded
+        assert dcomp.reason == "candidate matrix has non-finite entries"
 
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
     def test_verdict_scale_invariant(self, ensemble):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex_list, random_self_conjugate, random_suleimanova
+from conftest import load_bench, random_complex_list, random_self_conjugate, random_suleimanova
 from critspec import (
+    ENSEMBLES,
     MatrixSignClass,
     MonicPolynomial,
     charpoly,
@@ -20,6 +21,7 @@ from critspec import (
     multiset_equal,
     pairing_residual,
     principal_submatrix,
+    random_realizable,
     real_d_companion,
     spectrum,
 )
@@ -132,6 +134,25 @@ class TestRealDCompanion:
             assert A.dtype == np.float64
             crit = critical_points(lam)
             assert pairing_residual(spectrum(A), crit, 1e-7) < 1e-7
+
+    def test_each_pair_puts_a_negative_entry_below_its_block(self):
+        # A[r0 + 1, r0] = -Im(u) * (n - 2) / n for the pair u whose rotation
+        # block starts at r0, so no list with a pair at n >= 3 gets a
+        # nonnegative real d-companion.
+        rng = np.random.default_rng(37)
+        eps = np.finfo(float).eps
+        for _ in range(500):
+            n = int(rng.integers(3, 13))
+            npairs = int(rng.integers(1, (n - 1) // 2 + 1))
+            ups = [complex(rng.uniform(-2, 2), rng.uniform(0.05, 2)) for _ in range(npairs)]
+            reals = list(rng.uniform(-2, 2, n - 2 * npairs))
+            A = real_d_companion(reals + ups + [u.conjugate() for u in ups])
+            ups.sort(key=lambda z: (-z.imag, -z.real))
+            for t, u in enumerate(ups):
+                r0 = len(reals) - 1 + 2 * t
+                want = -u.imag * (n - 2) / n
+                assert A[r0 + 1, r0] < 0
+                assert abs(A[r0 + 1, r0] - want) <= 4 * eps * abs(want)
 
     def test_no_real_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -257,9 +278,23 @@ class TestPrincipalSubmatrixAndCharpoly:
         q = charpoly(companion(p))
         assert max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)) < 1e-12
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            charpoly(np.eye(33))
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_charpoly_matches_exact_oracle(self, n):
+        # Every coefficient within 4*n*eps*prod(1 + |lambda_i|) of the exact
+        # rational characteristic polynomial of the same doubles.
+        exact = load_bench("exact")
+        for i, ensemble in enumerate(ENSEMBLES):
+            lam, M = random_realizable(n, np.random.SeedSequence([1, n, i]), ensemble)
+            want = [complex(c) for c in exact.charpoly(M)[:0:-1]]
+            got = charpoly(M).coeffs
+            bound = 4 * n * np.finfo(float).eps * np.prod(1 + np.abs(lam.as_array()))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= bound, ensemble
+
+    def test_charpoly_has_no_order_limit(self):
+        M = random_realizable(40, 7)[1]
+        p = charpoly(M)
+        assert p.degree == 40
+        assert abs(p.coeffs[-1] + np.trace(M)) < 1e-12 * np.trace(M)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
