@@ -136,7 +136,7 @@ def critical_compression(lam: SpectrumLike) -> np.ndarray:
     [[a, -b], [b, a]] in the basis (e_j + e_k)/sqrt(2),
     i(e_j - e_k)/sqrt(2), in which the flat vector stays real, so the
     eigenvalues come out as exact conjugate pairs.  Any other list gives
-    a complex B.
+    a complex B.  A non-finite list raises NumericError.
 
     The basis depends only on the order n, the number m of real entries
     and whether B is complex, so it is built once per such key and kept
@@ -148,6 +148,7 @@ def critical_compression(lam: SpectrumLike) -> np.ndarray:
     n = len(spec)
     if n < 2:
         raise ValueError("critical points need a list of at least two entries")
+    spec.spectral_radius  # raises before any product
     split = conjugate_split(spec)
     if split is None:
         Qh, Q = _flat_basis(n, n, True)

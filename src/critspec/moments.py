@@ -1,18 +1,13 @@
-"""Power sums, the moment-correction determinant, and necessary conditions.
+"""Power sums, critical moments, Monov's determinant, necessary conditions.
 
-The k-th moment of the critical points of a list can be produced two
-ways: directly from computed critical points, or through Monov's
-determinant formula
+The moments s_k' of the critical points of a list come from one engine,
+tr(B**k) of the differentiator compression B, whose characteristic
+polynomial is p'/n (differentiator.trace_moments); no critical point is
+computed.  Monov's moment-correction formula
 
-    s_k(crit) = s_k(lam) + (-1/n)**k * d_k(lam),
+    s_k' = s_k + (-1/n)**k * d_k
 
-where d_k is a k x k determinant built from the moments of lam.  The
-determinant is the paper's object, but no command calls it: it loses
-digits with k, every one past k ~ 35 at unit scale, and on the spectra
-of random nonnegative matrices it is off by 1e-6 relative from a median
-k of 29 at n = 8 and 18-24 at n = 12-32.  Every command reads tr(B**k)
-of the differentiator compression B (differentiator.power_traces) instead,
-which never touches the computed critical points either.
+is read backwards: monov_det gives d_k = (-n)**k * (s_k' - s_k).
 
 The necessary conditions are homogeneous in the list, and so is their
 one tolerance law: tol * d * n * rho**d on a term of degree d in n
@@ -31,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .differentiator import trace_moments
 from .errors import NumericError
 from .spectra import SpectrumLike, SpectrumList, _CHECK_TOL, _allowance, _ldexp, as_spectrum
 from .spectra import conjugate_split, lazy, pairing_residual
@@ -68,53 +64,30 @@ def power_sums(lam: SpectrumLike, kmax: int) -> np.ndarray:
         return np.cumprod(factors, axis=0)[1:].sum(axis=1)
 
 
-def _monov_matrix(s: np.ndarray, n: int, k: int) -> np.ndarray:
-    # Row i: first column (i+1)*s_{i+1}, superdiagonal n, then the
-    # Toeplitz tail s_{i+1-j} in columns 1..i.
-    i, j = np.indices((k, k))
-    tail = (j >= 1) & (j <= i)
-    M = np.zeros((k, k), dtype=complex)
-    M[tail] = s[(i - j)[tail]]
-    M[:, 0] = np.arange(1, k + 1) * s[:k]
-    M[j == i + 1] = n
-    return M
-
-
 def monov_det(lam: SpectrumLike, k: int) -> complex:
-    """The k x k moment-correction determinant d_k of the list."""
+    """Monov's k x k moment-correction determinant d_k of a list of n >= 2.
+
+    d_k = (-n)**k * (s_k' - s_k), s_k' = trace_moments(lam, k)[k-1] and
+    s_k = power_sums(lam, k)[k-1].  Each moment carries about
+    k * n * eps * rho**k of rounding (rho the spectral radius), so d_k
+    is within about k * n * eps * n**k * rho**k.  Past the double range
+    the value is not finite, silently, as in power_sums.
+    """
     if k < 1:
         raise ValueError("determinant order must be at least 1")
     spec = as_spectrum(lam)
-    if len(spec) == 0:
-        raise ValueError("the determinant needs a nonempty list")
-    s = power_sums(spec, k)
-    return complex(np.linalg.det(_monov_matrix(s, len(spec), k)))
+    crit = trace_moments(spec, k)[k - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.power(-float(len(spec)), k) * (crit - power_sums(spec, k)[k - 1]))
 
 
 def critical_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
-    """s_1 .. s_kmax of the critical points of lam, via the determinant formula.
-
-    Each d_k is the leading k x k minor of one kmax x kmax matrix, O(kmax**4)
-    in all; no command calls it, as its digits last only to small k (module
-    docstring).  Overflow to inf/nan is tolerated silently, as in power_sums.
-    """
-    spec = as_spectrum(lam)
-    n = len(spec)
-    if n < 2:
-        raise ValueError("critical moments need a list of at least two entries")
-    if kmax < 1:
-        raise ValueError("moment index must be at least 1")
-    s = power_sums(spec, kmax)
-    out = np.empty(kmax, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        M = _monov_matrix(s, n, kmax)
-        for k in range(1, kmax + 1):
-            out[k - 1] = s[k - 1] + (-1.0 / n) ** k * np.linalg.det(M[:k, :k])
-    return out
+    """s_1 .. s_kmax of the critical points of lam: trace_moments(lam, kmax)."""
+    return trace_moments(lam, kmax)
 
 
 def critical_moment(lam: SpectrumLike, k: int) -> complex:
-    """s_k of the critical points of lam, via the determinant formula."""
+    """s_k of the critical points of lam, entry k of critical_moments."""
     return complex(critical_moments(lam, k)[k - 1])
 
 

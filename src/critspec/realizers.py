@@ -163,10 +163,10 @@ def hadamard_similarity(lam: SpectrumLike, H: np.ndarray) -> np.ndarray:
     if H.shape != (n, n):
         raise ValueError(f"matrix order {H.shape} does not match list size {n}")
     off = float(np.max(np.abs(np.abs(H) - 1.0)))
-    if off > 1e-9:
+    if not off <= 1e-9:  # NaN fails
         raise ValueError(f"entries are not unimodular: worst deviation {off:.3e}")
     gram = H @ H.conj().T - n * np.eye(n)
-    if float(np.linalg.norm(gram)) > 1e-8 * n:
+    if not float(np.linalg.norm(gram)) <= 1e-8 * n:
         raise ValueError("rows are not orthogonal: H H* differs from n I")
     U = H / math.sqrt(n)
     return U @ np.diag(spec.as_array()) @ U.conj().T

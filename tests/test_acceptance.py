@@ -88,7 +88,7 @@ def test_criterion_01_golden_critical_points():
 
 
 def test_criterion_02_monov_oracle_suite():
-    with verdict("criterion 2: determinant-formula moments vs direct, 2000 lists"):
+    with verdict("criterion 2: Monov moments (tr(B^k)) vs direct, 2000 lists"):
         rng = np.random.default_rng(20260814)
         start = time.perf_counter()
         for _ in range(2000):

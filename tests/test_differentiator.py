@@ -8,10 +8,12 @@ from conftest import load_bench
 from critspec import (
     ENSEMBLES,
     MonicPolynomial,
+    NumericError,
     as_spectrum,
     charpoly,
     circulant,
     compression,
+    compression_critical_points,
     critical_compression,
     critical_moments,
     derivative_monic,
@@ -26,6 +28,7 @@ from critspec import (
     spectrum,
     trace_moments,
     unit_vector,
+    verify_critical_realizability,
 )
 from critspec import differentiator, realizers
 
@@ -168,6 +171,30 @@ def _compression_input(rng, n, kind, m, scale):
         D[j, j + 1], D[j + 1, j] = -w.imag, w.imag
         z[j] = np.sqrt(2.0)
     return lam, D, z
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        critical_compression,
+        compression_critical_points,
+        verify_critical_realizability,
+        lambda lam: trace_moments(lam, 4),
+        lambda lam: critical_moments(lam, 4),
+    ],
+    ids=[
+        "critical_compression",
+        "compression_critical_points",
+        "verify_critical_realizability",
+        "trace_moments",
+        "critical_moments",
+    ],
+)
+def test_nonfinite_list_raises_numeric_error(entry):
+    # critical_compression reads the spectral radius before any product,
+    # so no numpy warning comes first (any RuntimeWarning fails the suite).
+    with pytest.raises(NumericError, match="spectral radius"):
+        entry([np.inf, 1.0, 2.0])
 
 
 class TestBasisCache:
@@ -348,14 +375,13 @@ class TestTraceMoments:
         assert np.all(np.abs(got - _oracle_moments(spec, K)) <= bound)
 
     def test_keeps_the_digits_the_determinant_loses(self):
-        # Monov's determinant gives s'_38 of 3,-1,-1 as a large negative
-        # number; the exact value is about +2.7e8.
+        # s'_38 of 3,-1,-1 is about +2.7e8; a k x k determinant per
+        # moment (Monov's formula in doubles) reads -4.42e9 there.
         lam = [3.0, -1.0, -1.0]
-        want = _oracle_moments(lam, 40)
-        assert critical_moments(lam, 40)[37].real < 0
-        got = trace_moments(lam, 40)
-        assert got[37].real > 0
-        assert abs(got[37] - want[37]) <= 1e-14 * abs(want[37])
+        want = _oracle_moments(lam, 40)[37]
+        assert want.real > 0
+        for got in (critical_moments(lam, 40)[37], trace_moments(lam, 40)[37]):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_every_depth_gives_its_prefix(self):
         # The baby-step/giant-step split changes with kmax; every split

@@ -1,7 +1,9 @@
-"""Power sums, the determinant formula, and the condition battery."""
+"""Power sums, critical moments, Monov's determinant, and the condition battery."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,11 +20,9 @@ from critspec import (
     monov_det,
     power_sums,
     random_realizable,
+    trace_moments,
 )
-from critspec.moments import (
-    _grade_moments,
-    _monov_matrix,
-)
+from critspec.moments import _grade_moments
 
 
 class TestPowerSums:
@@ -64,6 +64,45 @@ class TestMonovDet:
         with pytest.raises(ValueError):
             monov_det([1, 2], 0)
 
+    def test_needs_two_entries(self):
+        for lam in ([], [1.0]):
+            with pytest.raises(ValueError):
+                monov_det(lam, 1)
+
+    def test_within_bound_of_mpmath_determinant(self):
+        # The k x k determinant itself, at 60 digits, is the reference;
+        # monov_det is within k * n * eps * n**k * rho**k of it.
+        def reference(lam, k):
+            with mpmath.workdps(60):
+                z = [mpmath.mpc(x) for x in lam]
+                s = [mpmath.fsum(w**j for w in z) for j in range(1, k + 1)]
+                M = mpmath.matrix(k, k)
+                for i in range(k):
+                    M[i, 0] = (i + 1) * s[i]
+                    if i + 1 < k:
+                        M[i, i + 1] = len(z)
+                    for j in range(1, i + 1):
+                        M[i, j] = s[i - j]
+                return complex(mpmath.det(M))
+
+        rng = np.random.default_rng(36)
+        makers = (random_complex_list, random_self_conjugate, random_suleimanova)
+        for i in range(42):
+            n = 2 + i % 7
+            lam = makers[i % 3](rng, n)
+            if i % 4 == 0:
+                lam = as_spectrum(np.array(lam.entries) * 10.0 ** int(rng.integers(-3, 4)))
+            rho = lam.spectral_radius
+            for k in range(1, 9):
+                bound = k * n * np.finfo(float).eps * (n * rho) ** k
+                assert abs(monov_det(lam, k) - reference(lam.entries, k)) <= bound, (lam, k)
+
+    def test_past_the_double_range_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = monov_det([3, -1, -1], 700)
+        assert not np.isfinite(d)
+
 
 class TestCriticalMoment:
     def test_worked_case(self):
@@ -103,8 +142,9 @@ class TestCriticalMoment:
 
 class TestCriticalMoments:
     def test_leading_blocks_match_single_moments_exactly(self):
-        # Every d_k is a leading minor of the one K x K matrix, so the
-        # batch must reproduce each single moment bit for bit.
+        # The batch is trace_moments bit for bit; a single moment takes a
+        # shorter baby-step/giant-step split, so it matches entry k within
+        # the prefix tolerance of trace_moments.
         for seed in range(24):
             ensemble = ENSEMBLES[seed % len(ENSEMBLES)]
             n = 3 + seed % 6
@@ -112,25 +152,11 @@ class TestCriticalMoments:
             K = 4 * n
             batch = critical_moments(lam, K)
             assert batch.shape == (K,)
+            assert np.array_equal(batch, trace_moments(lam, K))
             for k in range(1, K + 1):
-                assert complex(batch[k - 1]) == critical_moment(lam, k)
-
-    def test_matrix_matches_loop_reference(self):
-        def loop_matrix(s, n, k):
-            M = np.zeros((k, k), dtype=complex)
-            for i in range(k):
-                M[i, 0] = (i + 1) * s[i]
-                if i + 1 < k:
-                    M[i, i + 1] = n
-                for j in range(1, i + 1):
-                    M[i, j] = s[i - j]
-            return M
-
-        rng = np.random.default_rng(23)
-        for k in (1, 2, 5, 17, 40):
-            lam = random_complex_list(rng, 6)
-            s = power_sums(lam, k)
-            assert np.array_equal(_monov_matrix(s, 6, k), loop_matrix(s, 6, k))
+                single = critical_moment(lam, k)
+                assert isinstance(single, complex)
+                assert np.allclose(single, batch[k - 1], rtol=1e-13, atol=0)
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -210,6 +210,13 @@ class TestDftAndHadamard:
         with pytest.raises(ValueError, match="unimodular"):
             hadamard_similarity([1, 2], np.array([[1, 2], [1, 1]], dtype=float))
 
+    def test_nan_entry_rejected(self):
+        # NaN fails no "greater than" comparison, so the checks must fail on it.
+        H = dft_matrix(3)
+        H[1, 1] = np.nan
+        with pytest.raises(ValueError, match="unimodular"):
+            hadamard_similarity([1, 2, 3], H)
+
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             hadamard_similarity([1, 2], np.ones((2, 2)))
