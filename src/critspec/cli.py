@@ -28,7 +28,6 @@ from .harness import (
     VerifyConfig,
     _ROUTES,
     _certificate,
-    _certify,
     _RouteFailure,
     antiderivative_chain,
     hunt,
@@ -37,8 +36,8 @@ from .harness import (
 from .moments import check_necessary_conditions, power_sums
 from .differentiator import compression_critical_points, critical_compression, power_traces
 from .polynomial import from_roots
-from .realizers import d_companion, real_d_companion
-from .spectra import SpectrumList, as_spectrum
+from .realizers import d_companion, real_d_companion, spectrum
+from .spectra import SpectrumList, _spectral_match, as_spectrum
 
 __all__ = ["parse_complex", "parse_spectrum", "run", "main"]
 
@@ -129,13 +128,13 @@ def _format_entry(z: complex) -> str:
     return f"{z.real:.10g}{sign}{abs(z.imag):.10g}i"
 
 
-def format_matrix(M: np.ndarray, indent: str = "  ") -> str:
+def format_matrix(M: np.ndarray) -> str:
     M = np.asarray(M)
     cells = [[_format_entry(complex(v)) for v in row] for row in M]
     widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
     lines = []
     for row in cells:
-        lines.append(indent + "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
+        lines.append("  [ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
     return "\n".join(lines)
 
 
@@ -318,7 +317,7 @@ def _cmd_realize(args, out) -> int:
         cert, residual, reason, sign = _certificate(M, spec, crit)
         if residual is None:
             # M is complex or failed the sign test, so no solve ran.
-            residual, mismatch = _certify(M, spec, crit)
+            residual, mismatch = _spectral_match(spectrum(M), crit, spec)
             reason = mismatch or reason
         M = M if cert is None else cert
     certified = cert is not None

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import NumericError
 from .realizers import spectrum
-from .spectra import SpectrumLike, SpectrumList, _backward_error, _rounding_bound
-from .spectra import as_spectrum, conjugate_split
+from .spectra import SpectrumLike, SpectrumList, _spectral_match, as_spectrum, conjugate_split
 
 __all__ = [
     "unit_vector",
@@ -217,9 +216,8 @@ def trace_moments(lam: SpectrumLike, kmax: int) -> np.ndarray:
 
 def is_differentiator(A: np.ndarray, z: np.ndarray) -> bool:
     """Whether the compression along z has characteristic polynomial p'/n,
-    p that of A: its spectrum is within the certifier's backward error
-    (_rounding_bound) of the critical points of A's spectrum, as a route
-    certificate's must be.  No polynomial is expanded: no order limit."""
+    p that of A: its spectrum matches the critical points of A's spectrum
+    by the test every route certificate passes (_spectral_match).  No
+    polynomial is expanded: no order limit."""
     B, lam = compression(A, z), spectrum(A)
-    crit, bound = compression_critical_points(lam), _rounding_bound(len(lam))
-    return _backward_error(spectrum(B), crit, lam.spectral_radius or 1.0) <= bound
+    return _spectral_match(spectrum(B), compression_critical_points(lam), lam)[1] is None

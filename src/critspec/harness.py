@@ -62,9 +62,9 @@ from .spectra import (
     _CHECK_TOL,
     _EPS,
     _allowance,
-    _backward_error,
     _ldexp,
     _rounding_bound,
+    _spectral_match,
     as_spectrum,
     classify,
     conjugate_split,
@@ -180,37 +180,20 @@ class _RouteFailure(Exception):
     """A route's build found no candidate; the message is the reason."""
 
 
-def _certify(
-    M: np.ndarray, spec: SpectrumList, crit: SpectrumList
-) -> tuple[float, str | None]:
-    """The backward error of M's spectrum as crit, the critical points of
-    spec, and why M fails to match.
-
-    The reason is None when the backward error is within the rounding
-    bound of spec (_rounding_bound).  The scale is the spectral radius of spec (by Gauss-Lucas no critical
-    point is larger), or 1 for a list of zeros.  M must be finite
-    (_certificate checks it).
-    """
-    beta = _backward_error(spectrum(M), crit, spec.spectral_radius or 1.0)
-    if beta <= _rounding_bound(len(spec)):
-        return beta, None
-    return beta, f"spectrum mismatch: backward error {beta:.3e}"
-
-
 def _certificate(
     M: np.ndarray, spec: SpectrumList, crit: SpectrumList
 ) -> tuple[np.ndarray | None, float | None, str | None, MatrixSignClass | None]:
     """The certificate candidate M gives for crit, its backward error, why
     there is none, and M's sign class (None for a complex M).
 
-    The one rule of verify and realize: a certificate is a real matrix with
-    no negative entry whose spectrum is crit (_certify).  A complex M fails,
-    and so does one with an entry below -b * max|M|, b the rounding bound
-    of spec (_rounding_bound), sparing the solve.  Entries left at or below
-    zero (-0.0 too, not NaN) are rounding and become +0.0, and the backward
-    error of that exact matrix decides.  The backward error is None when no
-    eigenvalue solve ran.  Raises NumericError when M is not finite, before
-    the sign test, whose clamp would otherwise turn -inf into 0.
+    The one rule of verify and realize: a certificate is a real matrix
+    with no negative entry whose spectrum is crit (_spectral_match).  A
+    complex M fails, and so does one with an entry below -b * max|M|, b
+    the rounding bound of spec (_rounding_bound), sparing the solve.
+    Entries left at or below zero (-0.0 too, not NaN) are rounding and
+    become +0.0, and the backward error of that exact matrix decides,
+    None when no eigenvalue solve ran.  Raises NumericError when M is
+    not finite, before the sign test, whose clamp would turn -inf into 0.
     """
     if not np.isfinite(M).all():
         raise NumericError("candidate matrix has non-finite entries")
@@ -222,7 +205,7 @@ def _certificate(
         reason = f"matrix is not entrywise nonnegative (sign class: {sign.value})"
         return None, None, reason, sign
     M = np.where(M <= 0, 0.0, M)
-    beta, reason = _certify(M, spec, crit)
+    beta, reason = _spectral_match(spectrum(M), crit, spec)
     return (M if reason is None else None), beta, reason, sign
 
 
@@ -340,7 +323,7 @@ def verify_critical_realizability(
     _certificate: it must be real and pass the sign test, and then the
     LAPACK eigenvalues of the candidate, as a polynomial, must be within
     backward error 64 * n * eps of the critical points, n = len(lam)
-    (_certify); the conditions are graded at spectra._CHECK_TOL.  Raises
+    (_spectral_match); the conditions are graded at _CHECK_TOL.  Raises
     NumericError when B, or the spectral radius or the trace of lam or of
     its critical points, is not finite.
     """
@@ -473,10 +456,6 @@ def hunt(config: HuntConfig) -> HuntReport:
         raise ValueError("need at least one sample")
     if config.n_min < 2 or config.n_max < config.n_min:
         raise ValueError("order range must satisfy 2 <= n_min <= n_max")
-    if config.ensemble not in ENSEMBLES:
-        raise ValueError(
-            f"unknown ensemble {config.ensemble!r}; choose from {ENSEMBLES}"
-        )
     vcfg = VerifyConfig(kmax=config.kmax, jll_depth=config.jll_depth)
     start = time.perf_counter()
     certified = 0

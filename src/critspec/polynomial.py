@@ -137,13 +137,13 @@ def _companion_eigenvalues(cdesc: np.ndarray) -> np.ndarray:
         return np.full(deg, np.nan, dtype=complex)
 
 
-def _newton_polish(x: np.ndarray, cdesc: np.ndarray, iters: int = 24) -> np.ndarray:
-    """iters Newton steps on every point; each keeps its least-residual state."""
+def _newton_polish(x: np.ndarray, cdesc: np.ndarray) -> np.ndarray:
+    """24 Newton steps on every point; each keeps its least-residual state."""
     dcdesc = _deriv_desc(cdesc)
     best = x.copy()
     fv, dfv = np.polyval(cdesc, best), np.polyval(dcdesc, best)
     best_res = np.abs(fv)
-    for _ in range(iters):
+    for _ in range(24):
         flat = dfv == 0
         x = x - np.where(flat, 0.0, fv / np.where(flat, 1.0, dfv))
         # p(x) is both this step's residual and the next step's value.
@@ -155,13 +155,13 @@ def _newton_polish(x: np.ndarray, cdesc: np.ndarray, iters: int = 24) -> np.ndar
     return best
 
 
-def _newton_simple(q: np.ndarray, z0: complex, iters: int = 60) -> complex:
-    """Newton iteration on q from z0; q is expected to have a simple root nearby."""
+def _newton_simple(q: np.ndarray, z0: complex) -> complex:
+    """At most 60 Newton steps on q from z0, expected near a simple root of q."""
     if len(q) == 2:
         return complex(-q[1] / q[0])
     dq = _deriv_desc(q)
     z = complex(z0)
-    for _ in range(iters):
+    for _ in range(60):
         f = complex(np.polyval(q, z))
         df = complex(np.polyval(dq, z))
         if df == 0:

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import NumericError
 # Uncalled here, roots stays bound: bench/tracing.py wraps it.
 from .polynomial import MonicPolynomial, from_roots, roots
 from .spectra import SpectrumLike, SpectrumList, as_spectrum, conjugate_split
@@ -63,12 +64,14 @@ def d_companion(lam: SpectrumLike, pivot: int | None = None) -> np.ndarray:
         A[i][i] = ((n-1) r_i + l1) / n.
 
     ``pivot`` is a 1-based index into the canonical order; by default the
-    entry with the largest real part (then largest modulus) is used.
+    entry with the largest real part (then largest modulus) is used.  A
+    non-finite list raises NumericError.
     """
     spec = as_spectrum(lam)
     n = len(spec)
     if n < 2:
         raise ValueError("the construction needs a list of at least two entries")
+    spec.spectral_radius  # raises before any product
     entries = list(spec)
     if pivot is None:
         x = entries[0].real
@@ -105,12 +108,14 @@ def real_d_companion(lam: SpectrumLike) -> np.ndarray:
     and the coupling pattern K carries weights 1 (real-real), sqrt(2)
     (real-pair) and 2 (pair-pair) so that the construction is unitarily
     similar to the complex one.  The list must be exactly self-conjugate
-    (conjugate_split), and the pivot is its largest real entry.
+    (conjugate_split), and the pivot is its largest real entry.  A
+    non-finite list raises NumericError.
     """
     spec = as_spectrum(lam)
     n = len(spec)
     if n < 2:
         raise ValueError("the construction needs a list of at least two entries")
+    spec.spectral_radius  # raises before any product
     split = conjugate_split(spec)
     if split is None:
         raise ValueError("list is not self-conjugate")
@@ -118,27 +123,16 @@ def real_d_companion(lam: SpectrumLike) -> np.ndarray:
     if not reals:
         raise ValueError("the pivot must be real: the list has no real entry")
     pairs = sorted(ups, key=lambda z: (-z.imag, -z.real))
-    lam1 = reals[0]
-    rest = reals[1:]
-    m = len(reals)
-    npairs = len(pairs)
-    size = n - 1
-    B = np.zeros((size, size))
-    B[: m - 1, : m - 1] = np.diag(rest)
-    for t, mu in enumerate(pairs):
-        r0 = (m - 1) + 2 * t
-        B[r0, r0] = B[r0 + 1, r0 + 1] = mu.real
-        B[r0, r0 + 1] = mu.imag
-        B[r0 + 1, r0] = -mu.imag
-    K = np.zeros((size, size))
-    K[: m - 1, : m - 1] = 1.0
-    if m - 1 > 0 and npairs > 0:
-        G = np.kron(np.ones((m - 1, npairs)), [[math.sqrt(2.0), 0.0]])
-        K[: m - 1, m - 1 :] = G
-        K[m - 1 :, : m - 1] = G.T
-    if npairs > 0:
-        K[m - 1 :, m - 1 :] = np.kron(np.ones((npairs, npairs)), [[2.0, 0.0], [0.0, 0.0]])
-    return B @ (np.eye(size) - K / n) + (lam1 / n) * K
+    r = len(reals) - 1
+    B = np.diag(reals[1:] + [mu.real for mu in pairs for _ in (0, 1)])
+    for j, mu in zip(range(r, n - 1, 2), pairs):
+        B[j, j + 1], B[j + 1, j] = mu.imag, -mu.imag
+    # K is w w* for the flat vector w, 1 on each real slot and sqrt(2), 0 on
+    # each pair; sqrt(2)**2 rounds above 2, so the pair-pair weight is set.
+    w = np.array([1.0] * r + [math.sqrt(2.0), 0.0] * len(pairs))
+    K = np.outer(w, w)
+    K[r::2, r::2] = 2.0
+    return B @ (np.eye(n - 1) - K / n) + (reals[0] / n) * K
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -155,7 +149,7 @@ def hadamard_similarity(lam: SpectrumLike, H: np.ndarray) -> np.ndarray:
 
     H must be square of the same order as the list, with unimodular
     entries and H H* = n I.  The result is similar to diag(lam) via the
-    unitary H/sqrt(n).
+    unitary H/sqrt(n).  A non-finite list raises NumericError.
     """
     spec = as_spectrum(lam)
     n = len(spec)
@@ -168,6 +162,7 @@ def hadamard_similarity(lam: SpectrumLike, H: np.ndarray) -> np.ndarray:
     gram = H @ H.conj().T - n * np.eye(n)
     if not float(np.linalg.norm(gram)) <= 1e-8 * n:
         raise ValueError("rows are not orthogonal: H H* differs from n I")
+    spec.spectral_radius  # raises before any product
     U = H / math.sqrt(n)
     return U @ np.diag(spec.as_array()) @ U.conj().T
 

@@ -239,6 +239,20 @@ def _rounding_bound(n: int) -> float:
     return 64.0 * n * _EPS
 
 
+def _spectral_match(
+    nu: SpectrumList, crit: SpectrumList, spec: SpectrumList
+) -> tuple[float, str | None]:
+    """The backward error of nu as crit, the critical points of spec, and why
+    nu fails to match, None within the rounding bound of spec
+    (_rounding_bound): the spectral test of every certificate and of
+    is_differentiator.  The scale is the spectral radius of spec (by
+    Gauss-Lucas no critical point is larger), or 1 for a list of zeros."""
+    beta = _backward_error(nu, crit, spec.spectral_radius or 1.0)
+    if beta <= _rounding_bound(len(spec)):
+        return beta, None
+    return beta, f"spectrum mismatch: backward error {beta:.3e}"
+
+
 # The one tol of the battery, its alarm recheck, classify and chain's sign
 # test (_allowance), 4.5e6 / n times the rounding n * eps it stands for.
 _CHECK_TOL = 1e-9

@@ -1,5 +1,8 @@
 """Matrix constructions: companion, d-companion, circulant, Hadamard."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,11 @@ from critspec import (
     ENSEMBLES,
     MatrixSignClass,
     MonicPolynomial,
+    NumericError,
     charpoly,
     circulant,
     companion,
+    conjugate_split,
     critical_points,
     d_companion,
     derivative_monic,
@@ -114,7 +119,58 @@ class TestDCompanion:
             d_companion([1.0])
 
 
+def _parent_real_d_companion(lam):
+    """real_d_companion with B placed block by block and K assembled from
+    kron blocks, as it was built before K became w w* of the flat vector."""
+    n = len(lam)
+    reals, ups = conjugate_split(lam)
+    pairs = sorted(ups, key=lambda z: (-z.imag, -z.real))
+    lam1, rest, m, npairs, size = reals[0], reals[1:], len(reals), len(pairs), n - 1
+    B = np.zeros((size, size))
+    B[: m - 1, : m - 1] = np.diag(rest)
+    for t, mu in enumerate(pairs):
+        r0 = (m - 1) + 2 * t
+        B[r0, r0] = B[r0 + 1, r0 + 1] = mu.real
+        B[r0, r0 + 1] = mu.imag
+        B[r0 + 1, r0] = -mu.imag
+    K = np.zeros((size, size))
+    K[: m - 1, : m - 1] = 1.0
+    if m - 1 > 0 and npairs > 0:
+        G = np.kron(np.ones((m - 1, npairs)), [[math.sqrt(2.0), 0.0]])
+        K[: m - 1, m - 1 :] = G
+        K[m - 1 :, : m - 1] = G.T
+    if npairs > 0:
+        K[m - 1 :, m - 1 :] = np.kron(np.ones((npairs, npairs)), [[2.0, 0.0], [0.0, 0.0]])
+    return B @ (np.eye(size) - K / n) + (lam1 / n) * K
+
+
 class TestRealDCompanion:
+    def test_keeps_the_kron_assembly_bits(self):
+        # Every split of n = 2..16 into reals and pairs, with distinct or
+        # tied entries (the pivot tied too), at scales across the double range.
+        rng = np.random.default_rng(39)
+        built = 0
+        for n in range(2, 17):
+            for npairs in range((n - 1) // 2 + 1):
+                m = n - 2 * npairs
+                for tied in (False, True):
+                    if tied:
+                        reals = list(rng.integers(-2, 3, m).astype(float))
+                        reals[-1] = max(reals)
+                        ups = [complex(rng.integers(-2, 3), rng.integers(1, 3)) for _ in range(npairs)]
+                    else:
+                        reals = list(rng.uniform(-2, 2, m))
+                        ups = [complex(rng.uniform(-2, 2), rng.uniform(0.05, 2)) for _ in range(npairs)]
+                    base = reals + ups + [u.conjugate() for u in ups]
+                    for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300):
+                        lam = [z * scale for z in base]
+                        got, want = real_d_companion(lam), _parent_real_d_companion(lam)
+                        assert got.dtype == want.dtype == np.float64
+                        assert got.shape == want.shape == (n - 1, n - 1)
+                        assert got.tobytes() == want.tobytes()
+                        built += 1
+        assert built == 2 * 7 * sum((n - 1) // 2 + 1 for n in range(2, 17))
+
     def test_worked_case(self):
         A = real_d_companion([2, 1j, -1j])
         assert A.dtype == np.float64
@@ -163,6 +219,17 @@ class TestRealDCompanion:
         for lam in ([1, 1j], [2, 1 + 1j, complex(1, -1.0000000001), -1]):
             with pytest.raises(ValueError, match="^list is not self-conjugate$"):
                 real_d_companion(lam)
+
+
+class TestNonFiniteLists:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1, math.nan)])
+    def test_constructions_raise_before_any_product(self, bad):
+        builds = (lambda lam: hadamard_similarity(lam, dft_matrix(3)), d_companion, real_d_companion)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in builds:
+                with pytest.raises(NumericError, match="not finite"):
+                    build([bad, 1, 2])
 
 
 class TestDftAndHadamard:
